@@ -1,0 +1,89 @@
+"""Pinned behaviour: exact values, search sizes and seeded report digests.
+
+Every number here was measured on the code before the duplicate turn,
+search, budget and crossing paths were merged into one routine each.  A
+refactor that keeps behaviour must keep all of them: node counts fix the
+search order, digests fix every RNG draw and every move of seeded play.
+The whole module runs in a few seconds.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from gamelab import acceptance
+from gamelab.breaker import BoxReductionBreaker
+from gamelab.cli import ExperimentSpec, run_match
+from gamelab.engine import BREAKER, MAKER, MODIFIED, GameConfig
+from gamelab.exact import game_chromatic_index, verify_strategy
+from gamelab.graph import generate
+from gamelab.maker import UniformRandomMaker
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "spec, variant, b, value, nodes",
+    [
+        ("cycle:7", GameConfig.skip_variant, 1, 3, 1581),
+        ("cycle:9", GameConfig.classic, 1, 3, 3757),
+        ("complete_bipartite:3:3", GameConfig.skip_variant, 1, 4, 28494),
+        ("star:4", GameConfig.classic, 2, 4, 88),
+    ],
+)
+def test_game_chromatic_index_value_and_nodes(spec, variant, b, value, nodes):
+    res = game_chromatic_index(generate(spec), b, variant(k=1))
+    assert (res.value, res.nodes) == (value, nodes)
+
+
+def test_verify_strategy_nodes_and_counterexample():
+    classic = GameConfig.classic(k=4, b=2)
+    res = verify_strategy(
+        generate("cycle:8"), 3, GameConfig.classic(k=3), UniformRandomMaker(seed=2), MAKER
+    )
+    assert (res.sound, res.nodes) == (True, 3899)
+    res = verify_strategy(
+        generate("complete_bipartite:5:5"), 4, classic, BoxReductionBreaker(), BREAKER
+    )
+    assert (res.sound, res.nodes) == (True, 17613)
+    g = generate("random_regular:16:4:3")
+    res = verify_strategy(g, 4, classic, BoxReductionBreaker(), BREAKER)
+    assert (res.sound, res.nodes) == (False, 47872)
+    assert sha256(res.counterexample.to_jsonl(g)) == (
+        "dcc4d21abe94ead6bf1aa10943fa3645b271545bc68aa70393cd792632d545c9"
+    )
+
+
+MATCH_DIGESTS = {
+    ("paper", "box"): "c1859158b19cd43be8fb14b7365a7e137013d32e879c061932254263819ecbdb",
+    ("paper", "random"): "007271a2ec5715d7ce9cceef6cec6124f5d0172564b16f77aa6b3fe9eeb3f712",
+    ("paper", "greedy"): "be613f26803e29091e271b8f6d27cf2eec4878bc8ff7260d368b7fd7d8403774",
+    ("paper", "skip"): "5a858cae874923b5c5169193f44be58cddcfa9cfee629978759bea451dac8b3a",
+    ("random", "box"): "82fde4d2c286fadab0f12128090846bb1538a4842a45cdfc3223620fcc77e8a6",
+    ("random", "random"): "59783e532b6204afac7f85d3df4cad5c3698051895ae72ecf1979e4b9301142f",
+    ("random", "greedy"): "5f2ae0ba5f722298c03543ce143c0010d73a0b0415cf5c55b2d52346c59b11d2",
+    ("random", "skip"): "49e11170d761c98142a2242e84495e3c9435f5daebd8b621dd9474a7aba4aead",
+    ("greedy", "box"): "adbe25228d300863978bbdd865f799477ae319e1c60e4660bd42c268c7c94445",
+    ("greedy", "random"): "623ee9dc87c96aedef68142c529764ecab9d971700e85bb4a1488a9b16372e02",
+    ("greedy", "greedy"): "22cf684ce916cd936e686a78f9ba795a55f00e4c985c014be41a8745917b0830",
+    ("greedy", "skip"): "4e32d6ea61a40947c0b5f6d626b9891d30e3898776a8fa7362e8ef4aee0dda3f",
+}
+
+
+@pytest.mark.parametrize("maker, breaker", sorted(MATCH_DIGESTS))
+def test_match_report_digest(maker, breaker):
+    spec = ExperimentSpec(
+        graph="gnp:10:0.4:7", maker=maker, breaker=breaker,
+        k=5, b=2, mode=MODIFIED, trials=8, seed=0,
+    )
+    assert sha256(run_match(spec).to_json()) == MATCH_DIGESTS[maker, breaker]
+
+
+def test_criterion_7_report_digest():
+    assert sha256(acceptance._reduction_medium_report()) == (
+        "e38249a86809bac6ab356848a72ebd26d6a8c9a83b16a68dddb6511ab6ce3c5d"
+    )
