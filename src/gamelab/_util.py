@@ -18,6 +18,23 @@ class BudgetExceeded(RuntimeError):
         self.nodes = nodes
 
 
+class NodeBudget:
+    """Node counter of one search; ``tick`` raises BudgetExceeded once the
+    count passes ``limit`` (``None`` means unlimited)."""
+
+    __slots__ = ("limit", "what", "nodes")
+
+    def __init__(self, limit: int | None, what: str) -> None:
+        self.limit = limit
+        self.what = what
+        self.nodes = 0
+
+    def tick(self) -> None:
+        self.nodes += 1
+        if self.limit is not None and self.nodes > self.limit:
+            raise BudgetExceeded(self.nodes, self.what)
+
+
 def derive_seed(master: int, *parts: object) -> int:
     """Derive a stable 64-bit sub-seed from a master seed and a label path.
 

@@ -18,16 +18,14 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-import networkx as nx
-
 from ._util import BudgetExceeded, derive_seed, wilson_interval
 from .boxgame import bob_wins, box_threshold, is_near_uniform, solve_boxgame
 from .breaker import BoxReductionBreaker, GreedyBlockingBreaker
-from .cli import ExperimentSpec, mixed_corpus, play_game, run_match
 from .engine import BREAKER, MAKER, MAKER_WON, MODIFIED, GameConfig
 from .exact import game_chromatic_index, solve, verify_strategy
 from .goodset import find_good_set, harmonic_condition
-from .graph import Graph, cycle, random_regular, star
+from .graph import cycle, nonisomorphic_trees, random_regular, star
+from .match import ExperimentSpec, mixed_corpus, play_game, run_match
 from .maker import DangerRedirectMaker, MakerConfig
 from .telemetry import TraceCollector, analyze
 
@@ -91,18 +89,16 @@ def _check_forest_bound() -> tuple[bool, str]:
     exactly (no palette size below Delta can ever be a Maker win).
     """
     trees = 0
-    for n in range(2, 10):
-        for t in nx.nonisomorphic_trees(n):
-            g = Graph(n, sorted(tuple(sorted(e)) for e in t.edges()))
-            d = g.max_degree
-            if d < 5:
-                continue
-            trees += 1
-            if not any(
-                solve(g, k, GameConfig.skip_variant(k=k)).winner == MAKER
-                for k in (d, d + 1)
-            ):
-                return False, f"tree {g.edges}: value exceeds Delta+1 = {d + 1}"
+    for g in nonisomorphic_trees(8):
+        d = g.max_degree
+        if d < 5:
+            continue
+        trees += 1
+        if not any(
+            solve(g, k, GameConfig.skip_variant(k=k)).winner == MAKER
+            for k in (d, d + 1)
+        ):
+            return False, f"tree {g.edges}: value exceeds Delta+1 = {d + 1}"
     return True, f"{trees} trees with Delta >= 5, all values <= Delta+1"
 
 

@@ -18,11 +18,11 @@ solver used to validate it, and the explicit strategies on both sides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from ._util import BudgetExceeded
+from ._util import NodeBudget
 
 ALICE = "alice"
 BOB = "bob"
@@ -92,7 +92,6 @@ class BoxGameState:
     b: int
     turn: str = ALICE
     claims_left: int = 0
-    history: list[tuple[str, int | None]] = field(default_factory=list)
 
     @classmethod
     def new(cls, sizes: Sequence[int], b: int, first: str = ALICE) -> "BoxGameState":
@@ -140,7 +139,6 @@ class BoxGameState:
         self._claimable(i)
         self.remaining[i] -= 1
         self.touched[i] = True
-        self.history.append((ALICE, i))
         self.turn = BOB
         self.claims_left = self.b
 
@@ -154,7 +152,6 @@ class BoxGameState:
         self._claimable(i)
         self.remaining[i] -= 1
         self.claims_left -= 1
-        self.history.append((BOB, i))
         if self.claims_left == 0 and self.winner() is None:
             self.turn = ALICE
 
@@ -165,7 +162,6 @@ class BoxGameState:
             raise BoxGameError("not Bob's turn")
         if self.claims_left == self.b and self.elements_remain():
             raise BoxGameError("Bob must claim at least one element")
-        self.history.append((BOB, None))
         self.turn = ALICE
         self.claims_left = 0
 
@@ -176,7 +172,6 @@ class BoxGameState:
             b=self.b,
             turn=self.turn,
             claims_left=self.claims_left,
-            history=list(self.history),
         )
 
 
@@ -195,13 +190,10 @@ def solve_boxgame(
     """Exact minimax value: True iff Bob destroys a box under optimal play."""
     state = BoxGameState.new(sizes, b, first=first)
     memo: dict[tuple, bool] = {}
-    nodes = 0
+    nodes = NodeBudget(budget, "box-game solver")
 
     def visit(rem: list[int], tou: list[bool], turn: str, claims_left: int) -> bool:
-        nonlocal nodes
-        nodes += 1
-        if budget is not None and nodes > budget:
-            raise BudgetExceeded(nodes, what="box-game solver")
+        nodes.tick()
         if any(r == 0 and not t for r, t in zip(rem, tou)):
             return True
         if all(tou):
@@ -209,39 +201,30 @@ def solve_boxgame(
         key = (_canonical(rem, tou), turn, claims_left)
         if key in memo:
             return memo[key]
-        if turn == ALICE:
-            result = True
-            seen: set[tuple[int, bool]] = set()
-            for i in range(len(rem)):
-                if rem[i] == 0 or (rem[i], tou[i]) in seen:
-                    continue
-                seen.add((rem[i], tou[i]))
-                rem[i] -= 1
-                was = tou[i]
+        # the mover wins with any child won for him; boxes with equal
+        # (remaining, touched) are interchangeable, so one of each is tried
+        bob_moves = turn == BOB
+        result = not bob_moves
+        seen: set[tuple[int, bool]] = set()
+        for i in range(len(rem)):
+            if rem[i] == 0 or (rem[i], tou[i]) in seen:
+                continue
+            seen.add((rem[i], tou[i]))
+            rem[i] -= 1
+            was = tou[i]
+            if bob_moves:
+                left = claims_left - 1
+                child = visit(rem, tou, BOB, left) if left else visit(rem, tou, ALICE, 0)
+            else:
                 tou[i] = True
-                if not visit(rem, tou, BOB, b):
-                    result = False
-                rem[i] += 1
-                tou[i] = was
-                if not result:
-                    break
+                child = visit(rem, tou, BOB, b)
+            rem[i] += 1
+            tou[i] = was
+            if child == bob_moves:
+                result = bob_moves
+                break
         else:
-            result = False
-            seen = set()
-            for i in range(len(rem)):
-                if rem[i] == 0 or (rem[i], tou[i]) in seen:
-                    continue
-                seen.add((rem[i], tou[i]))
-                rem[i] -= 1
-                if claims_left - 1 == 0:
-                    child = visit(rem, tou, ALICE, 0)
-                else:
-                    child = visit(rem, tou, BOB, claims_left - 1)
-                rem[i] += 1
-                if child:
-                    result = True
-                    break
-            if not result and (claims_left < b or not any(r > 0 for r in rem)):
+            if bob_moves and (claims_left < b or not any(r > 0 for r in rem)):
                 result = visit(rem, tou, ALICE, 0)
         memo[key] = result
         return result
@@ -292,6 +275,15 @@ def bob_strategy(state: BoxGameState) -> int | None:
     return largest
 
 
+def _bob_step(state: BoxGameState, bob: Callable[[BoxGameState], int | None]) -> None:
+    """Bob claims the box his strategy names, or ends his turn on None."""
+    choice = bob(state)
+    if choice is None:
+        state.end_bob_turn()
+    else:
+        state.bob_claim(choice)
+
+
 def play_boxgame(
     sizes: Sequence[int],
     b: int,
@@ -308,13 +300,7 @@ def play_boxgame(
         if state.turn == ALICE:
             state.alice_claim(alice(state))
         else:
-            choice = bob(state)
-            if choice is None:
-                if state.claims_left == state.b and state.elements_remain():
-                    raise BoxGameError("Bob's strategy tried an illegal sit-out")
-                state.end_bob_turn()
-            else:
-                state.bob_claim(choice)
+            _bob_step(state, bob)
     raise BoxGameError("game did not terminate")
 
 
@@ -330,21 +316,14 @@ def verify_bob_strategy(
     equivalence (same remaining count and touch flag); Bob follows
     ``bob_strategy``.
     """
-    nodes = 0
+    nodes = NodeBudget(budget, "box-strategy verifier")
 
     def run_bob_turn(state: BoxGameState) -> None:
         while state.winner() is None and state.turn == BOB:
-            choice = bob_strategy(state)
-            if choice is None:
-                state.end_bob_turn()
-            else:
-                state.bob_claim(choice)
+            _bob_step(state, bob_strategy)
 
     def visit(state: BoxGameState) -> bool:
-        nonlocal nodes
-        nodes += 1
-        if budget is not None and nodes > budget:
-            raise BudgetExceeded(nodes, what="box-strategy verifier")
+        nodes.tick()
         w = state.winner()
         if w is not None:
             return w == BOB_WON
@@ -367,4 +346,4 @@ def verify_bob_strategy(
         return True
 
     root = BoxGameState.new(sizes, b, first=first)
-    return visit(root), nodes
+    return visit(root), nodes.nodes

@@ -23,22 +23,9 @@ from typing import Sequence
 
 from . import boxgame
 from ._util import StrategyError
-from .engine import BREAKER, MAKER, GameState
+from .engine import BREAKER, MAKER, GameState, uniform_legal_move
 from .goodset import find_good_set
-from .graph import Graph, edge_distance
-
-
-def map_edge_to_box(g: Graph, F: Sequence[int], e: int) -> int:
-    """Index of the member of F nearest to edge e (lowest index on ties)."""
-    if not F:
-        raise StrategyError("empty good set")
-    best = -1
-    best_d = None
-    for j, f in enumerate(F):
-        d = edge_distance(g, f, e)
-        if best_d is None or d < best_d:
-            best, best_d = j, d
-    return best
+from .graph import Graph
 
 
 @dataclass
@@ -46,8 +33,8 @@ class BoxReductionMemory:
     """Static reduction data plus the per-call box-game snapshot inputs.
 
     ``gamma[i]`` holds the edges sharing an endpoint with f_i; for a good set
-    these are pairwise disjoint across boxes.  ``box_of_edge[e]`` realizes the
-    nearest-member mapping for every edge of the graph.
+    these are pairwise disjoint across boxes.  ``box_of_edge[e]`` is the index
+    of the member of F nearest to edge e (lowest index on ties).
     """
 
     g: Graph
@@ -206,22 +193,9 @@ class UniformRandomBreaker:
     def __init__(self, seed: int | None = None) -> None:
         self.rng = random.Random(seed)
 
-    def micro_move(self, s: GameState) -> tuple[int, int, dict | None] | None:
-        total = 0
-        counts = []
-        for e in range(s.g.m):
-            cnt = s.avail_mask(e).bit_count() if s.color[e] == 0 else 0
-            counts.append(cnt)
-            total += cnt
-        if total == 0:
-            return None
-        pick = self.rng.randrange(total)
-        for e, cnt in enumerate(counts):
-            if pick < cnt:
-                colors = sorted(s.available_colors(e))
-                return e, colors[self.rng.randrange(len(colors))], None
-            pick -= cnt
-        raise AssertionError("unreachable")
+    def micro_move(self, s: GameState) -> tuple[int, int, None] | None:
+        mv = uniform_legal_move(s, self.rng)
+        return None if mv is None else (mv[0], mv[1], None)
 
     def clone(self) -> "UniformRandomBreaker":
         dup = UniformRandomBreaker()

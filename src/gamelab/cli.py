@@ -1,16 +1,11 @@
-"""Command-line experiment harness.
-
-Everything here is plumbing around the library: seeded match running,
-a mixed graph corpus for smoke experiments, and subcommands that expose
-the solver, the box game, good-set search, telemetry analysis, and the
-acceptance suite.  One master seed determines an experiment byte for
-byte; per-trial randomness is derived by hashing, never drawn from a
-shared generator, so trial order cannot matter.
+"""Command-line interface: argument parsing and output.
 
 Subcommands: gen, solve, chi, play, boxgame, goodset, telemetry, accept.
-The environment variable GAMELAB_SEED, when set, overrides the seed of
-any experiment spec.  Exit status is 0 iff every check the invocation
-actually executed passed (informational commands always exit 0).
+The library does the work; seeded matches come from ``gamelab.match``.
+The environment variable GAMELAB_SEED, when set, overrides the ``--seed``
+of ``gamelab play``.  Exit status is 0 iff every check the invocation
+actually executed passed (informational commands always exit 0); bad
+input is reported as one ``error:`` line with exit status 2.
 """
 
 from __future__ import annotations
@@ -19,242 +14,28 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from ._util import BudgetExceeded, StrategyError, derive_seed, wilson_interval
+from ._util import BudgetExceeded, StrategyError
 from .boxgame import box_threshold, bob_wins, is_near_uniform, solve_boxgame
-from .breaker import (
-    BoxReductionBreaker,
-    GreedyBlockingBreaker,
-    SkipBreaker,
-    UniformRandomBreaker,
-)
-from .engine import (
-    BREAKER,
-    MAKER,
-    MAKER_WON,
-    MODIFIED,
-    STRICT,
-    GameConfig,
-    GameState,
-    MoveLog,
-    new_game,
-)
+from .engine import MODIFIED, STRICT, MoveLog
 from .exact import game_chromatic_index, solve
 from .goodset import condition_values, find_good_set, harmonic_condition
-from .graph import (
-    Graph,
-    complete,
-    complete_bipartite,
-    cycle,
-    generate,
-    gnp,
-    path,
-    random_regular,
-    read_edge_list,
-    star,
-    write_edge_list,
+from .graph import generate, write_edge_list
+from .maker import MakerConfig
+from .match import (
+    BREAKER_POLICIES,
+    MAKER_POLICIES,
+    VARIANTS,
+    ExperimentSpec,
+    load_graph,
+    run_match,
 )
-from .maker import DangerRedirectMaker, GreedyMaker, MakerConfig, UniformRandomMaker
+
+# the benchmark (perfbench/harness.py) looks up play_game on gamelab.cli
+from .match import play_game  # noqa: F401
 from .telemetry import analyze, summary_json, to_csv
-
-MAKER_POLICIES = ("paper", "random", "greedy")
-BREAKER_POLICIES = ("box", "random", "greedy", "skip")
-
-VARIANTS = {"skip": GameConfig.skip_variant, "classic": GameConfig.classic}
-
-
-def make_maker(policy: str, seed: int, mcfg: MakerConfig | None = None):
-    if policy == "paper":
-        return DangerRedirectMaker(mcfg or MakerConfig(), seed=seed)
-    if policy == "random":
-        return UniformRandomMaker(seed=seed)
-    if policy == "greedy":
-        return GreedyMaker()
-    raise ValueError(f"unknown maker policy {policy!r}")
-
-
-def make_breaker(policy: str, seed: int):
-    if policy == "box":
-        return BoxReductionBreaker()
-    if policy == "random":
-        return UniformRandomBreaker(seed=seed)
-    if policy == "greedy":
-        return GreedyBlockingBreaker()
-    if policy == "skip":
-        return SkipBreaker()
-    raise ValueError(f"unknown breaker policy {policy!r}")
-
-
-def play_game(g: Graph, cfg: GameConfig, maker, breaker, collector=None) -> GameState:
-    """Drive one game to the end, optionally feeding every transition to
-    a trace collector.  The harness, not the breaker policy, ends the
-    Breaker turn once the bias is spent."""
-    s = new_game(g, cfg)
-    while not s.game_over():
-        if s.turn == MAKER:
-            e, c, ann = maker.move(s)
-            s.apply_move(MAKER, e, c, ann)
-        elif s.breaker_moves_this_turn >= cfg.b:
-            s.end_breaker_turn()
-        else:
-            mv = breaker.micro_move(s)
-            if mv is None:
-                s.end_breaker_turn()
-            else:
-                s.apply_move(BREAKER, mv[0], mv[1], mv[2])
-        if collector is not None:
-            collector.observe(s)
-    return s
-
-
-@dataclass
-class ExperimentSpec:
-    """A reproducible match: graph, policies, rules, trial count, seed."""
-
-    graph: str
-    maker: str
-    breaker: str
-    k: int
-    b: int = 1
-    variant: str = "skip"
-    mode: str = STRICT
-    trials: int = 1
-    seed: int = 0
-    lam: str | None = None
-    c: str | None = None
-    logs_dir: str | None = None
-
-    def game_config(self) -> GameConfig:
-        try:
-            factory = VARIANTS[self.variant]
-        except KeyError:
-            raise ValueError(f"unknown variant {self.variant!r}") from None
-        return factory(k=self.k, b=self.b, mode=self.mode)
-
-    def maker_config(self) -> MakerConfig | None:
-        if self.lam is None and self.c is None:
-            return None
-        base = MakerConfig()
-        return MakerConfig(
-            lam=Fraction(self.lam) if self.lam is not None else base.lam,
-            c=Fraction(self.c) if self.c is not None else base.c,
-        )
-
-
-@dataclass
-class MatchReport:
-    """Aggregated match outcome; counts and sums only, so trial order
-    can never leak into the report."""
-
-    spec: ExperimentSpec
-    maker_wins: int
-    breaker_wins: int
-    total_moves: int
-    total_rounds: int
-    forced_nonproper: int
-    wilson_low: float
-    wilson_high: float
-
-    @property
-    def trials(self) -> int:
-        return self.maker_wins + self.breaker_wins
-
-    def to_json(self) -> str:
-        doc = {
-            "spec": asdict(self.spec),
-            "results": {
-                "trials": self.trials,
-                "maker_wins": self.maker_wins,
-                "breaker_wins": self.breaker_wins,
-                "mean_game_length": self.total_moves / max(1, self.trials),
-                "mean_rounds": self.total_rounds / max(1, self.trials),
-                "forced_nonproper": self.forced_nonproper,
-                "maker_win_rate": self.maker_wins / max(1, self.trials),
-                "wilson_95": [self.wilson_low, self.wilson_high],
-            },
-        }
-        return json.dumps(doc, sort_keys=True, indent=2)
-
-
-def run_match(spec: ExperimentSpec) -> MatchReport:
-    """Play spec.trials independent seeded games and aggregate."""
-    g = load_graph(spec.graph)
-    cfg = spec.game_config()
-    mcfg = spec.maker_config()
-    logs_dir = Path(spec.logs_dir) if spec.logs_dir else None
-    if logs_dir is not None:
-        logs_dir.mkdir(parents=True, exist_ok=True)
-    maker_wins = breaker_wins = moves = rounds = forced = 0
-    for i in range(spec.trials):
-        maker = make_maker(spec.maker, derive_seed(spec.seed, i, "maker"), mcfg)
-        breaker = make_breaker(spec.breaker, derive_seed(spec.seed, i, "breaker"))
-        s = play_game(g, cfg, maker, breaker)
-        if s.winner() == MAKER_WON:
-            maker_wins += 1
-        else:
-            breaker_wins += 1
-        for rec in s.log:
-            if rec.skip:
-                continue
-            moves += 1
-            if rec.ann and rec.ann.get("forced_nonproper"):
-                forced += 1
-        rounds += s.round
-        if logs_dir is not None:
-            (logs_dir / f"trial_{i:04d}.jsonl").write_text(s.log.to_jsonl(g))
-    lo, hi = wilson_interval(maker_wins, spec.trials)
-    return MatchReport(
-        spec=spec,
-        maker_wins=maker_wins,
-        breaker_wins=breaker_wins,
-        total_moves=moves,
-        total_rounds=rounds,
-        forced_nonproper=forced,
-        wilson_low=lo,
-        wilson_high=hi,
-    )
-
-
-def mixed_corpus() -> list[tuple[str, Graph]]:
-    """The named smoke-test corpus: 25 small graphs across families."""
-    petersen = Graph(
-        10,
-        [(i, (i + 1) % 5) for i in range(5)]
-        + [(i, i + 5) for i in range(5)]
-        + [(5 + i, 5 + (i + 2) % 5) for i in range(5)],
-    )
-    spider = Graph(7, [(0, 1), (0, 2), (0, 3), (3, 4), (4, 5), (5, 6)])
-    caterpillar = Graph(8, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 5), (2, 6), (3, 7)])
-    out: list[tuple[str, Graph]] = []
-    out.extend((f"star:{n}", star(n)) for n in range(2, 7))
-    out.extend((f"path:{n}", path(n)) for n in range(3, 7))
-    out.extend((f"cycle:{n}", cycle(n)) for n in range(3, 8))
-    out.append(("complete:4", complete(4)))
-    out.append(("complete:5", complete(5)))
-    out.append(("complete_bipartite:2:3", complete_bipartite(2, 3)))
-    out.append(("complete_bipartite:3:3", complete_bipartite(3, 3)))
-    out.append(("spider", spider))
-    out.append(("caterpillar", caterpillar))
-    out.append(("gnp:8:0.4:7", gnp(8, 0.4, seed=7)))
-    out.append(("gnp:10:0.3:11", gnp(10, 0.3, seed=11)))
-    out.append(("random_regular:8:3:5", random_regular(8, 3, seed=5)))
-    out.append(("random_regular:10:4:9", random_regular(10, 4, seed=9)))
-    out.append(("petersen", petersen))
-    assert len(out) >= 20 and all(g.m >= 1 for _, g in out)
-    return out
-
-
-def load_graph(source: str) -> Graph:
-    """A file path if one exists there, else a generator spec string."""
-    p = Path(source)
-    if p.exists():
-        return read_edge_list(p.read_text())
-    if source == "petersen" or source in ("spider", "caterpillar"):
-        return dict(mixed_corpus())[source]
-    return generate(source)
 
 
 def master_seed(arg_seed: int) -> int:
@@ -507,7 +288,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (StrategyError, ValueError) as exc:
+    except (StrategyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

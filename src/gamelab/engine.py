@@ -16,7 +16,7 @@ stuck.  Maker wins a modified game only if he was never forced.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 from gamelab.graph import Graph
@@ -121,28 +121,44 @@ class MoveLog:
 
     @classmethod
     def from_jsonl(cls, text: str, g: Graph) -> MoveLog:
+        """Parse a log written by ``to_jsonl``; a malformed line raises
+        ValueError naming its line number."""
         records = []
         for lineno, line in enumerate(text.splitlines(), start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"log line {lineno}: bad JSON: {exc}") from None
-            player = MAKER if obj["p"] == "M" else BREAKER
-            edge = g.index_of(*obj["e"]) if obj.get("e") is not None else None
-            records.append(
-                MoveRecord(
-                    round=obj["r"],
-                    player=player,
-                    edge=edge,
-                    color=obj.get("c"),
-                    skip=bool(obj.get("skip", False)),
-                    ann=obj.get("ann"),
-                )
-            )
+                records.append(_parse_record(line, g))
+            except (ValueError, RecursionError) as exc:
+                raise ValueError(f"log line {lineno}: {exc}") from None
         return cls(records)
+
+
+def _parse_record(line: str, g: Graph) -> MoveRecord:
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"bad JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise ValueError("expected a JSON object")
+    rnd, p, e, c, ann = (obj.get(key) for key in ("r", "p", "e", "c", "ann"))
+    if type(rnd) is not int:
+        raise ValueError(f"'r' must be an integer, got {rnd!r}")
+    if p not in ("M", "B"):
+        raise ValueError(f"'p' must be \"M\" or \"B\", got {p!r}")
+    if e is not None:
+        if not (isinstance(e, list) and len(e) == 2 and all(type(x) is int for x in e)):
+            raise ValueError(f"'e' must be null or a pair of vertices, got {e!r}")
+        e = g.index_of(*e)
+    if c is not None and type(c) is not int:
+        raise ValueError(f"'c' must be null or an integer, got {c!r}")
+    if ann is not None and not isinstance(ann, dict):
+        raise ValueError(f"'ann' must be null or an object, got {ann!r}")
+    skip = bool(obj.get("skip", False))
+    if not skip and (e is None or c is None):
+        raise ValueError("a coloring record needs both 'e' and 'c'")
+    return MoveRecord(rnd, MAKER if p == "M" else BREAKER, e, c, skip, ann)
 
 
 class GameState:
@@ -223,6 +239,15 @@ class GameState:
             self.color[e] == 0 and self.avail_mask(e) != 0 for e in range(self.g.m)
         )
 
+    def may_end_breaker_turn(self) -> bool:
+        """Breaker may close his turn after a coloring, in the skip variant,
+        or when no legal coloring is left."""
+        return (
+            self.breaker_moves_this_turn >= 1
+            or self.cfg.breaker_may_skip
+            or not self.breaker_has_legal_move()
+        )
+
     # -- transitions -------------------------------------------------------
 
     def apply_move(self, player: str, e: int, c: int, ann: dict | None = None) -> None:
@@ -291,11 +316,7 @@ class GameState:
             raise IllegalMove("game is over")
         if self.turn != BREAKER:
             raise IllegalMove("not breaker's turn")
-        if (
-            self.breaker_moves_this_turn == 0
-            and not self.cfg.breaker_may_skip
-            and self.breaker_has_legal_move()
-        ):
+        if not self.may_end_breaker_turn():
             raise IllegalMove("breaker may not sit out in this variant")
         self.log.append(MoveRecord(self.round, BREAKER, None, None, True, None))
         self.last_breaker_turn_edges = self._cur_breaker_edges
@@ -346,6 +367,46 @@ class GameState:
 
 def new_game(g: Graph, cfg: GameConfig) -> GameState:
     return GameState(g, cfg)
+
+
+def step(s: GameState, maker, breaker) -> None:
+    """One transition of live play: the player to move is asked for a move.
+
+    A spent bias, or a ``None`` micro-move, ends Breaker's turn.
+    """
+    if s.turn == MAKER:
+        e, c, ann = maker.move(s)
+        s.apply_move(MAKER, e, c, ann)
+    elif s.breaker_moves_this_turn >= s.cfg.b:
+        s.end_breaker_turn()
+    else:
+        mv = breaker.micro_move(s)
+        if mv is None:
+            s.end_breaker_turn()
+        else:
+            e, c, ann = mv
+            s.apply_move(BREAKER, e, c, ann)
+
+
+def uniform_legal_move(s: GameState, rng) -> tuple[int, int] | None:
+    """A uniformly random legal (edge, color) pair, or None if there is none.
+
+    The edge is drawn with weight equal to its number of legal colors, then
+    the color uniformly among those, from ``rng`` in that order.
+    """
+    counts = [
+        s.avail_mask(e).bit_count() if s.color[e] == 0 else 0 for e in range(s.g.m)
+    ]
+    total = sum(counts)
+    if total == 0:
+        return None
+    pick = rng.randrange(total)
+    e = 0
+    while pick >= counts[e]:
+        pick -= counts[e]
+        e += 1
+    colors = sorted(s.available_colors(e))
+    return e, colors[rng.randrange(len(colors))]
 
 
 def replay(g: Graph, cfg: GameConfig, log: MoveLog) -> GameState:

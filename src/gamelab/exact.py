@@ -23,7 +23,7 @@ the two modes is the standard self-check for the canonicalization.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .engine import (
     BREAKER,
@@ -36,9 +36,10 @@ from .engine import (
     GameState,
     MoveLog,
     new_game,
+    step,
 )
 from .graph import Graph
-from ._util import BudgetExceeded
+from ._util import BudgetExceeded, NodeBudget
 
 __all__ = [
     "SolveResult",
@@ -113,44 +114,46 @@ def _canonical_key(state: GameState) -> tuple[bytes, int, bool, int]:
     )
 
 
+def _children(
+    state: GameState, edges: Iterable[int], used: int
+) -> Iterator[tuple[GameState, int]]:
+    """Successor positions of ``state``, each with the color bit it spent.
+
+    Moves of the player to move come first: ``edges`` in the given order,
+    and on each edge, in increasing order, the available colors in ``used``
+    plus the lowest available one outside it.  Breaker's end of turn comes
+    last, where the rules allow it (bit 0).  A move that spends Breaker's
+    bias also closes his turn, so no search position has one pending.
+    """
+    mover = state.turn
+    b = state.cfg.b
+    for e in edges:
+        avail = state.avail_mask(e)
+        cand = avail & used
+        fresh = avail & ~used
+        if fresh:
+            cand |= fresh & -fresh
+        while cand:
+            bit = cand & -cand
+            cand ^= bit
+            child = state.clone()
+            child.apply_move(mover, e, bit.bit_length())
+            if child.breaker_moves_this_turn == b and not child.game_over():
+                child.end_breaker_turn()
+            yield child, bit
+    if mover == BREAKER and state.may_end_breaker_turn():
+        child = state.clone()
+        child.end_breaker_turn()
+        yield child, 0
+
+
 class _Solver:
-    def __init__(self, cfg: GameConfig, memoize: bool, budget: int | None) -> None:
-        self.cfg = cfg
-        self.budget = budget
-        self.nodes = 0
+    def __init__(self, memoize: bool, budget: int | None) -> None:
+        self.budget = NodeBudget(budget, "solve")
         self.table: dict | None = {} if memoize else None
 
-    def _tick(self) -> None:
-        self.nodes += 1
-        if self.budget is not None and self.nodes > self.budget:
-            raise BudgetExceeded(self.nodes, "solve")
-
-    def _candidate_moves(
-        self, state: GameState, used: int
-    ) -> Iterator[tuple[int, int, int]]:
-        """Yield (edge, color, colorbit) in (availability, index) order.
-
-        Among colors never used anywhere on the board only the lowest is
-        offered; the rest are reachable from it by a color permutation.
-        """
-        order = sorted(
-            (state.avail_mask(e).bit_count(), e)
-            for e in range(state.g.m)
-            if state.color[e] == 0
-        )
-        for _, e in order:
-            avail = state.avail_mask(e)
-            cand = avail & used
-            fresh = avail & ~used
-            if fresh:
-                cand |= fresh & -fresh
-            while cand:
-                bit = cand & -cand
-                cand ^= bit
-                yield e, bit.bit_length(), bit
-
     def maker_wins(self, state: GameState, used: int) -> bool:
-        self._tick()
+        self.budget.tick()
         w = state.winner()
         if w != ONGOING:
             return w == MAKER_WON
@@ -160,41 +163,22 @@ class _Solver:
             hit = self.table.get(key)
             if hit is not None:
                 return hit
-        if state.turn == MAKER:
-            val = False
-            for e, c, bit in self._candidate_moves(state, used):
-                child = state.clone()
-                child.apply_move(MAKER, e, c)
-                if self.maker_wins(child, used | bit):
-                    val = True
-                    break
-        else:
-            val = True
-            for e, c, bit in self._candidate_moves(state, used):
-                child = state.clone()
-                child.apply_move(BREAKER, e, c)
-                if (
-                    child.breaker_moves_this_turn == self.cfg.b
-                    and not child.game_over()
-                ):
-                    child.end_breaker_turn()
-                if not self.maker_wins(child, used | bit):
-                    val = False
-                    break
-            if val and self._end_turn_legal(state):
-                child = state.clone()
-                child.end_breaker_turn()
-                val = self.maker_wins(child, used)
+        # edges in (availability, index) order; the mover wins with any
+        # child won for him
+        order = sorted(
+            (state.avail_mask(e).bit_count(), e)
+            for e in range(state.g.m)
+            if state.color[e] == 0
+        )
+        mover_value = state.turn == MAKER
+        val = not mover_value
+        for child, bit in _children(state, [e for _, e in order], used):
+            if self.maker_wins(child, used | bit) == mover_value:
+                val = mover_value
+                break
         if self.table is not None:
             self.table[key] = val
         return val
-
-    def _end_turn_legal(self, state: GameState) -> bool:
-        return (
-            state.breaker_moves_this_turn >= 1
-            or state.cfg.breaker_may_skip
-            or not state.breaker_has_legal_move()
-        )
 
 
 def solve(
@@ -215,9 +199,9 @@ def solve(
     if cfg.mode != STRICT:
         raise ValueError("exact solver requires strict mode")
     cfg = replace(cfg, k=k)
-    solver = _Solver(cfg, memoize, budget)
+    solver = _Solver(memoize, budget)
     win = solver.maker_wins(new_game(g, cfg), 0)
-    return SolveResult(MAKER if win else BREAKER, solver.nodes)
+    return SolveResult(MAKER if win else BREAKER, solver.budget.nodes)
 
 
 def game_chromatic_index(
@@ -268,28 +252,7 @@ class _Verifier:
     def __init__(self, side: str, budget: int | None) -> None:
         self.side = side
         self.want = MAKER_WON if side == MAKER else BREAKER_WON
-        self.budget = budget
-        self.nodes = 0
-
-    def _tick(self) -> None:
-        self.nodes += 1
-        if self.budget is not None and self.nodes > self.budget:
-            raise BudgetExceeded(self.nodes, "verify_strategy")
-
-    def _scripted_step(self, state: GameState, strategy) -> None:
-        if state.turn == MAKER:
-            e, c, ann = strategy.move(state)
-            state.apply_move(MAKER, e, c, ann)
-            return
-        if state.breaker_moves_this_turn >= state.cfg.b:
-            state.end_breaker_turn()
-            return
-        mv = strategy.micro_move(state)
-        if mv is None:
-            state.end_breaker_turn()
-        else:
-            e, c, ann = mv
-            state.apply_move(BREAKER, e, c, ann)
+        self.budget = NodeBudget(budget, "verify_strategy")
 
     def search(self, state: GameState, strategy) -> MoveLog | None:
         """First losing line against full opponent enumeration, else None.
@@ -301,54 +264,19 @@ class _Verifier:
         concrete strategy need not be equivariant under palette renaming.
         """
         while True:
-            self._tick()
+            self.budget.tick()
             if state.game_over():
                 return None if state.winner() == self.want else state.log.copy()
-            if state.turn == self.side:
-                self._scripted_step(state, strategy)
-                continue
-            if state.turn == MAKER:
-                for e in range(state.g.m):
-                    if state.color[e] != 0:
-                        continue
-                    avail = state.avail_mask(e)
-                    while avail:
-                        bit = avail & -avail
-                        avail ^= bit
-                        child = state.clone()
-                        child.apply_move(MAKER, e, bit.bit_length())
-                        bad = self.search(child, strategy.clone())
-                        if bad is not None:
-                            return bad
-                return None
-            for e in range(state.g.m):
-                if state.color[e] != 0:
-                    continue
-                avail = state.avail_mask(e)
-                while avail:
-                    bit = avail & -avail
-                    avail ^= bit
-                    child = state.clone()
-                    child.apply_move(BREAKER, e, bit.bit_length())
-                    if (
-                        child.breaker_moves_this_turn == state.cfg.b
-                        and not child.game_over()
-                    ):
-                        child.end_breaker_turn()
-                    bad = self.search(child, strategy.clone())
-                    if bad is not None:
-                        return bad
-            if (
-                state.breaker_moves_this_turn >= 1
-                or state.cfg.breaker_may_skip
-                or not state.breaker_has_legal_move()
-            ):
-                child = state.clone()
-                child.end_breaker_turn()
-                bad = self.search(child, strategy.clone())
-                if bad is not None:
-                    return bad
-            return None
+            if state.turn != self.side:
+                break
+            step(state, strategy, strategy)
+        # every legal move: all colors count as used, so none is pruned
+        uncolored = [e for e in range(state.g.m) if state.color[e] == 0]
+        for child, _ in _children(state, uncolored, state.full_mask):
+            bad = self.search(child, strategy.clone())
+            if bad is not None:
+                return bad
+        return None
 
 
 def verify_strategy(
@@ -375,4 +303,4 @@ def verify_strategy(
     cfg = replace(cfg, k=k)
     verifier = _Verifier(side, budget)
     bad = verifier.search(new_game(g, cfg), strategy.clone())
-    return VerifyResult(bad is None, bad, verifier.nodes)
+    return VerifyResult(bad is None, bad, verifier.budget.nodes)

@@ -10,24 +10,11 @@ from __future__ import annotations
 import math
 import random
 from collections import deque
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 
 class GraphError(ValueError):
     """Malformed graph, edge list, or generator parameters."""
-
-
-@dataclass(frozen=True)
-class EdgeRef:
-    """An edge identified by its index in the graph's edge list."""
-
-    index: int
-    endpoints: tuple[int, int]
-
-
-def _edge_idx(e: int | EdgeRef) -> int:
-    return e.index if isinstance(e, EdgeRef) else e
 
 
 class Graph:
@@ -75,11 +62,8 @@ class Graph:
     def max_degree(self) -> int:
         return self._max_degree
 
-    def endpoints(self, e: int | EdgeRef) -> tuple[int, int]:
-        return self.edges[_edge_idx(e)]
-
-    def edge_ref(self, e: int) -> EdgeRef:
-        return EdgeRef(e, self.edges[e])
+    def endpoints(self, e: int) -> tuple[int, int]:
+        return self.edges[e]
 
     def index_of(self, u: int, v: int) -> int:
         """Edge index for endpoints (u, v); raises GraphError if absent."""
@@ -88,10 +72,6 @@ class Graph:
             return self._index_of[key]
         except KeyError:
             raise GraphError(f"no edge ({u}, {v})") from None
-
-    def has_edge(self, u: int, v: int) -> bool:
-        key = (u, v) if u < v else (v, u)
-        return key in self._index_of
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -125,7 +105,7 @@ class Graph:
         return dist
 
 
-def edge_distance(g: Graph, e: int | EdgeRef, f: int | EdgeRef) -> float:
+def edge_distance(g: Graph, e: int, f: int) -> float:
     """Smallest vertex distance between any endpoint of e and any endpoint of f.
 
     Adjacent (or identical) edges have distance 0; edges in different
@@ -249,7 +229,12 @@ def nonisomorphic_trees(max_edges: int) -> Iterator[Graph]:
         raise GraphError("max_edges must be at least 1")
     for order in range(2, max_edges + 2):
         for t in nx.nonisomorphic_trees(order):
-            yield Graph(order, sorted(tuple(sorted(e)) for e in t.edges()))
+            yield _tree_graph(t)
+
+
+def _tree_graph(t) -> Graph:
+    """A networkx tree on vertices 0..n-1 as a Graph, edges sorted."""
+    return Graph(t.number_of_nodes(), sorted(tuple(sorted(e)) for e in t.edges()))
 
 
 def generate(spec: str) -> Graph:
@@ -282,7 +267,7 @@ def generate(spec: str) -> Graph:
 
             for i, t in enumerate(nx.nonisomorphic_trees(order)):
                 if i == index:
-                    return Graph(order, sorted(tuple(sorted(e)) for e in t.edges()))
+                    return _tree_graph(t)
             raise GraphError(f"tree index {index} out of range for order {order}")
     except (IndexError, ValueError) as exc:
         if isinstance(exc, GraphError):

@@ -19,9 +19,10 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Sequence
 
 from ._util import StrategyError
-from .engine import MAKER, MODIFIED, GameState
+from .engine import MAKER, MODIFIED, GameState, uniform_legal_move
 
 _INF = math.inf
 
@@ -83,15 +84,16 @@ class MakerConfig:
 class MakerMemory:
     """Per-game state of the danger-redirect strategy.
 
-    ``t1_round[v]`` / ``t2_round[v]`` give the first round r whose end-of-round
-    load satisfied ``load_r(v) >= T1`` (resp. T2).  ``danger[v]`` is frozen
-    exactly once, at v's T2-crossing round.  ``f0`` is the edge Maker colored
-    on his previous move.
+    ``t1_round[v]`` / ``t2_round[v]`` / ``t3_round[v]`` give the first round
+    r whose end-of-round load satisfied ``load_r(v) >= T1`` (resp. T2, T3).
+    ``danger[v]`` is frozen exactly once, at v's T2-crossing round.  ``f0``
+    is the edge Maker colored on his previous move.
     """
 
     f0: int | None = None
     t1_round: dict[int, int] = field(default_factory=dict)
     t2_round: dict[int, int] = field(default_factory=dict)
+    t3_round: dict[int, int] = field(default_factory=dict)
     danger: dict[int, frozenset[int]] = field(default_factory=dict)
 
     def copy(self) -> "MakerMemory":
@@ -99,8 +101,42 @@ class MakerMemory:
             f0=self.f0,
             t1_round=dict(self.t1_round),
             t2_round=dict(self.t2_round),
+            t3_round=dict(self.t3_round),
             danger=dict(self.danger),
         )
+
+
+def record_crossings(
+    s: GameState,
+    mem: MakerMemory,
+    loads: Sequence[int],
+    thresholds: tuple[int, int, int],
+    r: int,
+) -> None:
+    """Record the threshold crossings of round r and freeze new danger sets.
+
+    ``loads[v]`` is v's load at the end of round r and ``thresholds`` the
+    integer loads (ceilings) that meet T1 <= T2 <= T3.  Each vertex whose
+    load meets T_j for the first time gets ``r`` in ``mem.t<j>_round``.
+    Once every crossing is recorded, D(v) is frozen from ``s`` for each
+    vertex newly past T2, in vertex order.
+    """
+    t1, t2, t3 = thresholds
+    t1_round, t2_round, t3_round = mem.t1_round, mem.t2_round, mem.t3_round
+    newly_t2 = []
+    for v, load in enumerate(loads):
+        # loads only grow, so a vertex past T3 has every crossing recorded
+        if load < t1 or v in t3_round:
+            continue
+        if v not in t1_round:
+            t1_round[v] = r
+        if load >= t2 and v not in t2_round:
+            t2_round[v] = r
+            newly_t2.append(v)
+        if load >= t3:
+            t3_round[v] = r
+    for v in newly_t2:
+        compute_danger_set(s, mem, v)
 
 
 def compute_danger_set(s: GameState, mem: MakerMemory, v: int) -> frozenset[int]:
@@ -159,36 +195,17 @@ class DangerRedirectMaker:
         self.rng = random.Random(seed)
         self.memory = MakerMemory()
         self._bound: tuple[int, int, int] | None = None  # (delta, b, k)
-        self._t1 = self._t2 = 0
+        self._thresholds = (0, 0, 0)
 
     def _bind(self, s: GameState) -> None:
         key = (s.g.max_degree, s.cfg.b, s.cfg.k)
         if self._bound is None:
             self._bound = key
-            self._t1 = self.cfg.threshold_ceil(1, key[0], key[1])
-            self._t2 = self.cfg.threshold_ceil(2, key[0], key[1])
+            self._thresholds = tuple(
+                self.cfg.threshold_ceil(j, key[0], key[1]) for j in (1, 2, 3)
+            )
         elif self._bound != key:
             raise StrategyError("one strategy instance may not switch games")
-
-    def _scan(self, s: GameState) -> None:
-        """Record fresh T1/T2 crossings; freeze danger sets for new T2 vertices.
-
-        Maker moves first within a round, so the state seen here is exactly
-        the end of round ``s.round - 1``; crossings are recorded against that
-        round.
-        """
-        mem = self.memory
-        prev = s.round - 1
-        newly_t2 = []
-        for v in range(s.g.n):
-            load = s.load[v]
-            if load >= self._t1 and v not in mem.t1_round:
-                mem.t1_round[v] = prev
-            if load >= self._t2 and v not in mem.t2_round:
-                mem.t2_round[v] = prev
-                newly_t2.append(v)
-        for v in newly_t2:
-            compute_danger_set(s, mem, v)
 
     def move(self, s: GameState) -> tuple[int, int, dict]:
         if s.uncolored == 0:
@@ -196,7 +213,9 @@ class DangerRedirectMaker:
         if s.turn != MAKER:
             raise StrategyError("not Maker's turn")
         self._bind(s)
-        self._scan(s)
+        # Maker moves first within a round, so the loads seen here are those
+        # at the end of round s.round - 1
+        record_crossings(s, self.memory, s.load, self._thresholds, s.round - 1)
         g, rng, mem = s.g, self.rng, self.memory
 
         # step 1: anchor edge
@@ -226,7 +245,7 @@ class DangerRedirectMaker:
         nbrs = sorted(s.uncolored_nbrs[v])
         u = nbrs[rng.randrange(len(nbrs))]
         redirected = False
-        if s.load[v] >= self._t2 and v in mem.danger:
+        if s.load[v] >= self._thresholds[1] and v in mem.danger:
             targets = [w for w in sorted(mem.danger[v]) if w in s.uncolored_nbrs[v]]
             if targets and rng.random() < float(self.cfg.q):
                 u = targets[rng.randrange(len(targets))]
@@ -251,8 +270,7 @@ class DangerRedirectMaker:
         dup.rng.setstate(self.rng.getstate())
         dup.memory = self.memory.copy()
         dup._bound = self._bound
-        dup._t1 = self._t1
-        dup._t2 = self._t2
+        dup._thresholds = self._thresholds
         return dup
 
 
@@ -267,25 +285,14 @@ class UniformRandomMaker:
     def move(self, s: GameState) -> tuple[int, int, dict | None]:
         if s.uncolored == 0:
             raise StrategyError("no uncolored edge left")
-        counts = []
-        total = 0
-        for e in range(s.g.m):
-            cnt = s.avail_mask(e).bit_count() if s.color[e] == 0 else 0
-            counts.append(cnt)
-            total += cnt
-        if total == 0:
-            if s.cfg.mode != MODIFIED:
-                raise StrategyError("no legal pair left in strict mode")
-            uncolored = [e for e in range(s.g.m) if s.color[e] == 0]
-            e = uncolored[self.rng.randrange(len(uncolored))]
-            return e, self.rng.randrange(s.cfg.k) + 1, {"forced_nonproper": True}
-        pick = self.rng.randrange(total)
-        for e, cnt in enumerate(counts):
-            if pick < cnt:
-                colors = sorted(s.available_colors(e))
-                return e, colors[self.rng.randrange(len(colors))], None
-            pick -= cnt
-        raise AssertionError("unreachable")
+        mv = uniform_legal_move(s, self.rng)
+        if mv is not None:
+            return mv[0], mv[1], None
+        if s.cfg.mode != MODIFIED:
+            raise StrategyError("no legal pair left in strict mode")
+        uncolored = [e for e in range(s.g.m) if s.color[e] == 0]
+        e = uncolored[self.rng.randrange(len(uncolored))]
+        return e, self.rng.randrange(s.cfg.k) + 1, {"forced_nonproper": True}
 
     def clone(self) -> "UniformRandomMaker":
         dup = UniformRandomMaker()

@@ -19,7 +19,7 @@ row).  For each vertex v the following are tracked:
 * ``i_mid``: all colors on good v-edges played at window-2 rounds,
 * ``danger``: the dangerous-neighbor set, frozen at the end of round
   t2(v) by the same rule the maker strategy uses (shared
-  ``compute_danger_set``),
+  ``record_crossings``),
 * ``danger_prime``: neighbors whose load reached T1 not after v did,
 * ``nbr_sum[r]``/``nbr_cnt[r]``: total load over, and size of, the
   uncolored neighborhood Gamma'_r(v).
@@ -53,10 +53,11 @@ from .engine import (
     GameConfig,
     GameState,
     MoveLog,
+    MoveRecord,
     new_game,
 )
 from .graph import Graph
-from .maker import MakerConfig, MakerMemory, compute_danger_set
+from .maker import MakerConfig, MakerMemory, record_crossings
 
 __all__ = [
     "GoodEdgeEvent",
@@ -132,41 +133,101 @@ class _Params:
         self.tc = [0] + [
             maker_cfg.threshold_ceil(j, self.delta, self.b) for j in (1, 2, 3)
         ]
+        self.thresholds = tuple(self.tc[1:])
         self.i_prime_cap = math.floor(
             Fraction(1, 5 * self.b * self.b) * maker_cfg.lam * self.delta
         )
 
 
-def _classify_event(
-    params: _Params,
-    ev: GoodEdgeEvent,
-    prev_load: int,
-    round_load: int,
-    windows: list[int],
-    i_prime: list[int],
-    i_mid: set[int],
-) -> None:
-    """File one good v-edge event under its load window, if any."""
-    tc = params.tc
-    for j in (1, 2, 3):
-        if prev_load >= tc[j - 1] and round_load < tc[j]:
-            windows[j - 1] += 1
-            if j == 1 and ev.color not in i_prime and len(i_prime) < params.i_prime_cap:
-                i_prime.append(ev.color)
-            if j == 2:
-                i_mid.add(ev.color)
-            break
+class _Tally:
+    """Everything both paths accumulate: per-round rows, threshold
+    crossings and danger sets (in ``mem``), filed good events, move counts."""
+
+    def __init__(self, params: _Params) -> None:
+        self.params = params
+        g = params.g
+        n = g.n
+        self.loads = [[0] for _ in range(n)]
+        self.sums = [[0] for _ in range(n)]
+        self.cnts = [[len(g.adj[v])] for v in range(n)]
+        self.mem = MakerMemory()
+        self.windows = [[0, 0, 0] for _ in range(n)]
+        self.good_events: list[list[GoodEdgeEvent]] = [[] for _ in range(n)]
+        self.i_prime: list[list[int]] = [[] for _ in range(n)]
+        self.i_mid: list[set[int]] = [set() for _ in range(n)]
+        self.maker_moves = 0
+        self.breaker_moves = 0
+        self.forced = 0
+        self.redirected = 0
+
+    def count(self, rec: MoveRecord, load: list[int]) -> tuple[int, GoodEdgeEvent] | None:
+        """Count one coloring record, played when the loads were ``load``.
+
+        A Maker record is a good event of the vertex its annotation names;
+        returns that vertex with the event, to be filed once its round is
+        closed.
+        """
+        if rec.player != MAKER:
+            self.breaker_moves += 1
+            return None
+        ann = rec.ann
+        v = ann.get("v") if ann else None
+        if type(v) is not int or not 0 <= v < len(load):
+            raise ValueError("log missing annotations")
+        ev = GoodEdgeEvent(
+            rec.round,
+            rec.edge,
+            rec.color,
+            load[v],
+            bool(ann.get("redirected", False)),
+            bool(ann.get("forced_nonproper", False)),
+        )
+        self.maker_moves += 1
+        self.forced += ev.forced
+        self.redirected += ev.redirected
+        return v, ev
+
+    def close_round(self, r: int, state: GameState, loads, sums, cnts) -> None:
+        """Append the end-of-round row of every vertex, then record the
+        threshold crossings of round r."""
+        for v in range(self.params.g.n):
+            self.loads[v].append(loads[v])
+            self.sums[v].append(sums[v])
+            self.cnts[v].append(cnts[v])
+        record_crossings(state, self.mem, loads, self.params.thresholds, r)
+
+    def file(self, v: int, ev: GoodEdgeEvent) -> None:
+        """File a good v-edge event under its load window, if any.
+
+        The window is read from v's rows of the event's round, so that
+        round must be closed already; an event of a round that never closed
+        is kept but belongs to no window.
+        """
+        rows = self.loads[v]
+        if ev.round < len(rows):
+            prev_load, round_load = rows[ev.round - 1], rows[ev.round]
+            tc = self.params.tc
+            for j in (1, 2, 3):
+                if prev_load >= tc[j - 1] and round_load < tc[j]:
+                    self.windows[v][j - 1] += 1
+                    i_prime = self.i_prime[v]
+                    if (
+                        j == 1
+                        and ev.color not in i_prime
+                        and len(i_prime) < self.params.i_prime_cap
+                    ):
+                        i_prime.append(ev.color)
+                    if j == 2:
+                        self.i_mid[v].add(ev.color)
+                    break
+        self.good_events[v].append(ev)
 
 
-def _danger_prime(
-    g: Graph, t1: list[int | None], v: int
-) -> frozenset[int] | None:
-    if t1[v] is None:
+def _danger_prime(g: Graph, t1: dict[int, int], v: int) -> frozenset[int] | None:
+    if v not in t1:
         return None
     tv = t1[v]
-    return frozenset(
-        u for u in g.adj[v] if t1[u] is not None and t1[u] <= tv
-    )
+    return frozenset(u for u in g.adj[v] if t1.get(u, _INF) <= tv)
 
 
 def _summarize(params: _Params, traces: list[VertexTrace], k: int) -> dict:
@@ -252,22 +313,10 @@ class TraceCollector:
         self._uncolored_nbrs = [set(g.adj[v]) for v in range(n)]
         self._cur_sum = [0] * n
         self._cur_cnt = [len(g.adj[v]) for v in range(n)]
-        self._loads_rows = [[0] for _ in range(n)]
-        self._sum_rows = [[0] for _ in range(n)]
-        self._cnt_rows = [[len(g.adj[v])] for v in range(n)]
-        self._t: list[list[int | None]] = [[None] * n for _ in range(3)]
-        self._mem = MakerMemory()
-        self._windows = [[0, 0, 0] for _ in range(n)]
-        self._good_events: list[list[GoodEdgeEvent]] = [[] for _ in range(n)]
-        self._i_prime: list[list[int]] = [[] for _ in range(n)]
-        self._i_mid: list[set[int]] = [set() for _ in range(n)]
+        self._tally = _Tally(self.params)
         self._pending: list[tuple[int, GoodEdgeEvent]] = []
         self._cursor = 0
         self._dirty = False
-        self._maker_moves = 0
-        self._breaker_moves = 0
-        self._forced = 0
-        self._redirected = 0
         self._finished = False
 
     def observe(self, state: GameState) -> None:
@@ -285,25 +334,9 @@ class TraceCollector:
             self._close_round(rec.round, state)
             return
         self._dirty = True
-        if rec.player == MAKER:
-            ann = rec.ann
-            if not ann or "v" not in ann:
-                raise ValueError("log missing annotations")
-            v_sel = ann["v"]
-            ev = GoodEdgeEvent(
-                rec.round,
-                rec.edge,
-                rec.color,
-                self._load[v_sel],
-                bool(ann.get("redirected", False)),
-                bool(ann.get("forced_nonproper", False)),
-            )
-            self._pending.append((v_sel, ev))
-            self._maker_moves += 1
-            self._forced += ev.forced
-            self._redirected += ev.redirected
-        else:
-            self._breaker_moves += 1
+        good = self._tally.count(rec, self._load)
+        if good is not None:
+            self._pending.append(good)
         x, y = self.g.edges[rec.edge]
         for u in self._uncolored_nbrs[x]:
             self._cur_sum[u] += 1
@@ -319,37 +352,12 @@ class TraceCollector:
         self._cur_cnt[y] -= 1
 
     def _close_round(self, r: int, state: GameState) -> None:
-        n = self.g.n
-        for v in range(n):
-            rows = self._loads_rows[v]
-            if len(rows) != r:
-                raise ValueError(f"round {r} closed out of order")
-            rows.append(self._load[v])
-            self._sum_rows[v].append(self._cur_sum[v])
-            self._cnt_rows[v].append(self._cur_cnt[v])
-        newly_t2 = []
-        for v in range(n):
-            for j in (0, 1, 2):
-                if self._t[j][v] is None and self._load[v] >= self.params.tc[j + 1]:
-                    self._t[j][v] = r
-                    if j == 0:
-                        self._mem.t1_round[v] = r
-                    elif j == 1:
-                        self._mem.t2_round[v] = r
-                        newly_t2.append(v)
-        for v in newly_t2:
-            compute_danger_set(state, self._mem, v)
+        tally = self._tally
+        if any(len(rows) != r for rows in tally.loads):
+            raise ValueError(f"round {r} closed out of order")
+        tally.close_round(r, state, self._load, self._cur_sum, self._cur_cnt)
         for v_sel, ev in self._pending:
-            _classify_event(
-                self.params,
-                ev,
-                self._loads_rows[v_sel][r - 1],
-                self._loads_rows[v_sel][r],
-                self._windows[v_sel],
-                self._i_prime[v_sel],
-                self._i_mid[v_sel],
-            )
-            self._good_events[v_sel].append(ev)
+            tally.file(v_sel, ev)
         self._pending.clear()
         self._dirty = False
 
@@ -360,60 +368,31 @@ class TraceCollector:
             last_round = state.log[len(state.log) - 1].round
             self._close_round(last_round, state)
         self._finished = True
-        return _build_report(
-            self.params,
-            self._loads_rows,
-            self._sum_rows,
-            self._cnt_rows,
-            self._t,
-            self._windows,
-            self._good_events,
-            self._i_prime,
-            self._i_mid,
-            self._mem,
-            self._maker_moves,
-            self._breaker_moves,
-            self._forced,
-            self._redirected,
-        )
+        return _build_report(self._tally)
 
 
-def _build_report(
-    params: _Params,
-    loads_rows,
-    sum_rows,
-    cnt_rows,
-    t,
-    windows,
-    good_events,
-    i_prime,
-    i_mid,
-    mem: MakerMemory,
-    maker_moves: int,
-    breaker_moves: int,
-    forced: int,
-    redirected: int,
-) -> TelemetryReport:
+def _build_report(tally: _Tally) -> TelemetryReport:
+    params = tally.params
     g = params.g
-    t1 = t[0]
+    mem = tally.mem
     traces = []
     for v in range(g.n):
         traces.append(
             VertexTrace(
                 v=v,
                 degree=g.degree(v),
-                loads=loads_rows[v],
-                nbr_sum=sum_rows[v],
-                nbr_cnt=cnt_rows[v],
-                t1=t[0][v],
-                t2=t[1][v],
-                t3=t[2][v],
-                window_counts=tuple(windows[v]),
-                good_events=good_events[v],
-                i_prime=tuple(i_prime[v]),
-                i_mid=frozenset(i_mid[v]),
+                loads=tally.loads[v],
+                nbr_sum=tally.sums[v],
+                nbr_cnt=tally.cnts[v],
+                t1=mem.t1_round.get(v),
+                t2=mem.t2_round.get(v),
+                t3=mem.t3_round.get(v),
+                window_counts=tuple(tally.windows[v]),
+                good_events=tally.good_events[v],
+                i_prime=tuple(tally.i_prime[v]),
+                i_mid=frozenset(tally.i_mid[v]),
                 danger=mem.danger.get(v),
-                danger_prime=_danger_prime(g, t1, v),
+                danger_prime=_danger_prime(g, mem.t1_round, v),
             )
         )
     k = params.game_cfg.k
@@ -425,11 +404,11 @@ def _build_report(
         b=params.b,
         lam=params.maker_cfg.lam,
         c=params.maker_cfg.c,
-        rounds=len(loads_rows[0]) - 1 if g.n else 0,
-        maker_moves=maker_moves,
-        breaker_moves=breaker_moves,
-        forced_nonproper=forced,
-        redirected_moves=redirected,
+        rounds=len(tally.loads[0]) - 1 if g.n else 0,
+        maker_moves=tally.maker_moves,
+        breaker_moves=tally.breaker_moves,
+        forced_nonproper=tally.forced,
+        redirected_moves=tally.redirected,
         traces=traces,
         summary=_summarize(params, traces, k),
     )
@@ -445,38 +424,19 @@ def analyze(
 
     The records are replayed through a fresh engine state; per-round
     neighborhood sums are brute-forced from that state at every round
-    boundary rather than maintained incrementally.  Raises ValueError when
-    a Maker record lacks the strategy annotation naming its vertex.
+    boundary rather than maintained incrementally, and good events are
+    filed only once the whole log is replayed.  Raises ValueError when a
+    Maker record lacks the strategy annotation naming its vertex.
     """
     params = _Params(g, game_cfg, maker_cfg or MakerConfig())
-    n = g.n
+    tally = _Tally(params)
     state = new_game(g, game_cfg)
-    loads_rows = [[0] for _ in range(n)]
-    sum_rows = [[0] for _ in range(n)]
-    cnt_rows = [[len(g.adj[v])] for v in range(n)]
-    t: list[list[int | None]] = [[None] * n for _ in range(3)]
-    mem = MakerMemory()
     events: list[tuple[int, GoodEdgeEvent]] = []
-    maker_moves = breaker_moves = forced = redirected = 0
 
     def close_round(r: int) -> None:
-        for v in range(n):
-            loads_rows[v].append(state.load[v])
-            total = sum(state.load[u] for u in state.uncolored_nbrs[v])
-            sum_rows[v].append(total)
-            cnt_rows[v].append(len(state.uncolored_nbrs[v]))
-        newly_t2 = []
-        for v in range(n):
-            for j in (0, 1, 2):
-                if t[j][v] is None and state.load[v] >= params.tc[j + 1]:
-                    t[j][v] = r
-                    if j == 0:
-                        mem.t1_round[v] = r
-                    elif j == 1:
-                        mem.t2_round[v] = r
-                        newly_t2.append(v)
-        for v in newly_t2:
-            compute_danger_set(state, mem, v)
+        nbrs = state.uncolored_nbrs
+        sums = [sum(state.load[u] for u in nbrs[v]) for v in range(g.n)]
+        tally.close_round(r, state, state.load, sums, [len(x) for x in nbrs])
 
     dirty = False
     last_round = 0
@@ -487,63 +447,16 @@ def analyze(
             close_round(rec.round)
             dirty = False
             continue
-        if rec.player == MAKER:
-            ann = rec.ann
-            if not ann or "v" not in ann:
-                raise ValueError("log missing annotations")
-            v_sel = ann["v"]
-            ev = GoodEdgeEvent(
-                rec.round,
-                rec.edge,
-                rec.color,
-                state.load[v_sel],
-                bool(ann.get("redirected", False)),
-                bool(ann.get("forced_nonproper", False)),
-            )
-            events.append((v_sel, ev))
-            maker_moves += 1
-            forced += ev.forced
-            redirected += ev.redirected
-        else:
-            breaker_moves += 1
+        good = tally.count(rec, state.load)
+        if good is not None:
+            events.append(good)
         state.apply_move(rec.player, rec.edge, rec.color, rec.ann)
         dirty = True
     if dirty:
         close_round(last_round)
-
-    windows = [[0, 0, 0] for _ in range(n)]
-    good_events: list[list[GoodEdgeEvent]] = [[] for _ in range(n)]
-    i_prime: list[list[int]] = [[] for _ in range(n)]
-    i_mid: list[set[int]] = [set() for _ in range(n)]
     for v_sel, ev in events:
-        rows = loads_rows[v_sel]
-        if ev.round < len(rows):
-            _classify_event(
-                params,
-                ev,
-                rows[ev.round - 1],
-                rows[ev.round],
-                windows[v_sel],
-                i_prime[v_sel],
-                i_mid[v_sel],
-            )
-        good_events[v_sel].append(ev)
-    return _build_report(
-        params,
-        loads_rows,
-        sum_rows,
-        cnt_rows,
-        t,
-        windows,
-        good_events,
-        i_prime,
-        i_mid,
-        mem,
-        maker_moves,
-        breaker_moves,
-        forced,
-        redirected,
-    )
+        tally.file(v_sel, ev)
+    return _build_report(tally)
 
 
 def to_csv(report: TelemetryReport) -> str:

@@ -14,7 +14,6 @@ from gamelab.breaker import (
     GreedyBlockingBreaker,
     SkipBreaker,
     UniformRandomBreaker,
-    map_edge_to_box,
 )
 from gamelab.engine import (
     BREAKER,
@@ -27,6 +26,17 @@ from gamelab.engine import (
 )
 from gamelab.goodset import find_good_set
 from gamelab.maker import GreedyMaker, UniformRandomMaker
+
+
+def map_edge_to_box(g: G.Graph, F, e: int) -> int:
+    """Oracle for ``box_of_edge``: index of the member of F nearest to
+    edge e (lowest index on ties), one BFS per member."""
+    best, best_d = -1, None
+    for j, f in enumerate(F):
+        d = G.edge_distance(g, f, e)
+        if best_d is None or d < best_d:
+            best, best_d = j, d
+    return best
 
 
 def run_breaker_turn(s: GameState, strategy) -> None:

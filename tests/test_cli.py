@@ -6,10 +6,10 @@ import json
 
 import pytest
 
-from gamelab.cli import (
+from gamelab.cli import main
+from gamelab.match import (
     ExperimentSpec,
     load_graph,
-    main,
     make_breaker,
     make_maker,
     mixed_corpus,
@@ -218,3 +218,58 @@ class TestReproducibility:
         assert rc == 0
         doc = json.loads((tmp_path / "r.json").read_text())
         assert doc["spec"]["seed"] == 12345
+
+
+class TestBadInput:
+    """Untrusted input fails with one ``error:`` line and exit status 2."""
+
+    GOOD = '{"r":1,"p":"B","e":null,"c":null,"skip":true}\n'
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "[1, 2]",  # not an object
+            '{"p":"M","e":[0,1],"c":1}',  # no round
+            '{"r":"2","p":"M","e":[0,1],"c":1}',  # round not an integer
+            '{"r":2,"p":"X","e":[0,1],"c":1}',  # neither Maker nor Breaker
+            '{"r":2,"e":[0,1],"c":1}',  # no player
+            '{"r":2,"p":"M","e":[0,1,2],"c":1}',  # three endpoints
+            '{"r":2,"p":"M","e":5,"c":1}',  # edge not a pair
+            '{"r":2,"p":"M","e":[0,1],"c":"red"}',  # color not an integer
+            '{"r":2,"p":"M","e":[0,1],"c":1,"ann":"note"}',  # ann not an object
+            '{"r":2,"p":"M","e":null,"c":null}',  # coloring without an edge
+            '{"r":2,"p":"M","e":[0,2],"c":1}',  # no such edge in C_5
+            pytest.param("[" * 100_000, id="nested-too-deep"),
+        ],
+    )
+    def test_malformed_log_line(self, tmp_path, capsys, line):
+        log = tmp_path / "bad.jsonl"
+        log.write_text(self.GOOD + line + "\n")
+        rc = main(["telemetry", "--log", str(log), "--graph", "cycle:5", "--k", "3"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: log line 2: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_maker_record_with_bad_vertex_annotation(self, tmp_path, capsys):
+        log = tmp_path / "bad.jsonl"
+        log.write_text(self.GOOD + '{"r":2,"p":"M","e":[0,1],"c":1,"ann":{"v":"x"}}\n')
+        rc = main(["telemetry", "--log", str(log), "--graph", "cycle:5", "--k", "3"])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: log missing annotations\n"
+
+    @pytest.mark.parametrize("which", ["missing log", "log is a directory", "graph is a directory"])
+    def test_unreadable_file(self, tmp_path, capsys, which):
+        log = tmp_path / "ok.jsonl"
+        log.write_text(self.GOOD)
+        graph = "cycle:5"
+        if which == "missing log":
+            log = tmp_path / "absent.jsonl"
+        elif which == "log is a directory":
+            log = tmp_path
+        else:
+            graph = str(tmp_path)
+        rc = main(["telemetry", "--log", str(log), "--graph", graph, "--k", "3"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1

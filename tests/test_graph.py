@@ -86,10 +86,6 @@ class TestEdgeDistance:
         g = Graph(4, [(0, 1), (2, 3)])
         assert edge_distance(g, 0, 1) == math.inf
 
-    def test_accepts_edge_refs(self):
-        g = G.path(5)
-        assert edge_distance(g, g.edge_ref(0), g.edge_ref(3)) == 2
-
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_matches_oracle_on_random_graphs(self, data):
