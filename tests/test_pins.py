@@ -1,9 +1,11 @@
 """Pinned behaviour: exact values, search sizes and seeded report digests.
 
 Every number here was measured on the code before the duplicate turn,
-search, budget and crossing paths were merged into one routine each.  A
-refactor that keeps behaviour must keep all of them: node counts fix the
-search order, digests fix every RNG draw and every move of seeded play.
+search, budget and crossing paths were merged into one routine each; the
+box-game numbers before both box-game searches were put on one child
+expansion.  A refactor that keeps behaviour must keep all of them: node
+counts fix the search order, digests fix every RNG draw and every move of
+seeded play.
 The whole module runs in a few seconds.
 """
 
@@ -14,6 +16,8 @@ import hashlib
 import pytest
 
 from gamelab import acceptance
+from gamelab._util import BudgetExceeded
+from gamelab.boxgame import ALICE, BOB, solve_boxgame, verify_bob_strategy
 from gamelab.breaker import BoxReductionBreaker
 from gamelab.cli import ExperimentSpec, run_match
 from gamelab.engine import BREAKER, MAKER, MODIFIED, GameConfig
@@ -87,3 +91,23 @@ def test_criterion_7_report_digest():
     assert sha256(acceptance._reduction_medium_report()) == (
         "e38249a86809bac6ab356848a72ebd26d6a8c9a83b16a68dddb6511ab6ce3c5d"
     )
+
+
+@pytest.mark.parametrize("sizes, b, nodes", [([4, 4, 4, 4], 3, 252), ([3, 3, 3, 3], 2, 118)])
+def test_solve_boxgame_nodes(sizes, b, nodes):
+    assert solve_boxgame(sizes, b, budget=nodes) is True
+    with pytest.raises(BudgetExceeded) as info:
+        solve_boxgame(sizes, b, budget=nodes - 1)
+    assert info.value.nodes == nodes
+
+
+@pytest.mark.parametrize(
+    "sizes, b, first, result",
+    [
+        ([3, 3, 3], 2, ALICE, (True, 7)),
+        ([3, 3, 3, 3], 2, ALICE, (True, 9)),
+        ([2, 2, 3], 1, BOB, (False, 11)),
+    ],
+)
+def test_verify_bob_strategy_result(sizes, b, first, result):
+    assert verify_bob_strategy(sizes, b, first=first) == result
