@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from ._util import NodeBudget
 
@@ -83,8 +83,8 @@ class BoxGameState:
     """Mutable box-game position.
 
     Bob's turn is split into single claims; ``claims_left`` counts how many he
-    may still make this turn.  ``end_bob_turn`` is legal once he has claimed at
-    least once, or when no elements remain anywhere.
+    may still make this turn.  He may end it (``may_end_bob_turn``) once he
+    has claimed at least once, or when no elements remain anywhere.
     """
 
     remaining: list[int]
@@ -122,8 +122,8 @@ class BoxGameState:
             return ALICE_WON
         return None
 
-    def elements_remain(self) -> bool:
-        return any(r > 0 for r in self.remaining)
+    def may_end_bob_turn(self) -> bool:
+        return self.claims_left < self.b or not any(self.remaining)
 
     def _claimable(self, i: int) -> None:
         if not 0 <= i < self.s:
@@ -160,7 +160,7 @@ class BoxGameState:
             raise BoxGameError("game is over")
         if self.turn != BOB:
             raise BoxGameError("not Bob's turn")
-        if self.claims_left == self.b and self.elements_remain():
+        if not self.may_end_bob_turn():
             raise BoxGameError("Bob must claim at least one element")
         self.turn = ALICE
         self.claims_left = 0
@@ -175,10 +175,25 @@ class BoxGameState:
         )
 
 
-def _canonical(remaining: Sequence[int], touched: Sequence[bool]) -> tuple:
-    return tuple(
-        sorted((r, t) for r, t in zip(remaining, touched) if not (r == 0 and t))
-    )
+def _children(state: BoxGameState) -> Iterator[BoxGameState]:
+    """The positions after each move of the player to move, in search order:
+    a claim on the first box of each (remaining, touched) class, since equal
+    boxes are interchangeable, then Bob's end of turn where it is legal."""
+    seen: set[tuple[int, bool]] = set()
+    for i, sig in enumerate(zip(state.remaining, state.touched)):
+        if sig[0] == 0 or sig in seen:
+            continue
+        seen.add(sig)
+        child = state.clone()
+        if state.turn == ALICE:
+            child.alice_claim(i)
+        else:
+            child.bob_claim(i)
+        yield child
+    if state.turn == BOB and state.may_end_bob_turn():
+        child = state.clone()
+        child.end_bob_turn()
+        yield child
 
 
 def solve_boxgame(
@@ -188,50 +203,24 @@ def solve_boxgame(
     budget: int | None = None,
 ) -> bool:
     """Exact minimax value: True iff Bob destroys a box under optimal play."""
-    state = BoxGameState.new(sizes, b, first=first)
     memo: dict[tuple, bool] = {}
     nodes = NodeBudget(budget, "box-game solver")
 
-    def visit(rem: list[int], tou: list[bool], turn: str, claims_left: int) -> bool:
+    def visit(state: BoxGameState) -> bool:
         nodes.tick()
-        if any(r == 0 and not t for r, t in zip(rem, tou)):
-            return True
-        if all(tou):
-            return False
-        key = (_canonical(rem, tou), turn, claims_left)
-        if key in memo:
-            return memo[key]
-        # the mover wins with any child won for him; boxes with equal
-        # (remaining, touched) are interchangeable, so one of each is tried
-        bob_moves = turn == BOB
-        result = not bob_moves
-        seen: set[tuple[int, bool]] = set()
-        for i in range(len(rem)):
-            if rem[i] == 0 or (rem[i], tou[i]) in seen:
-                continue
-            seen.add((rem[i], tou[i]))
-            rem[i] -= 1
-            was = tou[i]
-            if bob_moves:
-                left = claims_left - 1
-                child = visit(rem, tou, BOB, left) if left else visit(rem, tou, ALICE, 0)
-            else:
-                tou[i] = True
-                child = visit(rem, tou, BOB, b)
-            rem[i] += 1
-            tou[i] = was
-            if child == bob_moves:
-                result = bob_moves
-                break
-        else:
-            if bob_moves and (claims_left < b or not any(r > 0 for r in rem)):
-                result = visit(rem, tou, ALICE, 0)
-        memo[key] = result
-        return result
+        w = state.winner()
+        if w is not None:
+            return w == BOB_WON
+        # up to box order, and forgetting the settled (empty, touched) boxes
+        boxes = sorted(p for p in zip(state.remaining, state.touched) if p != (0, True))
+        key = (tuple(boxes), state.turn, state.claims_left)
+        if key not in memo:
+            # the mover wins with any child won for him
+            children = map(visit, _children(state))
+            memo[key] = any(children) if state.turn == BOB else all(children)
+        return memo[key]
 
-    return visit(
-        list(state.remaining), list(state.touched), state.turn, state.claims_left
-    )
+    return visit(BoxGameState.new(sizes, b, first=first))
 
 
 def alice_strategy(state: BoxGameState) -> int:
@@ -318,10 +307,6 @@ def verify_bob_strategy(
     """
     nodes = NodeBudget(budget, "box-strategy verifier")
 
-    def run_bob_turn(state: BoxGameState) -> None:
-        while state.winner() is None and state.turn == BOB:
-            _bob_step(state, bob_strategy)
-
     def visit(state: BoxGameState) -> bool:
         nodes.tick()
         w = state.winner()
@@ -329,21 +314,10 @@ def verify_bob_strategy(
             return w == BOB_WON
         if state.turn == BOB:
             nxt = state.clone()
-            run_bob_turn(nxt)
+            while nxt.winner() is None and nxt.turn == BOB:
+                _bob_step(nxt, bob_strategy)
             return visit(nxt)
-        seen: set[tuple[int, bool]] = set()
-        for i in range(state.s):
-            if state.remaining[i] == 0:
-                continue
-            sig = (state.remaining[i], state.touched[i])
-            if sig in seen:
-                continue
-            seen.add(sig)
-            nxt = state.clone()
-            nxt.alice_claim(i)
-            if not visit(nxt):
-                return False
-        return True
+        return all(map(visit, _children(state)))
 
     root = BoxGameState.new(sizes, b, first=first)
     return visit(root), nodes.nodes

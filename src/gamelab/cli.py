@@ -4,7 +4,8 @@ Subcommands: gen, solve, chi, play, boxgame, goodset, telemetry, accept.
 The library does the work; seeded matches come from ``gamelab.match``.
 The environment variable GAMELAB_SEED, when set, overrides the ``--seed``
 of ``gamelab play``.  Exit status is 0 iff every check the invocation
-actually executed passed (informational commands always exit 0); bad
+actually executed passed (informational commands always exit 0); a search
+that runs past its ``--budget`` exits 1 with the node count on stderr; bad
 input is reported as one ``error:`` line with exit status 2.
 """
 
@@ -59,11 +60,7 @@ def cmd_gen(args) -> int:
 def cmd_solve(args) -> int:
     g = load_graph(args.graph)
     cfg = VARIANTS[args.variant](k=args.k, b=args.b)
-    try:
-        res = solve(g, args.k, cfg, budget=args.budget, memoize=not args.no_memo)
-    except BudgetExceeded as exc:
-        print(f"budget exceeded after {exc.nodes} nodes", file=sys.stderr)
-        return 1
+    res = solve(g, args.k, cfg, budget=args.budget, memoize=not args.no_memo)
     doc = {
         "graph": args.graph,
         "n": g.n,
@@ -187,6 +184,9 @@ def cmd_accept(args) -> int:
     only = None
     if args.only:
         only = sorted({int(x) for x in args.only.split(",") if x.strip()})
+        for n in only:
+            if n not in acceptance.CRITERIA:
+                raise ValueError(f"unknown criterion {n}")
     results = acceptance.run_criteria(only)
     for res in results:
         print(res.line())
@@ -288,6 +288,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
+    except BudgetExceeded as exc:
+        print(f"budget exceeded after {exc.nodes} nodes", file=sys.stderr)
+        return 1
     except (StrategyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -162,11 +162,12 @@ def _parse_record(line: str, g: Graph) -> MoveRecord:
 
 
 class GameState:
-    """Live game position with incrementally maintained derived quantities.
+    """Live game position: the rule state and per-vertex loads.
 
-    ``load[v]`` is the number of colored edges at v, ``umask[v]`` the bitmask
-    of colors used at v (bit i = color i+1), and ``uncolored_nbrs[v]`` the
-    set of neighbors joined to v by a still-uncolored edge.
+    ``umask[v]`` is the bitmask of colors used at v (bit i = color i+1), kept
+    for the blocked-edge check, and ``load[v]`` the number of colored edges at
+    v.  Anything else a strategy or a report needs, such as the uncolored
+    neighborhoods or Breaker's last turn, it derives from ``color`` or ``log``.
     """
 
     __slots__ = (
@@ -179,13 +180,10 @@ class GameState:
         "breaker_moves_this_turn",
         "load",
         "umask",
-        "uncolored_nbrs",
         "full_mask",
         "blocked_seen",
         "forced_count",
         "log",
-        "last_breaker_turn_edges",
-        "_cur_breaker_edges",
     )
 
     def __init__(self, g: Graph, cfg: GameConfig) -> None:
@@ -198,13 +196,10 @@ class GameState:
         self.breaker_moves_this_turn = 0
         self.load: list[int] = [0] * g.n
         self.umask: list[int] = [0] * g.n
-        self.uncolored_nbrs: list[set[int]] = [set(g.adj[v]) for v in range(g.n)]
         self.full_mask = (1 << cfg.k) - 1
         self.blocked_seen = False
         self.forced_count = 0
         self.log = MoveLog()
-        self.last_breaker_turn_edges: list[int] = []
-        self._cur_breaker_edges: list[int] = []
 
     # -- queries ---------------------------------------------------------
 
@@ -221,6 +216,12 @@ class GameState:
 
     def used_colors(self, v: int) -> set[int]:
         return {i + 1 for i in range(self.cfg.k) if self.umask[v] >> i & 1}
+
+    def uncolored_neighbors(self, v: int) -> list[int]:
+        """Neighbors joined to v by a still-uncolored edge, ascending."""
+        g = self.g
+        # adj[v] and incident[v] are built in step, so they pair up
+        return sorted(u for u, e in zip(g.adj[v], g.incident[v]) if not self.color[e])
 
     def winner(self) -> str:
         if self.blocked_seen:
@@ -282,12 +283,9 @@ class GameState:
         for w in (u, v):
             self.load[w] += 1
             self.umask[w] |= bit
-        self.uncolored_nbrs[u].discard(v)
-        self.uncolored_nbrs[v].discard(u)
 
         if player == BREAKER:
             self.breaker_moves_this_turn += 1
-            self._cur_breaker_edges.append(e)
         else:
             self.turn = BREAKER
             self.breaker_moves_this_turn = 0
@@ -319,8 +317,6 @@ class GameState:
         if not self.may_end_breaker_turn():
             raise IllegalMove("breaker may not sit out in this variant")
         self.log.append(MoveRecord(self.round, BREAKER, None, None, True, None))
-        self.last_breaker_turn_edges = self._cur_breaker_edges
-        self._cur_breaker_edges = []
         self.turn = MAKER
         self.round += 1
         self.breaker_moves_this_turn = 0
@@ -338,13 +334,10 @@ class GameState:
         s.breaker_moves_this_turn = self.breaker_moves_this_turn
         s.load = list(self.load)
         s.umask = list(self.umask)
-        s.uncolored_nbrs = [set(x) for x in self.uncolored_nbrs]
         s.full_mask = self.full_mask
         s.blocked_seen = self.blocked_seen
         s.forced_count = self.forced_count
         s.log = self.log.copy()
-        s.last_breaker_turn_edges = list(self.last_breaker_turn_edges)
-        s._cur_breaker_edges = list(self._cur_breaker_edges)
         return s
 
     def snapshot(self) -> tuple:
@@ -357,11 +350,8 @@ class GameState:
             self.breaker_moves_this_turn,
             tuple(self.load),
             tuple(self.umask),
-            tuple(frozenset(x) for x in self.uncolored_nbrs),
             self.blocked_seen,
             self.forced_count,
-            tuple(self.last_breaker_turn_edges),
-            tuple(self._cur_breaker_edges),
         )
 
 
@@ -409,21 +399,26 @@ def uniform_legal_move(s: GameState, rng) -> tuple[int, int] | None:
     return e, colors[rng.randrange(len(colors))]
 
 
+def apply_record(s: GameState, rec: MoveRecord) -> None:
+    """Apply one logged record to s, checking its round and its kind."""
+    if rec.round != s.round:
+        raise IllegalMove(f"expected round {s.round}, record says {rec.round}")
+    if rec.skip:
+        if rec.player != BREAKER:
+            raise IllegalMove("skip recorded for maker")
+        s.end_breaker_turn()
+    else:
+        if rec.edge is None or rec.color is None:
+            raise IllegalMove("coloring record lacks edge or color")
+        s.apply_move(rec.player, rec.edge, rec.color, rec.ann)
+
+
 def replay(g: Graph, cfg: GameConfig, log: MoveLog) -> GameState:
     """Re-run a logged game, validating every step; returns the final state."""
     s = new_game(g, cfg)
     for i, rec in enumerate(log):
         try:
-            if rec.round != s.round:
-                raise IllegalMove(f"expected round {s.round}, record says {rec.round}")
-            if rec.skip:
-                if rec.player != BREAKER:
-                    raise IllegalMove("skip recorded for maker")
-                s.end_breaker_turn()
-            else:
-                if rec.edge is None or rec.color is None:
-                    raise IllegalMove("coloring record lacks edge or color")
-                s.apply_move(rec.player, rec.edge, rec.color, rec.ann)
+            apply_record(s, rec)
         except IllegalMove as exc:
             raise IllegalMove(f"replay failed at record {i}: {exc}") from None
     return s

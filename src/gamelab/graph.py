@@ -13,6 +13,10 @@ from collections import deque
 from typing import Iterable, Iterator, Sequence
 
 
+# largest vertex count an edge list may declare: Graph allocates per vertex
+MAX_EDGE_LIST_VERTICES = 100_000
+
+
 class GraphError(ValueError):
     """Malformed graph, edge list, or generator parameters."""
 
@@ -297,6 +301,8 @@ def read_edge_list(text: str) -> Graph:
                 n = int(fields[0])
             except ValueError:
                 raise GraphError(f"line {lineno}: bad vertex count {fields[0]!r}") from None
+            if n > MAX_EDGE_LIST_VERTICES:
+                raise GraphError(f"line {lineno}: vertex count {n} exceeds {MAX_EDGE_LIST_VERTICES}")
             continue
         if len(fields) != 2:
             raise GraphError(f"line {lineno}: expected 'u v', got {raw!r}")

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from ._util import StrategyError
-from .engine import MAKER, MODIFIED, GameState, uniform_legal_move
+from .engine import BREAKER, MAKER, MODIFIED, GameState, MoveLog, uniform_legal_move
 
 _INF = math.inf
 
@@ -159,7 +159,7 @@ def compute_danger_set(s: GameState, mem: MakerMemory, v: int) -> frozenset[int]
     overlap_cap = 2 * g.max_degree - k
     t1_v = mem.t1_round[v]
     members = []
-    for u in sorted(s.uncolored_nbrs[v]):
+    for u in s.uncolored_neighbors(v):
         if g.degree(u) + g.degree(v) < k:
             continue
         if (s.umask[u] & s.umask[v]).bit_count() > overlap_cap:
@@ -169,6 +169,18 @@ def compute_danger_set(s: GameState, mem: MakerMemory, v: int) -> frozenset[int]
     result = frozenset(members)
     mem.danger[v] = result
     return result
+
+
+def last_breaker_turn(log: MoveLog) -> list[int]:
+    """Edges Breaker colored in the turn whose end-of-turn record ends the
+    log, in play order (empty if the log ends otherwise); reads that turn only."""
+    records = log.records
+    if not records or not records[-1].skip:
+        return []
+    i = len(records) - 1
+    while i > 0 and records[i - 1].player == BREAKER and not records[i - 1].skip:
+        i -= 1
+    return [rec.edge for rec in records[i:-1]]
 
 
 class DangerRedirectMaker:
@@ -221,7 +233,7 @@ class DangerRedirectMaker:
         # step 1: anchor edge
         if mem.f0 is None:
             mem.f0 = rng.randrange(g.m)
-        pool = list(s.last_breaker_turn_edges)
+        pool = last_breaker_turn(s.log)
         if not pool:
             uncolored = [e for e in range(g.m) if s.color[e] == 0]
             pool = [uncolored[rng.randrange(len(uncolored))]]
@@ -233,20 +245,21 @@ class DangerRedirectMaker:
         # step 2: endpoint of the anchor, with replacement if exhausted
         x, y = g.edges[f]
         v = (x, y)[rng.randrange(2)]
-        if not s.uncolored_nbrs[v]:
+        # Gamma'(w) is empty exactly when every edge at w is colored
+        if s.load[v] == g.degree(v):
             other = y if v == x else x
-            if s.uncolored_nbrs[other]:
+            if s.load[other] < g.degree(other):
                 v = other
             else:
-                alive = [w for w in range(g.n) if s.uncolored_nbrs[w]]
+                alive = [w for w in range(g.n) if s.load[w] < g.degree(w)]
                 v = alive[rng.randrange(len(alive))]
 
         # step 3: neighbor, with the danger redirect
-        nbrs = sorted(s.uncolored_nbrs[v])
+        nbrs = s.uncolored_neighbors(v)
         u = nbrs[rng.randrange(len(nbrs))]
         redirected = False
         if s.load[v] >= self._thresholds[1] and v in mem.danger:
-            targets = [w for w in sorted(mem.danger[v]) if w in s.uncolored_nbrs[v]]
+            targets = [w for w in sorted(mem.danger[v]) if w in nbrs]
             if targets and rng.random() < float(self.cfg.q):
                 u = targets[rng.randrange(len(targets))]
                 redirected = True

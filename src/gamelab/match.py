@@ -179,12 +179,9 @@ def run_match(spec: ExperimentSpec) -> MatchReport:
             maker_wins += 1
         else:
             breaker_wins += 1
-        for rec in s.log:
-            if rec.skip:
-                continue
-            moves += 1
-            if rec.ann and rec.ann.get("forced_nonproper"):
-                forced += 1
+        # one edge per coloring record; the policies annotate every forced move
+        moves += g.m - s.uncolored
+        forced += s.forced_count
         rounds += s.round
         if logs_dir is not None:
             (logs_dir / f"trial_{i:04d}.jsonl").write_text(s.log.to_jsonl(g))

@@ -28,8 +28,10 @@ Two independent computations are provided.  ``TraceCollector`` maintains
 everything incrementally while a live game runs and must be fed after
 every single engine transition.  ``analyze`` recomputes everything from
 the recorded log alone: it replays the records through a fresh engine
-state and brute-forces the per-round sums from that state.  Agreement of
-the two is a tested invariant, not an assumption.
+state, checking each as ``engine.replay`` does, and at every round
+boundary brute-forces the Gamma' sums and sizes of all vertices in one
+pass over the uncolored edges of the coloring.  Agreement of the two is a
+tested invariant, not an assumption.
 
 The summary reports, per inequality the analysis tracks at scale
 (lam, c, b, delta), how many vertices violate it.  These are descriptive
@@ -52,8 +54,10 @@ from .engine import (
     MAKER,
     GameConfig,
     GameState,
+    IllegalMove,
     MoveLog,
     MoveRecord,
+    apply_record,
     new_game,
 )
 from .graph import Graph
@@ -426,7 +430,8 @@ def analyze(
     neighborhood sums are brute-forced from that state at every round
     boundary rather than maintained incrementally, and good events are
     filed only once the whole log is replayed.  Raises ValueError when a
-    Maker record lacks the strategy annotation naming its vertex.
+    record breaks the rules (as ``engine.replay`` does) or a Maker record
+    lacks the strategy annotation naming its vertex.
     """
     params = _Params(g, game_cfg, maker_cfg or MakerConfig())
     tally = _Tally(params)
@@ -434,26 +439,30 @@ def analyze(
     events: list[tuple[int, GoodEdgeEvent]] = []
 
     def close_round(r: int) -> None:
-        nbrs = state.uncolored_nbrs
-        sums = [sum(state.load[u] for u in nbrs[v]) for v in range(g.n)]
-        tally.close_round(r, state, state.load, sums, [len(x) for x in nbrs])
+        load = state.load
+        sums = [0] * g.n
+        cnts = [0] * g.n
+        for (x, y), c in zip(g.edges, state.color):
+            if c == 0:
+                sums[x] += load[y]
+                sums[y] += load[x]
+                cnts[x] += 1
+                cnts[y] += 1
+        tally.close_round(r, state, load, sums, cnts)
 
-    dirty = False
-    last_round = 0
-    for rec in log:
-        last_round = rec.round
+    for i, rec in enumerate(log):
+        good = None if rec.skip else tally.count(rec, state.load)
+        try:
+            apply_record(state, rec)
+        except IllegalMove as exc:
+            raise IllegalMove(f"log record {i}: {exc}") from None
         if rec.skip:
-            state.end_breaker_turn()
             close_round(rec.round)
-            dirty = False
-            continue
-        good = tally.count(rec, state.load)
-        if good is not None:
+        elif good is not None:
             events.append(good)
-        state.apply_move(rec.player, rec.edge, rec.color, rec.ann)
-        dirty = True
-    if dirty:
-        close_round(last_round)
+    # a game that ends mid-round contributes a final partial row
+    if len(log) and not log[-1].skip:
+        close_round(state.round)
     for v_sel, ev in events:
         tally.file(v_sel, ev)
     return _build_report(tally)

@@ -207,7 +207,7 @@ class TestStrategies:
             moves: list[int | None] = [
                 i for i in range(state.s) if state.remaining[i] > 0
             ]
-            if state.claims_left < state.b or not state.elements_remain():
+            if state.may_end_bob_turn():
                 moves.append(None)
             for mv in moves:
                 nxt = state.clone()

@@ -2,17 +2,20 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 
 from gamelab.cli import main
+from gamelab.engine import MODIFIED, GameConfig, MoveLog
 from gamelab.match import (
     ExperimentSpec,
     load_graph,
     make_breaker,
     make_maker,
     mixed_corpus,
+    play_game,
     run_match,
 )
 from gamelab.graph import cycle
@@ -139,6 +142,11 @@ class TestSubcommands:
         assert rc == 1
         doc = json.loads(capsys.readouterr().out)
         assert doc["partial"] and doc["value"] is None
+
+    def test_boxgame_budget_exceeded_fails(self, capsys):
+        rc = main(["boxgame", "--sizes", "3,3,3", "--b", "2", "--solve", "--budget", "1"])
+        assert rc == 1
+        assert capsys.readouterr().err == "budget exceeded after 2 nodes\n"
 
     def test_boxgame_criterion_vs_minimax(self, capsys):
         rc = main(["boxgame", "--sizes", "3,3,3,3", "--b", "2", "--solve"])
@@ -273,3 +281,23 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_log_with_shifted_rounds(self, tmp_path, capsys):
+        g = cycle(8)
+        cfg = GameConfig.skip_variant(k=3, mode=MODIFIED)
+        s = play_game(g, cfg, make_maker("paper", 0), make_breaker("greedy", 0))
+        shifted = MoveLog([dataclasses.replace(rec, round=rec.round + 7) for rec in s.log])
+        log = tmp_path / "shifted.jsonl"
+        log.write_text(shifted.to_jsonl(g))
+        rc = main(["telemetry", "--log", str(log), "--graph", "cycle:8", "--k", "3"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: log record 0: expected round 1, record says 8\n"
+        )
+
+    @pytest.mark.parametrize("only", ["12", "0", "1,12"])
+    def test_unknown_acceptance_criterion(self, capsys, only):
+        rc = main(["accept", "--only", only])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: unknown criterion ") and err.count("\n") == 1

@@ -203,6 +203,12 @@ class TestEdgeListIO:
         with pytest.raises(GraphError):
             G.read_edge_list("2\n0 5\n")
 
+    def test_vertex_count_over_cap_rejected(self):
+        cap = G.MAX_EDGE_LIST_VERTICES
+        assert G.read_edge_list(f"{cap}\n0 1\n").n == cap
+        with pytest.raises(GraphError, match=f"^line 2: vertex count {cap + 1} exceeds"):
+            G.read_edge_list(f"# header\n{cap + 1}\n0 1\n")
+
     @settings(max_examples=50, deadline=None)
     @given(st.data())
     def test_write_read_identity(self, data):

@@ -40,9 +40,10 @@ def test_from_jsonl_raises_only_value_error(lines):
         pass
 
 
-# Vertex counts stay small: Graph allocates per-vertex lists up front.
 EDGE_LIST_TOKENS = st.one_of(
-    st.integers(-2, 9).map(str), st.sampled_from(["x", "#", "1.5", "0x1", "-", ""])
+    st.integers(-2, 9).map(str),
+    st.integers(-2, 10**12).map(str),
+    st.sampled_from(["x", "#", "1.5", "0x1", "-", ""]),
 )
 
 

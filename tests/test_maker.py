@@ -25,6 +25,7 @@ from gamelab.maker import (
     MakerMemory,
     UniformRandomMaker,
     compute_danger_set,
+    last_breaker_turn,
 )
 
 
@@ -178,7 +179,7 @@ class TestAnchorDistribution:
         s.apply_move(BREAKER, 1, 1)
         s.apply_move(BREAKER, 2, 2)
         s.end_breaker_turn()
-        assert s.last_breaker_turn_edges == [1, 2]
+        assert last_breaker_turn(s.log) == [1, 2]
         hits = {0: 0, 1: 0, 2: 0}
         trials = 10_000
         for i in range(trials):
@@ -194,7 +195,7 @@ class TestAnchorDistribution:
         g = G.path(5)
         s = new_game(g, GameConfig.skip_variant(k=5))
         s.end_breaker_turn()  # Breaker sits out round 1
-        assert s.last_breaker_turn_edges == []
+        assert last_breaker_turn(s.log) == []
         for i in range(50):
             mk = DangerRedirectMaker(seed=i)
             e, c, ann = mk.move(s)

@@ -7,6 +7,7 @@ the batch analyzer must both agree with it and with each other.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -19,6 +20,7 @@ from gamelab.engine import (
     MAKER,
     MODIFIED,
     GameConfig,
+    MoveLog,
     new_game,
 )
 from gamelab.breaker import (
@@ -298,6 +300,18 @@ class TestErrors:
                     state.apply_move(BREAKER, *mv)
         with pytest.raises(ValueError, match="missing annotations"):
             analyze(state.log, g, cfg, MCFG)
+
+    def test_shifted_rounds_rejected(self):
+        # replays fine unshifted; shifted, vertex 0 would get a T1 round of 8
+        g = cycle(8)
+        cfg = GameConfig.skip_variant(k=3, mode=MODIFIED)
+        s, live = play_instrumented(
+            g, cfg, DangerRedirectMaker(MCFG, seed=0), GreedyBlockingBreaker(), MCFG
+        )
+        assert analyze(s.log, g, cfg, MCFG) == live
+        shifted = MoveLog([dataclasses.replace(rec, round=rec.round + 7) for rec in s.log])
+        with pytest.raises(ValueError, match="log record 0: expected round 1, record says 8"):
+            analyze(shifted, g, cfg, MCFG)
 
     def test_collector_requires_every_transition(self):
         g = path(4)
