@@ -24,7 +24,7 @@ from typing import Sequence
 from . import boxgame
 from ._util import StrategyError
 from .engine import BREAKER, MAKER, GameState, uniform_legal_move
-from .goodset import find_good_set
+from .goodset import GoodSetCertificate, find_good_set
 from .graph import Graph
 
 
@@ -37,15 +37,16 @@ class BoxReductionMemory:
     of the member of F nearest to edge e (lowest index on ties).
     """
 
-    g: Graph
     F: tuple[int, ...]
     gamma: tuple[tuple[int, ...], ...]
     box_of_edge: tuple[int, ...]
-    k: int
     b: int
 
     @classmethod
-    def for_game(cls, g: Graph, F: Sequence[int], k: int, b: int) -> "BoxReductionMemory":
+    def for_game(cls, g: Graph, cert: GoodSetCertificate, b: int) -> "BoxReductionMemory":
+        """Reduction data for the good set ``cert.edges``, reusing the
+        certificate's distances from each member."""
+        F = cert.edges
         if not F:
             raise StrategyError("box reduction needs a non-empty good set")
         gamma = []
@@ -53,25 +54,12 @@ class BoxReductionMemory:
             u, v = g.edges[f]
             nbrs = sorted((set(g.incident[u]) | set(g.incident[v])) - {f})
             gamma.append(tuple(nbrs))
-        # distance from every edge to every member of F, one BFS per member
-        dists = [g.vertex_distances(g.edges[f]) for f in F]
-        box_of_edge = []
-        for e in range(g.m):
-            x, y = g.edges[e]
-            best, best_d = -1, None
-            for j in range(len(F)):
-                d = min(dists[j][x], dists[j][y])
-                if best_d is None or d < best_d:
-                    best, best_d = j, d
-            box_of_edge.append(best)
-        return cls(
-            g=g,
-            F=tuple(F),
-            gamma=tuple(gamma),
-            box_of_edge=tuple(box_of_edge),
-            k=k,
-            b=b,
+        dists = cert.distances
+        # min keeps the first of equal keys, so ties go to the lowest index
+        box_of_edge = tuple(
+            min(range(len(F)), key=lambda j: min(dists[j][x], dists[j][y])) for x, y in g.edges
         )
+        return cls(F=F, gamma=tuple(gamma), box_of_edge=box_of_edge, b=b)
 
     def used_mask(self, s: GameState, i: int) -> int:
         """Bitmask of colors already present on the colored edges around f_i."""
@@ -122,16 +110,12 @@ class BoxReductionBreaker:
 
     name = "box"
 
-    def __init__(self, F: Sequence[int] | None = None) -> None:
-        self._given_F = tuple(F) if F is not None else None
+    def __init__(self) -> None:
         self.memory: BoxReductionMemory | None = None
 
     def _bind(self, s: GameState) -> BoxReductionMemory:
         if self.memory is None:
-            F = self._given_F
-            if F is None:
-                F = tuple(find_good_set(s.g).edges)
-            self.memory = BoxReductionMemory.for_game(s.g, F, s.cfg.k, s.cfg.b)
+            self.memory = BoxReductionMemory.for_game(s.g, find_good_set(s.g), s.cfg.b)
         return self.memory
 
     def _any_legal(self, s: GameState, edges: Sequence[int]) -> tuple[int, int] | None:
@@ -180,7 +164,7 @@ class BoxReductionBreaker:
         return None
 
     def clone(self) -> "BoxReductionBreaker":
-        dup = BoxReductionBreaker(self._given_F)
+        dup = BoxReductionBreaker()
         dup.memory = self.memory  # static after binding
         return dup
 
@@ -242,8 +226,6 @@ class GreedyBlockingBreaker:
         if not legal:
             return None
         e0 = legal[0]
-        if len(uncolored) == 1:
-            return e0, (avail[e0] & -avail[e0]).bit_length(), None
         if e0 not in min_set or len(min_edges) > 1:
             return e0, (avail[e0] & -avail[e0]).bit_length(), None
         # e0 is the unique minimum: only color it if that knocks a
@@ -256,7 +238,8 @@ class GreedyBlockingBreaker:
         hit = avail[e0] & mask
         if hit:
             return e0, (hit & -hit).bit_length(), None
-        for e in legal[1:]:
+        if len(legal) > 1:
+            e = legal[1]
             return e, (avail[e] & -avail[e]).bit_length(), None
         return e0, (avail[e0] & -avail[e0]).bit_length(), None
 

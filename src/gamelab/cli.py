@@ -117,8 +117,7 @@ def cmd_play(args) -> int:
 def cmd_boxgame(args) -> int:
     sizes = [int(x) for x in args.sizes.split(",") if x.strip()]
     if not sizes:
-        print("need at least one box size", file=sys.stderr)
-        return 2
+        raise ValueError("need at least one box size")
     doc: dict = {
         "sizes": sizes,
         "b": args.b,
@@ -184,6 +183,8 @@ def cmd_accept(args) -> int:
     only = None
     if args.only:
         only = sorted({int(x) for x in args.only.split(",") if x.strip()})
+        if not only:
+            raise ValueError("need at least one criterion number")
         for n in only:
             if n not in acceptance.CRITERIA:
                 raise ValueError(f"unknown criterion {n}")

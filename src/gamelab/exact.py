@@ -72,9 +72,6 @@ class ChiIndexResult:
     winners: dict[int, str]
     partial: bool
     nodes: int
-    b: int = 1
-    first_player: str = BREAKER
-    breaker_may_skip: bool = True
 
 
 @dataclass
@@ -223,9 +220,7 @@ def game_chromatic_index(
         cfg = GameConfig.skip_variant(k=1, b=b)
     cfg = replace(cfg, b=b)
     if g.m == 0:
-        return ChiIndexResult(
-            0, {}, False, 0, b, cfg.first_player, cfg.breaker_may_skip
-        )
+        return ChiIndexResult(0, {}, False, 0)
     delta = g.max_degree
     winners: dict[int, str] = {}
     nodes = 0
@@ -243,9 +238,7 @@ def game_chromatic_index(
     value = min(
         (k for k, w in winners.items() if w == MAKER_WON), default=None
     )
-    return ChiIndexResult(
-        value, winners, partial, nodes, b, cfg.first_player, cfg.breaker_may_skip
-    )
+    return ChiIndexResult(value, winners, partial, nodes)
 
 
 class _Verifier:

@@ -35,6 +35,7 @@ class GoodSetCertificate:
     endpoint_degrees: tuple[tuple[int, int], ...]
     pair_distances: tuple[tuple[int, int, float], ...]  # (edge, edge, distance)
     steps: tuple[GreedyStep, ...]
+    distances: tuple[tuple[float, ...], ...]  # per edge: BFS distance to each vertex
 
     def __len__(self) -> int:
         return len(self.edges)
@@ -55,6 +56,7 @@ def find_good_set(g: Graph) -> GoodSetCertificate:
     alive = [True] * g.m
     deg_alive = [g.degree(v) for v in range(g.n)]
     chosen: list[int] = []
+    dists: list[tuple[float, ...]] = []
     steps: list[GreedyStep] = []
     alive_count = g.m
     while True:
@@ -69,7 +71,8 @@ def find_good_set(g: Graph) -> GoodSetCertificate:
         if pick == -1:
             break
         chosen.append(pick)
-        dist = g.vertex_distances(g.edges[pick])
+        dist = tuple(g.vertex_distances(g.edges[pick]))
+        dists.append(dist)
         removed = 0
         full_lost = 0
         for f in range(g.m):
@@ -95,7 +98,8 @@ def find_good_set(g: Graph) -> GoodSetCertificate:
     pairs = []
     for i, e in enumerate(chosen):
         for f in chosen[i + 1 :]:
-            pairs.append((e, f, edge_distance(g, e, f)))
+            x, y = g.edges[f]
+            pairs.append((e, f, min(dists[i][x], dists[i][y])))
     return GoodSetCertificate(
         edges=tuple(chosen),
         endpoint_degrees=tuple(
@@ -103,6 +107,7 @@ def find_good_set(g: Graph) -> GoodSetCertificate:
         ),
         pair_distances=tuple(pairs),
         steps=tuple(steps),
+        distances=tuple(dists),
     )
 
 

@@ -13,12 +13,22 @@ from collections import deque
 from typing import Iterable, Iterator, Sequence
 
 
-# largest vertex count an edge list may declare: Graph allocates per vertex
+# Graph allocates per vertex and per edge: caps on the vertices of an edge list or
+# generator, and on the edges a generator builds or the vertex pairs gnp draws on
 MAX_EDGE_LIST_VERTICES = 100_000
+MAX_GENERATOR_PAIRS = 1_000_000
 
 
 class GraphError(ValueError):
     """Malformed graph, edge list, or generator parameters."""
+
+
+def _check_size(n: int, pairs: int = 0) -> None:
+    """Reject a graph too large to build, before anything is allocated."""
+    if n > MAX_EDGE_LIST_VERTICES:
+        raise GraphError(f"vertex count {n} exceeds {MAX_EDGE_LIST_VERTICES}")
+    if pairs > MAX_GENERATOR_PAIRS:
+        raise GraphError(f"{pairs} edges or vertex pairs exceed {MAX_GENERATOR_PAIRS}")
 
 
 class Graph:
@@ -128,12 +138,14 @@ def star(leaves: int) -> Graph:
     """K_{1,leaves}: vertex 0 is the center."""
     if leaves < 1:
         raise GraphError("star needs at least one leaf")
+    _check_size(leaves + 1, leaves)
     return Graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
 def cycle(n: int) -> Graph:
     if n < 3:
         raise GraphError("cycle needs at least 3 vertices")
+    _check_size(n, n)
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
@@ -141,18 +153,21 @@ def path(n: int) -> Graph:
     """Path on n vertices (n - 1 edges)."""
     if n < 2:
         raise GraphError("path needs at least 2 vertices")
+    _check_size(n, n - 1)
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def complete(n: int) -> Graph:
     if n < 2:
         raise GraphError("complete graph needs at least 2 vertices")
+    _check_size(n, n * (n - 1) // 2)
     return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 def complete_bipartite(a: int, b: int) -> Graph:
     if a < 1 or b < 1:
         raise GraphError("both sides must be non-empty")
+    _check_size(a + b, a * b)
     return Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
 
 
@@ -160,6 +175,7 @@ def gnp(n: int, p: float, seed: int) -> Graph:
     """Erdos-Renyi G(n, p), deterministic for a given seed."""
     if not 0.0 <= p <= 1.0:
         raise GraphError("p must be in [0, 1]")
+    _check_size(n, n * (n - 1) // 2)
     rng = random.Random(seed)
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
     return Graph(n, edges)
@@ -176,6 +192,7 @@ def random_regular(n: int, d: int, seed: int) -> Graph:
         raise GraphError("need 0 <= d < n")
     if (n * d) % 2 != 0:
         raise GraphError("n * d must be even")
+    _check_size(n, n * d // 2)
     if d == 0:
         return Graph(n, [])
     rng = random.Random(seed)
@@ -267,6 +284,7 @@ def generate(spec: str) -> Graph:
             return gnp(int(args[0]), float(args[1]), int(args[2]))
         if kind == "tree":
             order, index = int(args[0]), int(args[1])
+            _check_size(order, order - 1)
             import networkx as nx
 
             for i, t in enumerate(nx.nonisomorphic_trees(order)):
@@ -301,8 +319,10 @@ def read_edge_list(text: str) -> Graph:
                 n = int(fields[0])
             except ValueError:
                 raise GraphError(f"line {lineno}: bad vertex count {fields[0]!r}") from None
-            if n > MAX_EDGE_LIST_VERTICES:
-                raise GraphError(f"line {lineno}: vertex count {n} exceeds {MAX_EDGE_LIST_VERTICES}")
+            try:
+                _check_size(n)
+            except GraphError as exc:
+                raise GraphError(f"line {lineno}: {exc}") from None
             continue
         if len(fields) != 2:
             raise GraphError(f"line {lineno}: expected 'u v', got {raw!r}")
@@ -313,10 +333,7 @@ def read_edge_list(text: str) -> Graph:
         edges.append((u, v))
     if n is None:
         raise GraphError("empty edge list: missing vertex count")
-    try:
-        return Graph(n, edges)
-    except GraphError as exc:
-        raise GraphError(str(exc)) from None
+    return Graph(n, edges)
 
 
 def write_edge_list(g: Graph) -> str:

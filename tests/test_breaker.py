@@ -79,16 +79,16 @@ class TestMapping:
 
     def test_memory_mapping_totality(self):
         g = G.cycle(25)
-        F = find_good_set(g).edges
-        mem = BoxReductionMemory.for_game(g, F, k=2, b=2)
+        cert = find_good_set(g)
+        F = cert.edges
+        mem = BoxReductionMemory.for_game(g, cert, b=2)
         assert len(mem.box_of_edge) == g.m
         for e in range(g.m):
             assert mem.box_of_edge[e] == map_edge_to_box(g, F, e)
 
     def test_gamma_disjoint_and_sized(self):
         g = G.cycle(25)
-        F = find_good_set(g).edges
-        mem = BoxReductionMemory.for_game(g, F, k=2, b=2)
+        mem = BoxReductionMemory.for_game(g, find_good_set(g), b=2)
         seen: set[int] = set()
         for gam in mem.gamma:
             assert len(gam) == 2 * g.max_degree - 2
@@ -136,23 +136,23 @@ class TestBoxBreakerEndgames:
             assert s.winner() == BREAKER_WON
             # the killed box was never touched by Maker
             killed = [r.ann["box"] for r in s.log if r.ann and "box" in r.ann][-1]
-            f = find_good_set(g).edges[killed]
-            mem = BoxReductionMemory.for_game(g, find_good_set(g).edges, 2, 2)
+            mem = BoxReductionMemory.for_game(g, find_good_set(g), 2)
             for rec in s.log:
                 if rec.player == MAKER and rec.edge is not None:
                     assert mem.box_of_edge[rec.edge] != killed
 
     def test_freshness_invariant_from_logs(self):
         g = G.cycle(25)
-        F = find_good_set(g).edges
-        mem = BoxReductionMemory.for_game(g, F, k=2, b=2)
+        cert = find_good_set(g)
+        F = cert.edges
+        mem = BoxReductionMemory.for_game(g, cert, b=2)
         gamma_of = {e: i for i, gam in enumerate(mem.gamma) for e in gam}
         for seed in range(20):
             s = play(
                 g,
                 GameConfig.classic(k=2, b=2),
                 UniformRandomMaker(seed=seed),
-                BoxReductionBreaker(F=F),
+                BoxReductionBreaker(),
             )
             touched = [False] * len(F)
             used: list[set[int]] = [set() for _ in F]
@@ -171,12 +171,13 @@ class TestBoxBreakerEndgames:
     def test_box_claim_correspondence(self):
         # remaining[i] of an untouched box equals k minus its claim count
         g = G.cycle(25)
-        F = find_good_set(g).edges
-        br = BoxReductionBreaker(F=F)
+        cert = find_good_set(g)
+        F = cert.edges
+        br = BoxReductionBreaker()
         cfg = GameConfig.classic(k=2, b=2)
         maker = UniformRandomMaker(seed=11)
         s = new_game(g, cfg)
-        mem = BoxReductionMemory.for_game(g, F, 2, 2)
+        mem = BoxReductionMemory.for_game(g, cert, 2)
         claims = [0] * len(F)
         while not s.game_over():
             if s.turn == MAKER:
@@ -202,10 +203,27 @@ class TestBoxBreakerEndgames:
 
     def test_auto_goodset_binding(self):
         g = G.cycle(10)
-        br = BoxReductionBreaker()  # no F given
+        br = BoxReductionBreaker()
         s = play(g, GameConfig.skip_variant(k=2, b=3), UniformRandomMaker(seed=2), br)
         assert s.winner() == BREAKER_WON
         assert br.memory is not None and br.memory.F == (0, 5)
+
+    def test_binding_runs_one_bfs_per_member(self, monkeypatch):
+        # the good set's own distances serve the box mapping: no second BFS
+        g = G.cycle(25)
+        calls = []
+        bfs = G.Graph.vertex_distances
+
+        def counted(self, sources):
+            calls.append(sources)
+            return bfs(self, sources)
+
+        monkeypatch.setattr(G.Graph, "vertex_distances", counted)
+        br = BoxReductionBreaker()
+        mv = br.micro_move(new_game(g, GameConfig.skip_variant(k=2, b=2)))
+        assert mv is not None
+        assert len(br.memory.F) == 5
+        assert len(calls) == 5
 
 
 class TestGreedyBlocking:

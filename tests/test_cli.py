@@ -301,3 +301,17 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("error: unknown criterion ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [["boxgame", "--sizes", ","], ["accept", "--only", ","]])
+    def test_empty_number_list(self, capsys, argv):
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: need at least one ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("spec", ["cycle:100001", "gnp:1415:0.0:1"])
+    def test_generator_over_size_cap(self, capsys, spec):
+        rc = main(["gen", spec])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and " exceed" in err and err.count("\n") == 1

@@ -18,6 +18,7 @@ from gamelab.goodset import (
     harmonic_condition,
     reduction_vertex_bound,
 )
+from gamelab.match import mixed_corpus
 
 
 def brute_force_good_sets(g: G.Graph, size: int) -> list[tuple[int, ...]]:
@@ -82,6 +83,20 @@ class TestGreedy:
         assert check_good_set(g, cert.edges)
         e, f, d = cert.pair_distances[0]
         assert d == math.inf
+
+    def test_certificate_distances_match_independent_bfs(self):
+        graphs = [g for _, g in mixed_corpus()]
+        graphs.append(G.generate("random_regular:64:16:1"))
+        for g in graphs:
+            cert = find_good_set(g)
+            assert cert.distances == tuple(
+                tuple(g.vertex_distances(g.edges[e])) for e in cert.edges
+            )
+            assert cert.pair_distances == tuple(
+                (e, f, G.edge_distance(g, e, f))
+                for i, e in enumerate(cert.edges)
+                for f in cert.edges[i + 1 :]
+            )
 
     @given(st.integers(min_value=8, max_value=60))
     @settings(max_examples=40, deadline=None)

@@ -176,6 +176,23 @@ class TestGenerators:
         with pytest.raises(GraphError):
             G.generate("star:x")
 
+    def test_size_caps_accept_the_limit(self):
+        assert G.generate(f"cycle:{G.MAX_EDGE_LIST_VERTICES}").m == G.MAX_EDGE_LIST_VERTICES
+        assert G.generate("gnp:1414:0.0:1").n == 1414  # 998,991 pairs
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("cycle:100001", "vertex count 100001 exceeds 100000"),
+            ("star:100000", "vertex count 100001 exceeds 100000"),
+            ("complete:1415", "1000405 edges or vertex pairs exceed 1000000"),
+            ("gnp:1415:0.0:1", "1000405 edges or vertex pairs exceed 1000000"),
+        ],
+    )
+    def test_size_caps_reject_above_the_limit(self, spec, message):
+        with pytest.raises(GraphError, match=f"^{message}$"):
+            G.generate(spec)
+
 
 class TestEdgeListIO:
     def test_round_trip_canonical(self):
