@@ -226,6 +226,38 @@ class TestBoxBreakerEndgames:
         assert len(calls) == 5
 
 
+class TestReductionBreak:
+    """A claim on a box whose edges around f_i are all colored cannot be
+    realized: the move falls back and the log records a reduction break.
+    On C_10 the good set is F = (0, 5), with edges 1, 9 around f_0 and
+    4, 6 around f_1."""
+
+    def test_skip_variant_falls_back_to_an_edge_around_F(self):
+        g = G.cycle(10)
+        s = new_game(g, GameConfig.skip_variant(k=2, b=3))
+        s.apply_move(BREAKER, 6, 2)
+        s.apply_move(BREAKER, 4, 2)
+        # box 1 is untouched with one color left and one claim left this
+        # turn, so Bob claims it; the lowest legal edge around F is edge 1
+        assert BoxReductionBreaker().micro_move(s) == (
+            1, 1, {"reduction_break": True, "box": 1}
+        )
+
+    def test_classic_falls_back_to_the_lowest_legal_move_on_the_board(self):
+        g = G.cycle(10)
+        s = new_game(g, GameConfig.classic(k=3, b=2))
+        s.apply_move(MAKER, 1, 3)
+        s.apply_move(BREAKER, 6, 3)
+        s.apply_move(BREAKER, 4, 2)
+        s.end_breaker_turn()
+        s.apply_move(MAKER, 9, 3)
+        # every edge around F is colored and Breaker may not sit out, so the
+        # move is the lowest legal one anywhere: f_0 itself
+        assert BoxReductionBreaker().micro_move(s) == (
+            0, 1, {"reduction_break": True, "box": 1}
+        )
+
+
 class TestGreedyBlocking:
     def test_triangle_two_move_block(self):
         g = G.cycle(3)
