@@ -1,9 +1,10 @@
-"""Shared helpers: seed derivation, confidence intervals, search budgets."""
+"""Shared helpers: seeds, generator forks, confidence intervals, search budgets."""
 
 from __future__ import annotations
 
 import hashlib
 import math
+import random
 
 
 class StrategyError(ValueError):
@@ -20,11 +21,13 @@ class BudgetExceeded(RuntimeError):
 
 class NodeBudget:
     """Node counter of one search; ``tick`` raises BudgetExceeded once the
-    count passes ``limit`` (``None`` means unlimited)."""
+    count passes ``limit`` (``None`` means unlimited; negative is refused)."""
 
     __slots__ = ("limit", "what", "nodes")
 
     def __init__(self, limit: int | None, what: str) -> None:
+        if limit is not None and limit < 0:
+            raise ValueError(f"{what} budget must be non-negative, got {limit}")
         self.limit = limit
         self.what = what
         self.nodes = 0
@@ -44,6 +47,14 @@ def derive_seed(master: int, *parts: object) -> int:
     text = "|".join([str(master), *[str(p) for p in parts]])
     digest = hashlib.sha256(text.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
+
+
+def fork_rng(rng: random.Random) -> random.Random:
+    """An independent copy of ``rng``'s stream; seeded with a constant, so
+    no OS entropy is read, then given ``rng``'s state."""
+    dup = random.Random(0)
+    dup.setstate(rng.getstate())
+    return dup
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:

@@ -17,12 +17,13 @@ Annotations written into the move log:
 
 from __future__ import annotations
 
+import copy
 import random
 from dataclasses import dataclass
 from typing import Sequence
 
 from . import boxgame
-from ._util import StrategyError
+from ._util import StrategyError, fork_rng
 from .engine import BREAKER, MAKER, GameState, uniform_legal_move
 from .goodset import GoodSetCertificate, find_good_set
 from .graph import Graph
@@ -103,20 +104,24 @@ class BoxReductionBreaker:
 
     A claim on box i is realized by the lowest-index uncolored edge around
     f_i that accepts the lowest color fresh around f_i.  If the scripted
-    claim cannot be realized, the move falls back (legal edge around F, then
-    skip, then any legal move in the no-skip variant) and the log records a
-    reduction break.
+    claim cannot be realized, the log records a reduction break and the move
+    falls back to the lowest legal edge around F; failing that, or once the
+    box game is over, Breaker sits out if allowed, else plays the lowest
+    legal move on the board.  The reduction data depends only on the graph
+    and the bias: it is bound on first use and again on another game, and
+    the instance is its own clone.
     """
-
-    name = "box"
 
     def __init__(self) -> None:
         self.memory: BoxReductionMemory | None = None
+        self._graph: Graph | None = None  # the graph ``memory`` was built for
 
     def _bind(self, s: GameState) -> BoxReductionMemory:
-        if self.memory is None:
-            self.memory = BoxReductionMemory.for_game(s.g, find_good_set(s.g), s.cfg.b)
-        return self.memory
+        mem = self.memory
+        if self._graph is not s.g or mem.b != s.cfg.b:
+            mem = self.memory = BoxReductionMemory.for_game(s.g, find_good_set(s.g), s.cfg.b)
+            self._graph = s.g
+        return mem
 
     def _any_legal(self, s: GameState, edges: Sequence[int]) -> tuple[int, int] | None:
         for e in sorted(edges):
@@ -131,48 +136,33 @@ class BoxReductionBreaker:
         if s.turn != BREAKER:
             raise StrategyError("not Breaker's turn")
         mem = self._bind(s)
-        box_state = mem.snapshot(s)
-        target = boxgame.bob_strategy(box_state)
+        target = boxgame.bob_strategy(mem.snapshot(s))
+        near: Sequence[int] = ()
         if target is None:
             # every box is touched: the reduction has nothing left to say
-            if s.cfg.breaker_may_skip:
-                return None
-            all_edges = range(s.g.m)
-            fallback = self._any_legal(s, all_edges)
-            if fallback is None:
-                return None
-            return fallback[0], fallback[1], {"box_game_over": True}
-        # realize the claim: lowest fresh-colorable edge around f_target
-        fresh_block = mem.used_mask(s, target)
-        for e in mem.gamma[target]:
-            if s.color[e] != 0:
-                continue
-            mask = s.avail_mask(e) & ~fresh_block
-            if mask:
-                return e, (mask & -mask).bit_length(), {"box": target}
-        # claim not realizable: audit trail plus fallback chain
-        ann = {"reduction_break": True, "box": target}
-        f_prime = [e for gam in mem.gamma for e in gam]
-        fallback = self._any_legal(s, f_prime)
-        if fallback is not None:
-            return fallback[0], fallback[1], ann
-        if s.cfg.breaker_may_skip:
-            return None
-        fallback = self._any_legal(s, range(s.g.m))
-        if fallback is not None:
-            return fallback[0], fallback[1], ann
-        return None
+            ann = {"box_game_over": True}
+        else:
+            # realize the claim: lowest fresh-colorable edge around f_target
+            fresh_block = mem.used_mask(s, target)
+            for e in mem.gamma[target]:
+                if s.color[e] != 0:
+                    continue
+                mask = s.avail_mask(e) & ~fresh_block
+                if mask:
+                    return e, (mask & -mask).bit_length(), {"box": target}
+            ann = {"reduction_break": True, "box": target}
+            near = [e for gam in mem.gamma for e in gam]
+        fallback = self._any_legal(s, near)
+        if fallback is None and not s.cfg.breaker_may_skip:
+            fallback = self._any_legal(s, range(s.g.m))
+        return None if fallback is None else (fallback[0], fallback[1], ann)
 
     def clone(self) -> "BoxReductionBreaker":
-        dup = BoxReductionBreaker()
-        dup.memory = self.memory  # static after binding
-        return dup
+        return self  # bound data is static; ``_bind`` rebinds on another game
 
 
 class UniformRandomBreaker:
     """Colors uniformly random legal pairs until the bias is spent."""
-
-    name = "random"
 
     def __init__(self, seed: int | None = None) -> None:
         self.rng = random.Random(seed)
@@ -182,8 +172,8 @@ class UniformRandomBreaker:
         return None if mv is None else (mv[0], mv[1], None)
 
     def clone(self) -> "UniformRandomBreaker":
-        dup = UniformRandomBreaker()
-        dup.rng.setstate(self.rng.getstate())
+        dup = copy.copy(self)
+        dup.rng = fork_rng(self.rng)
         return dup
 
 
@@ -196,8 +186,6 @@ class GreedyBlockingBreaker:
     coloring the unique minimum edge unless doing so drags a second-lowest
     edge down to the old minimum.
     """
-
-    name = "greedy"
 
     def micro_move(self, s: GameState) -> tuple[int, int, dict | None] | None:
         g = s.g
@@ -244,16 +232,14 @@ class GreedyBlockingBreaker:
         return e0, (avail[e0] & -avail[e0]).bit_length(), None
 
     def clone(self) -> "GreedyBlockingBreaker":
-        return GreedyBlockingBreaker()
+        return self  # no per-game state
 
 
 class SkipBreaker:
     """Always passes; only legal in the skip variant."""
 
-    name = "skip"
-
     def micro_move(self, s: GameState) -> None:
         return None
 
     def clone(self) -> "SkipBreaker":
-        return SkipBreaker()
+        return self  # no per-game state

@@ -286,8 +286,9 @@ def verify_strategy(
     ``sound`` means the strategy's side wins every leaf of the opponent's
     full move tree (for Breaker that tree includes every micro-move
     sequence and every legal pass).  Otherwise ``counterexample`` holds the
-    move log of one losing line, replayable through the engine.  The caller's
-    strategy object is never mutated.  Strict mode only.
+    move log of one losing line, replayable through the engine.  A strategy
+    without per-game state is its own clone, shared across branches; the
+    caller's strategy plays the same afterwards.  Strict mode only.
     """
     if side not in (MAKER, BREAKER):
         raise ValueError(f"side must be {MAKER!r} or {BREAKER!r}")

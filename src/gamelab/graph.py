@@ -17,6 +17,9 @@ from typing import Iterable, Iterator, Sequence
 # generator, and on the edges a generator builds or the vertex pairs gnp draws on
 MAX_EDGE_LIST_VERTICES = 100_000
 MAX_GENERATOR_PAIRS = 1_000_000
+# ``tree:ORDER:INDEX`` walks the trees of that order up to the index; order 16
+# has 19,320 of them, walked in about a second
+MAX_TREE_ORDER = 16
 
 
 class GraphError(ValueError):
@@ -284,7 +287,10 @@ def generate(spec: str) -> Graph:
             return gnp(int(args[0]), float(args[1]), int(args[2]))
         if kind == "tree":
             order, index = int(args[0]), int(args[1])
-            _check_size(order, order - 1)
+            if order > MAX_TREE_ORDER:
+                raise GraphError(f"tree order {order} exceeds {MAX_TREE_ORDER}")
+            if index < 0:
+                raise GraphError(f"tree index {index} is negative")
             import networkx as nx
 
             for i, t in enumerate(nx.nonisomorphic_trees(order)):

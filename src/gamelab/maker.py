@@ -15,13 +15,14 @@ in a fixed documented order, so logs replay bit-for-bit from the seed.
 
 from __future__ import annotations
 
+import copy
 import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from ._util import StrategyError
+from ._util import StrategyError, fork_rng
 from .engine import BREAKER, MAKER, MODIFIED, GameState, MoveLog, uniform_legal_move
 
 _INF = math.inf
@@ -200,8 +201,6 @@ class DangerRedirectMaker:
          forced in the modified process).
     """
 
-    name = "paper"
-
     def __init__(self, cfg: MakerConfig | None = None, seed: int | None = None) -> None:
         self.cfg = cfg or MakerConfig()
         self.rng = random.Random(seed)
@@ -279,18 +278,15 @@ class DangerRedirectMaker:
         return e, color, ann
 
     def clone(self) -> "DangerRedirectMaker":
-        dup = DangerRedirectMaker(self.cfg)
-        dup.rng.setstate(self.rng.getstate())
+        """Own generator state and memory; constants and bound game shared."""
+        dup = copy.copy(self)
+        dup.rng = fork_rng(self.rng)
         dup.memory = self.memory.copy()
-        dup._bound = self._bound
-        dup._thresholds = self._thresholds
         return dup
 
 
 class UniformRandomMaker:
     """Colors a uniformly random legal (edge, color) pair."""
-
-    name = "random"
 
     def __init__(self, seed: int | None = None) -> None:
         self.rng = random.Random(seed)
@@ -308,15 +304,13 @@ class UniformRandomMaker:
         return e, self.rng.randrange(s.cfg.k) + 1, {"forced_nonproper": True}
 
     def clone(self) -> "UniformRandomMaker":
-        dup = UniformRandomMaker()
-        dup.rng.setstate(self.rng.getstate())
+        dup = copy.copy(self)
+        dup.rng = fork_rng(self.rng)
         return dup
 
 
 class GreedyMaker:
     """Colors an uncolored edge of minimum availability with its lowest color."""
-
-    name = "greedy"
 
     def move(self, s: GameState) -> tuple[int, int, dict | None]:
         if s.uncolored == 0:
@@ -339,4 +333,4 @@ class GreedyMaker:
         return best_e, color, None
 
     def clone(self) -> "GreedyMaker":
-        return GreedyMaker()
+        return self  # no per-game state

@@ -1,11 +1,14 @@
-"""Module layering: the library never depends on the command line."""
+"""Module layering: the library never depends on the command line, and
+every strategy policy defines its own clone."""
 
 from __future__ import annotations
 
 import ast
+import inspect
 from pathlib import Path
 
 import gamelab
+from gamelab import breaker, maker
 
 PACKAGE = Path(gamelab.__file__).parent
 
@@ -48,3 +51,16 @@ def test_detector_sees_every_import_form():
         assert imports_cli(ast.parse(src)), src
     for src in ("from .match import run_match", "import gamelab.engine", "from .. import cli"):
         assert not imports_cli(ast.parse(src)), src
+
+
+def test_every_policy_defines_its_own_clone():
+    # the benchmark tracer wraps only methods a class defines itself, so an
+    # inherited clone would drop out of maker.clone and breaker.clone
+    policies = [
+        cls
+        for module in (maker, breaker)
+        for _, cls in inspect.getmembers(module, inspect.isclass)
+        if cls.__module__ == module.__name__ and (hasattr(cls, "move") or hasattr(cls, "micro_move"))
+    ]
+    assert len(policies) >= 7
+    assert [cls.__name__ for cls in policies if "clone" not in vars(cls)] == []

@@ -226,6 +226,30 @@ class TestBoxBreakerEndgames:
         assert len(calls) == 5
 
 
+class TestBinding:
+    @pytest.mark.parametrize(
+        "g, cfg",
+        [
+            (G.path(26), GameConfig.skip_variant(k=2, b=2)),
+            (G.complete(6), GameConfig.classic(k=7, b=2)),
+        ],
+        ids=["path:26", "complete:6"],
+    )
+    def test_reused_instance_plays_another_graph_as_a_fresh_one(self, g, cfg):
+        br = BoxReductionBreaker()
+        play(G.cycle(25), GameConfig.skip_variant(k=2, b=2), GreedyMaker(), br)
+        reused = play(g, cfg, UniformRandomMaker(seed=4), br)
+        fresh = play(g, cfg, UniformRandomMaker(seed=4), BoxReductionBreaker())
+        assert reused.log == fresh.log
+
+    def test_rebinds_on_another_bias(self):
+        g = G.cycle(10)
+        br = BoxReductionBreaker()
+        br.micro_move(new_game(g, GameConfig.skip_variant(k=2, b=2)))
+        br.micro_move(new_game(g, GameConfig.skip_variant(k=2, b=3)))
+        assert br.memory.b == 3
+
+
 class TestReductionBreak:
     """A claim on a box whose edges around f_i are all colored cannot be
     realized: the move falls back and the log records a reduction break.

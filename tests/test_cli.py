@@ -309,9 +309,27 @@ class TestBadInput:
         assert rc == 2
         assert err.startswith("error: need at least one ") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("spec", ["cycle:100001", "gnp:1415:0.0:1"])
+    @pytest.mark.parametrize("spec", ["cycle:100001", "gnp:1415:0.0:1", "tree:30:100000000"])
     def test_generator_over_size_cap(self, capsys, spec):
         rc = main(["gen", spec])
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("error: ") and " exceed" in err and err.count("\n") == 1
+
+    def test_negative_tree_index(self, capsys):
+        # rejected before the trees of order 16 are walked
+        assert main(["gen", "tree:16:-1"]) == 2
+        assert capsys.readouterr().err == "error: tree index -1 is negative\n"
+
+    @pytest.mark.parametrize(
+        "argv, what",
+        [
+            (["solve", "--graph", "cycle:5", "--k", "3"], "solve"),
+            (["chi", "--graph", "cycle:5"], "solve"),
+            (["boxgame", "--sizes", "2,2", "--solve"], "box-game solver"),
+        ],
+    )
+    def test_negative_budget(self, capsys, argv, what):
+        rc = main(argv + ["--budget", "-5"])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {what} budget must be non-negative, got -5\n"

@@ -33,7 +33,7 @@ from gamelab.exact import (
 )
 from gamelab.breaker import BoxReductionBreaker, SkipBreaker
 from gamelab.maker import DangerRedirectMaker, GreedyMaker, UniformRandomMaker
-from gamelab.graph import Graph, complete, cycle, gnp, path, star
+from gamelab.graph import Graph, complete, complete_bipartite, cycle, gnp, path, star
 from gamelab._util import BudgetExceeded
 
 SKIP = GameConfig.skip_variant
@@ -291,6 +291,12 @@ class TestBudget:
             solve(cycle(7), 3, SKIP(k=1), budget=50)
         assert ei.value.nodes > 50
 
+    def test_negative_budget_rejected(self):
+        with pytest.raises(ValueError, match="^solve budget must be non-negative, got -1$"):
+            solve(cycle(5), 3, SKIP(k=1), budget=-1)
+        with pytest.raises(ValueError, match="^verify_strategy budget must be non-negative"):
+            verify_strategy(cycle(5), 3, SKIP(k=1), SkipBreaker(), BREAKER, budget=-1)
+
     def test_verify_budget_exceeded(self):
         with pytest.raises(BudgetExceeded):
             verify_strategy(
@@ -310,6 +316,24 @@ class TestVerifyStrategy:
             cycle(10), 2, CLASSIC(k=1, b=3), BoxReductionBreaker(), BREAKER
         )
         assert res.sound
+
+    def test_box_breaker_binds_once_per_verification(self, monkeypatch):
+        # the box Breaker is its own clone, so every branch shares one binding
+        import gamelab.breaker
+
+        calls = []
+        find_good_set = gamelab.breaker.find_good_set
+
+        def counted(g):
+            calls.append(g)
+            return find_good_set(g)
+
+        monkeypatch.setattr(gamelab.breaker, "find_good_set", counted)
+        res = verify_strategy(
+            complete_bipartite(5, 5), 4, CLASSIC(k=1, b=2), BoxReductionBreaker(), BREAKER
+        )
+        assert res.sound
+        assert len(calls) == 1
 
     def test_skip_breaker_vacuously_sound_where_no_full_coloring_exists(self):
         # C5 has no proper 2-edge-coloring at all, so even a breaker who

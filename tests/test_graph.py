@@ -179,6 +179,7 @@ class TestGenerators:
     def test_size_caps_accept_the_limit(self):
         assert G.generate(f"cycle:{G.MAX_EDGE_LIST_VERTICES}").m == G.MAX_EDGE_LIST_VERTICES
         assert G.generate("gnp:1414:0.0:1").n == 1414  # 998,991 pairs
+        assert G.generate(f"tree:{G.MAX_TREE_ORDER}:0").n == G.MAX_TREE_ORDER
 
     @pytest.mark.parametrize(
         "spec, message",
@@ -187,6 +188,9 @@ class TestGenerators:
             ("star:100000", "vertex count 100001 exceeds 100000"),
             ("complete:1415", "1000405 edges or vertex pairs exceed 1000000"),
             ("gnp:1415:0.0:1", "1000405 edges or vertex pairs exceed 1000000"),
+            ("tree:17:0", "tree order 17 exceeds 16"),
+            ("tree:30:100000000", "tree order 30 exceeds 16"),
+            ("tree:5:-1", "tree index -1 is negative"),
         ],
     )
     def test_size_caps_reject_above_the_limit(self, spec, message):

@@ -10,6 +10,12 @@ import pytest
 
 from gamelab import graph as G
 from gamelab._util import StrategyError
+from gamelab.breaker import (
+    BoxReductionBreaker,
+    GreedyBlockingBreaker,
+    SkipBreaker,
+    UniformRandomBreaker,
+)
 from gamelab.engine import (
     BREAKER,
     MAKER,
@@ -349,13 +355,25 @@ class TestCloneDeterminism:
     def test_clone_continues_identically(self):
         g = G.complete(5)
         cfg = GameConfig.skip_variant(k=7, b=2)
-        mk = DangerRedirectMaker(seed=99)
         s = new_game(g, cfg)
         rng = random.Random(1)
         run_breaker_turn_random(s, rng)
-        e1, c1, a1 = mk.clone().move(s)
-        e2, c2, a2 = mk.clone().move(s)
-        assert (e1, c1, a1) == (e2, c2, a2)
+        for make, ask in (
+            (lambda: DangerRedirectMaker(seed=99), lambda p: p.move(s)),
+            (lambda: UniformRandomMaker(seed=99), lambda p: p.move(s)),
+            (lambda: UniformRandomBreaker(seed=99), lambda p: p.micro_move(s)),
+        ):
+            original, twin = make(), make()
+            assert ask(original) == ask(twin)
+            dup = original.clone()
+            assert dup is not original
+            expected = ask(twin)
+            assert ask(dup) == expected  # the clone continues the stream
+            assert ask(original) == expected  # and leaves the original's alone
+
+    def test_stateless_policies_are_their_own_clone(self):
+        for policy in (GreedyMaker(), GreedyBlockingBreaker(), SkipBreaker(), BoxReductionBreaker()):
+            assert policy.clone() is policy
 
     def test_same_seed_same_game(self):
         g = G.random_regular(8, 3, seed=2)
