@@ -21,7 +21,7 @@ class BudgetExceeded(RuntimeError):
 
 class NodeBudget:
     """Node counter of one search; ``tick`` raises BudgetExceeded once the
-    count passes ``limit`` (``None`` means unlimited; negative is refused)."""
+    count passes ``limit`` (``None`` means unlimited; a negative limit raises ValueError)."""
 
     __slots__ = ("limit", "what", "nodes")
 
@@ -50,8 +50,8 @@ def derive_seed(master: int, *parts: object) -> int:
 
 
 def fork_rng(rng: random.Random) -> random.Random:
-    """An independent copy of ``rng``'s stream; seeded with a constant, so
-    no OS entropy is read, then given ``rng``'s state."""
+    """A copy of ``rng`` that draws on independently: a generator seeded with
+    a constant, so no OS entropy is read, then given ``rng``'s state."""
     dup = random.Random(0)
     dup.setstate(rng.getstate())
     return dup

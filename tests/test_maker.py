@@ -358,12 +358,12 @@ class TestCloneDeterminism:
         s = new_game(g, cfg)
         rng = random.Random(1)
         run_breaker_turn_random(s, rng)
-        for make, ask in (
-            (lambda: DangerRedirectMaker(seed=99), lambda p: p.move(s)),
-            (lambda: UniformRandomMaker(seed=99), lambda p: p.move(s)),
-            (lambda: UniformRandomBreaker(seed=99), lambda p: p.micro_move(s)),
+        for cls, ask in (
+            (DangerRedirectMaker, lambda p: p.move(s)),
+            (UniformRandomMaker, lambda p: p.move(s)),
+            (UniformRandomBreaker, lambda p: p.micro_move(s)),
         ):
-            original, twin = make(), make()
+            original, twin = cls(seed=99), cls(seed=99)
             assert ask(original) == ask(twin)
             dup = original.clone()
             assert dup is not original
