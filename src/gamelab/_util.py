@@ -19,6 +19,13 @@ class BudgetExceeded(RuntimeError):
         self.nodes = nodes
 
 
+def check_budget(limit: int | None, what: str) -> int | None:
+    """``limit`` unchanged if it is None (unlimited) or non-negative, else ValueError."""
+    if limit is not None and limit < 0:
+        raise ValueError(f"{what} budget must be non-negative, got {limit}")
+    return limit
+
+
 class NodeBudget:
     """Node counter of one search; ``tick`` raises BudgetExceeded once the
     count passes ``limit`` (``None`` means unlimited; a negative limit raises ValueError)."""
@@ -26,9 +33,7 @@ class NodeBudget:
     __slots__ = ("limit", "what", "nodes")
 
     def __init__(self, limit: int | None, what: str) -> None:
-        if limit is not None and limit < 0:
-            raise ValueError(f"{what} budget must be non-negative, got {limit}")
-        self.limit = limit
+        self.limit = check_budget(limit, what)
         self.what = what
         self.nodes = 0
 

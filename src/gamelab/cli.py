@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from ._util import BudgetExceeded, StrategyError
+from ._util import BudgetExceeded, StrategyError, check_budget
 from .boxgame import box_threshold, bob_wins, is_near_uniform, solve_boxgame
 from .engine import MODIFIED, STRICT, MoveLog
 from .exact import game_chromatic_index, solve
@@ -223,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--no-memo", action="store_true")
     add_out(p)
-    p.set_defaults(fn=cmd_solve)
+    p.set_defaults(fn=cmd_solve, search="solve")
 
     p = sub.add_parser("chi", help="game chromatic index over the trivial range")
     add_graph(p)
@@ -232,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--no-memo", action="store_true")
     add_out(p)
-    p.set_defaults(fn=cmd_chi)
+    p.set_defaults(fn=cmd_chi, search="solve")
 
     p = sub.add_parser("play", help="seeded match between two policies")
     add_graph(p)
@@ -256,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--solve", action="store_true", help="cross-check by minimax")
     p.add_argument("--budget", type=int, default=None)
     add_out(p)
-    p.set_defaults(fn=cmd_boxgame)
+    p.set_defaults(fn=cmd_boxgame, search="box-game solver")
 
     p = sub.add_parser("goodset", help="greedy good set and the harmonic criterion")
     add_graph(p)
@@ -288,6 +288,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # checked here, not only by the search, since some inputs run none
+        if getattr(args, "budget", None) is not None:
+            check_budget(args.budget, args.search)
         return args.fn(args)
     except BudgetExceeded as exc:
         print(f"budget exceeded after {exc.nodes} nodes", file=sys.stderr)

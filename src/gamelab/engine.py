@@ -168,6 +168,12 @@ class GameState:
     for the blocked-edge check, and ``load[v]`` the number of colored edges at
     v.  Anything else a strategy or a report needs, such as the uncolored
     neighborhoods or Breaker's last turn, it derives from ``color`` or ``log``.
+
+    Every transition pushes onto ``trail`` what it overwrote, and ``undo``
+    takes the last one back, so a search plays and takes back positions on
+    one state.  ``log=False`` keeps no move log (``log`` is None), for a
+    search that runs no strategy.  ``clone`` remains for the tests'
+    clone-based oracle and the benchmark's tracer.
     """
 
     __slots__ = (
@@ -184,9 +190,10 @@ class GameState:
         "blocked_seen",
         "forced_count",
         "log",
+        "trail",
     )
 
-    def __init__(self, g: Graph, cfg: GameConfig) -> None:
+    def __init__(self, g: Graph, cfg: GameConfig, *, log: bool = True) -> None:
         self.g = g
         self.cfg = cfg
         self.color: list[int] = [0] * g.m
@@ -199,7 +206,11 @@ class GameState:
         self.full_mask = (1 << cfg.k) - 1
         self.blocked_seen = False
         self.forced_count = 0
-        self.log = MoveLog()
+        self.log: MoveLog | None = MoveLog() if log else None
+        # per transition: (edge, umask of both endpoints, turn, Breaker
+        # colorings this turn, blocked_seen, forced_count) before a coloring,
+        # (None, Breaker colorings this turn, round) before an end of turn
+        self.trail: list[tuple] = []
 
     # -- queries ---------------------------------------------------------
 
@@ -252,7 +263,8 @@ class GameState:
     # -- transitions -------------------------------------------------------
 
     def apply_move(self, player: str, e: int, c: int, ann: dict | None = None) -> None:
-        if self.game_over():
+        cfg = self.cfg
+        if self.uncolored == 0 or (self.blocked_seen and cfg.mode == STRICT):
             raise IllegalMove("game is over")
         if player != self.turn:
             raise IllegalMove(f"not {player}'s turn")
@@ -260,29 +272,34 @@ class GameState:
             raise IllegalMove(f"no edge with index {e}")
         if self.color[e] != 0:
             raise IllegalMove(f"edge {e} is already colored")
-        if not 1 <= c <= self.cfg.k:
-            raise IllegalMove(f"color {c} outside palette 1..{self.cfg.k}")
-        proper = bool(self.avail_mask(e) >> (c - 1) & 1)
+        if not 1 <= c <= cfg.k:
+            raise IllegalMove(f"color {c} outside palette 1..{cfg.k}")
+        u, v = self.g.edges[e]
+        umask = self.umask
+        bit = 1 << (c - 1)
+        proper = not (umask[u] | umask[v]) & bit
         if player == BREAKER:
-            if self.breaker_moves_this_turn >= self.cfg.b:
-                raise IllegalMove(f"bias exceeded: already colored {self.cfg.b} edges this turn")
+            if self.breaker_moves_this_turn >= cfg.b:
+                raise IllegalMove(f"bias exceeded: already colored {cfg.b} edges this turn")
             if not proper:
                 raise IllegalMove(f"color {c} blocked on edge {e}")
-        else:
-            if not proper and self.cfg.mode == STRICT:
-                raise IllegalMove(f"color {c} blocked on edge {e}")
-        forced = not proper
-        if forced:
+        elif not proper and cfg.mode == STRICT:
+            raise IllegalMove(f"color {c} blocked on edge {e}")
+
+        self.trail.append((
+            e, umask[u], umask[v], self.turn, self.breaker_moves_this_turn,
+            self.blocked_seen, self.forced_count,
+        ))
+        if not proper:
             self.forced_count += 1
             self.blocked_seen = True
-
-        u, v = self.g.edges[e]
         self.color[e] = c
         self.uncolored -= 1
-        bit = 1 << (c - 1)
-        for w in (u, v):
-            self.load[w] += 1
-            self.umask[w] |= bit
+        load = self.load
+        load[u] += 1
+        load[v] += 1
+        umask[u] |= bit
+        umask[v] |= bit
 
         if player == BREAKER:
             self.breaker_moves_this_turn += 1
@@ -290,19 +307,19 @@ class GameState:
             self.turn = BREAKER
             self.breaker_moves_this_turn = 0
 
-        self.log.append(MoveRecord(self.round, player, e, c, False, ann))
+        if self.log is not None:
+            self.log.append(MoveRecord(self.round, player, e, c, False, ann))
 
         # only edges at the two endpoints can have lost their last color
         if not self.blocked_seen:
+            full, color, edges = self.full_mask, self.color, self.g.edges
             for w in (u, v):
                 for f in self.g.incident[w]:
-                    if self.color[f] == 0:
-                        a, bb = self.g.edges[f]
-                        if self.full_mask & ~(self.umask[a] | self.umask[bb]) == 0:
+                    if color[f] == 0:
+                        a, bb = edges[f]
+                        if full & ~(umask[a] | umask[bb]) == 0:
                             self.blocked_seen = True
-                            break
-                if self.blocked_seen:
-                    break
+                            return
 
     def end_breaker_turn(self) -> None:
         """Close Breaker's turn; a turn with zero colorings is a sit-out.
@@ -316,14 +333,37 @@ class GameState:
             raise IllegalMove("not breaker's turn")
         if not self.may_end_breaker_turn():
             raise IllegalMove("breaker may not sit out in this variant")
-        self.log.append(MoveRecord(self.round, BREAKER, None, None, True, None))
+        self.trail.append((None, self.breaker_moves_this_turn, self.round))
+        if self.log is not None:
+            self.log.append(MoveRecord(self.round, BREAKER, None, None, True, None))
         self.turn = MAKER
         self.round += 1
         self.breaker_moves_this_turn = 0
 
+    def undo(self) -> None:
+        """Take back the last ``apply_move`` or ``end_breaker_turn``."""
+        rec = self.trail.pop()
+        if self.log is not None:
+            self.log.records.pop()
+        e = rec[0]
+        if e is None:
+            self.turn = BREAKER
+            _, self.breaker_moves_this_turn, self.round = rec
+            return
+        (_, mu, mv, self.turn, self.breaker_moves_this_turn,
+         self.blocked_seen, self.forced_count) = rec
+        u, v = self.g.edges[e]
+        self.color[e] = 0
+        self.uncolored += 1
+        self.load[u] -= 1
+        self.load[v] -= 1
+        self.umask[u] = mu
+        self.umask[v] = mv
+
     # -- copying / comparison ----------------------------------------------
 
     def clone(self) -> GameState:
+        """An independent copy; searches use ``undo`` instead."""
         s = object.__new__(GameState)
         s.g = self.g
         s.cfg = self.cfg
@@ -337,7 +377,8 @@ class GameState:
         s.full_mask = self.full_mask
         s.blocked_seen = self.blocked_seen
         s.forced_count = self.forced_count
-        s.log = self.log.copy()
+        s.log = None if self.log is None else self.log.copy()
+        s.trail = list(self.trail)
         return s
 
     def snapshot(self) -> tuple:

@@ -18,6 +18,13 @@ reductions keep the tree tractable:
 
 ``memoize=False`` runs the same recursion without the table; agreement of
 the two modes is the standard self-check for the canonicalization.
+
+Both the solver and ``verify_strategy`` play each move on one
+``GameState`` and take it back with ``undo`` once its subtree is searched,
+so no position is copied; ``GameState.clone`` remains for the tests'
+clone-based oracle and the benchmark's tracer.  The solver's state keeps no
+move log, since nothing it runs reads one; the verifier's does, because
+strategies read it and a counterexample is a copy of it.
 """
 
 from __future__ import annotations
@@ -111,19 +118,18 @@ def _canonical_key(state: GameState) -> tuple[bytes, int, bool, int]:
     )
 
 
-def _children(
+def _moves(
     state: GameState, edges: Iterable[int], used: int
-) -> Iterator[tuple[GameState, int]]:
-    """Successor positions of ``state``, each with the color bit it spent.
+) -> Iterator[tuple[int | None, int]]:
+    """Moves searched from ``state``, each as (edge, color bit).
 
     Moves of the player to move come first: ``edges`` in the given order,
     and on each edge, in increasing order, the available colors in ``used``
     plus the lowest available one outside it.  Breaker's end of turn comes
-    last, where the rules allow it (bit 0).  A move that spends Breaker's
-    bias also closes his turn, so no search position has one pending.
+    last, where the rules allow it (edge None, bit 0).  The generator reads
+    ``state`` between moves, so the consumer must have taken back what it
+    played before asking for the next move.
     """
-    mover = state.turn
-    b = state.cfg.b
     for e in edges:
         avail = state.avail_mask(e)
         cand = avail & used
@@ -133,15 +139,23 @@ def _children(
         while cand:
             bit = cand & -cand
             cand ^= bit
-            child = state.clone()
-            child.apply_move(mover, e, bit.bit_length())
-            if child.breaker_moves_this_turn == b and not child.game_over():
-                child.end_breaker_turn()
-            yield child, bit
-    if mover == BREAKER and state.may_end_breaker_turn():
-        child = state.clone()
-        child.end_breaker_turn()
-        yield child, 0
+            yield e, bit
+    if state.turn == BREAKER and state.may_end_breaker_turn():
+        yield None, 0
+
+
+def _play(state: GameState, e: int | None, bit: int) -> int:
+    """Play one move of ``_moves`` on ``state``; returns the number of
+    transitions to take back with ``undo``.  A move that spends Breaker's
+    bias also closes his turn, so no search position has one pending."""
+    if e is None:
+        state.end_breaker_turn()
+        return 1
+    state.apply_move(state.turn, e, bit.bit_length())
+    if state.breaker_moves_this_turn == state.cfg.b and not state.game_over():
+        state.end_breaker_turn()
+        return 2
+    return 1
 
 
 class _Solver:
@@ -169,8 +183,12 @@ class _Solver:
         )
         mover_value = state.turn == MAKER
         val = not mover_value
-        for child, bit in _children(state, [e for _, e in order], used):
-            if self.maker_wins(child, used | bit) == mover_value:
+        for e, bit in _moves(state, [e for _, e in order], used):
+            plies = _play(state, e, bit)
+            won = self.maker_wins(state, used | bit)
+            for _ in range(plies):
+                state.undo()
+            if won == mover_value:
                 val = mover_value
                 break
         if self.table is not None:
@@ -197,7 +215,7 @@ def solve(
         raise ValueError("exact solver requires strict mode")
     cfg = replace(cfg, k=k)
     solver = _Solver(memoize, budget)
-    win = solver.maker_wins(new_game(g, cfg), 0)
+    win = solver.maker_wins(GameState(g, cfg, log=False), 0)
     return SolveResult(MAKER if win else BREAKER, solver.budget.nodes)
 
 
@@ -250,23 +268,38 @@ class _Verifier:
     def search(self, state: GameState, strategy) -> MoveLog | None:
         """First losing line against full opponent enumeration, else None.
 
-        The scripted side's moves are played in place; at every opponent
-        decision point the position *and* the strategy (its RNG stream and
-        memory) are cloned per branch, so each line sees the strategy
+        The scripted side's moves are played on ``state`` and taken back
+        before returning.  At every opponent decision point each branch but
+        the last gets a clone of the strategy (its RNG stream and memory),
+        and the last gets the node's own, so each line sees the strategy
         exactly as live play would.  No color-symmetry pruning here: a
         concrete strategy need not be equivariant under palette renaming.
         """
+        plies = 0
         while True:
             self.budget.tick()
             if state.game_over():
-                return None if state.winner() == self.want else state.log.copy()
+                bad = None if state.winner() == self.want else state.log.copy()
+                break
             if state.turn != self.side:
+                bad = self._branch(state, strategy)
                 break
             step(state, strategy, strategy)
+            plies += 1
+        for _ in range(plies):
+            state.undo()
+        return bad
+
+    def _branch(self, state: GameState, strategy) -> MoveLog | None:
         # every legal move: all colors count as used, so none is pruned
         uncolored = [e for e in range(state.g.m) if state.color[e] == 0]
-        for child, _ in _children(state, uncolored, state.full_mask):
-            bad = self.search(child, strategy.clone())
+        moves = list(_moves(state, uncolored, state.full_mask))
+        last = len(moves) - 1
+        for i, (e, bit) in enumerate(moves):
+            plies = _play(state, e, bit)
+            bad = self.search(state, strategy if i == last else strategy.clone())
+            for _ in range(plies):
+                state.undo()
             if bad is not None:
                 return bad
         return None

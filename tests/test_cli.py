@@ -327,6 +327,9 @@ class TestBadInput:
             (["solve", "--graph", "cycle:5", "--k", "3"], "solve"),
             (["chi", "--graph", "cycle:5"], "solve"),
             (["boxgame", "--sizes", "2,2", "--solve"], "box-game solver"),
+            # these two run no search: the graph has no edges, and no --solve
+            (["chi", "--graph", "gnp:3:0.0:1"], "solve"),
+            (["boxgame", "--sizes", "2,2"], "box-game solver"),
         ],
     )
     def test_negative_budget(self, capsys, argv, what):

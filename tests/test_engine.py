@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gamelab import graph as G
 from gamelab.engine import (
@@ -331,3 +333,55 @@ class TestReplayValidation:
         log.records[-1] = type(rec)(rec.round, BREAKER, rec.edge, rec.color, rec.skip, rec.ann)
         with pytest.raises(IllegalMove):
             replay(g, cfg, log)
+
+
+def legal_transitions(s: GameState) -> list:
+    """Every legal transition: (edge, color) colorings, None for an end of
+    Breaker's turn.  In modified mode Maker may take any color, so forced
+    non-proper moves are drawn too."""
+    cfg = s.cfg
+    uncolored = [e for e in range(s.g.m) if s.color[e] == 0]
+    if s.turn == MAKER:
+        if cfg.mode == MODIFIED:
+            return [(e, c) for e in uncolored for c in range(1, cfg.k + 1)]
+        return [(e, c) for e in uncolored for c in sorted(s.available_colors(e))]
+    moves = []
+    if s.breaker_moves_this_turn < cfg.b:
+        moves = [(e, c) for e in uncolored for c in sorted(s.available_colors(e))]
+    if s.may_end_breaker_turn():
+        moves.append(None)
+    return moves
+
+
+class TestUndo:
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_undo_restores_every_depth(self, data):
+        g = data.draw(st.sampled_from(FUZZ_GRAPHS), label="graph")
+        variant = data.draw(st.sampled_from([GameConfig.skip_variant, GameConfig.classic]))
+        cfg = variant(
+            k=data.draw(st.integers(2, 5), label="k"),
+            b=data.draw(st.integers(1, 3), label="b"),
+            mode=data.draw(st.sampled_from([STRICT, MODIFIED]), label="mode"),
+        )
+        keep_log = data.draw(st.booleans(), label="keep_log")
+        s = GameState(g, cfg, log=keep_log)
+        saved = []
+        while not s.game_over():
+            saved.append((s.snapshot(), list(s.log) if keep_log else None))
+            mv = data.draw(st.sampled_from(legal_transitions(s)))
+            if mv is None:
+                s.end_breaker_turn()
+            else:
+                s.apply_move(s.turn, *mv)
+        if keep_log:
+            assert replay(g, cfg, s.log).snapshot() == s.snapshot()
+        else:
+            assert s.log is None
+        for snap, log in reversed(saved):
+            s.undo()
+            assert s.snapshot() == snap
+            assert (list(s.log) if keep_log else s.log) == log
+            assert_tables_consistent(s)
+        assert s.trail == []
+        assert s.snapshot() == new_game(g, cfg).snapshot()

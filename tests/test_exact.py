@@ -21,6 +21,7 @@ from gamelab.engine import (
     MAKER_WON,
     ONGOING,
     GameConfig,
+    GameState,
     new_game,
     replay,
 )
@@ -33,7 +34,7 @@ from gamelab.exact import (
 )
 from gamelab.breaker import BoxReductionBreaker, SkipBreaker
 from gamelab.maker import DangerRedirectMaker, GreedyMaker, UniformRandomMaker
-from gamelab.graph import Graph, complete, complete_bipartite, cycle, gnp, path, star
+from gamelab.graph import Graph, complete, complete_bipartite, cycle, generate, gnp, path, star
 from gamelab._util import BudgetExceeded
 
 SKIP = GameConfig.skip_variant
@@ -384,3 +385,41 @@ class TestVerifyStrategy:
         cfg = GameConfig.skip_variant(k=2, mode="modified")
         with pytest.raises(ValueError):
             verify_strategy(cycle(4), 2, cfg, SkipBreaker(), BREAKER)
+
+
+class TestMakeUnmake:
+    """The solver and the verifier play and take back moves on one state."""
+
+    @pytest.fixture
+    def no_clone(self, monkeypatch):
+        def refuse(state):
+            raise AssertionError("GameState.clone called during a search")
+
+        monkeypatch.setattr(GameState, "clone", refuse)
+
+    def test_solver_never_clones(self, no_clone):
+        assert game_chromatic_index(cycle(7), 1, SKIP(k=1)).value == 3
+        assert game_chromatic_index(complete_bipartite(3, 3), 1, SKIP(k=1)).value == 4
+
+    def test_verifier_never_clones(self, no_clone):
+        res = verify_strategy(cycle(8), 3, SKIP(k=3), DangerRedirectMaker(seed=0), MAKER)
+        assert res.sound
+        g = generate("random_regular:16:4:3")
+        cfg = CLASSIC(k=4, b=2)
+        res = verify_strategy(g, 4, cfg, BoxReductionBreaker(), BREAKER)
+        assert not res.sound
+        assert replay(g, cfg, res.counterexample).winner() == MAKER_WON
+
+    @pytest.mark.parametrize(
+        "spec, variant, nodes",
+        [
+            ("cycle:11", SKIP, 133_933),
+            ("complete:5", SKIP, 68_314),
+            ("complete_bipartite:3:3", SKIP, 28_494),
+            ("cycle:11", CLASSIC, 26_930),
+        ],
+        ids=["C11-skip", "K5", "K33", "C11-classic"],
+    )
+    def test_ladder_node_counts(self, spec, variant, nodes):
+        # the search order is unchanged, so each rung searches the same tree
+        assert game_chromatic_index(generate(spec), 1, variant(k=1)).nodes == nodes
