@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from ._util import NodeBudget
 
@@ -264,35 +264,6 @@ def bob_strategy(state: BoxGameState) -> int | None:
     return largest
 
 
-def _bob_step(state: BoxGameState, bob: Callable[[BoxGameState], int | None]) -> None:
-    """Bob claims the box his strategy names, or ends his turn on None."""
-    choice = bob(state)
-    if choice is None:
-        state.end_bob_turn()
-    else:
-        state.bob_claim(choice)
-
-
-def play_boxgame(
-    sizes: Sequence[int],
-    b: int,
-    alice: Callable[[BoxGameState], int] = alice_strategy,
-    bob: Callable[[BoxGameState], int | None] = bob_strategy,
-    first: str = ALICE,
-    max_plies: int = 10_000,
-) -> BoxGameState:
-    """Run both scripted strategies to completion and return the final state."""
-    state = BoxGameState.new(sizes, b, first=first)
-    for _ in range(max_plies):
-        if state.winner() is not None:
-            return state
-        if state.turn == ALICE:
-            state.alice_claim(alice(state))
-        else:
-            _bob_step(state, bob)
-    raise BoxGameError("game did not terminate")
-
-
 def verify_bob_strategy(
     sizes: Sequence[int],
     b: int,
@@ -315,7 +286,11 @@ def verify_bob_strategy(
         if state.turn == BOB:
             nxt = state.clone()
             while nxt.winner() is None and nxt.turn == BOB:
-                _bob_step(nxt, bob_strategy)
+                choice = bob_strategy(nxt)
+                if choice is None:
+                    nxt.end_bob_turn()
+                else:
+                    nxt.bob_claim(choice)
             return visit(nxt)
         return all(map(visit, _children(state)))
 

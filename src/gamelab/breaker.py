@@ -184,29 +184,33 @@ class GreedyBlockingBreaker:
     edge shares a color with it (drop the minimum by one), or the minimum
     cannot decrease this move and the move preserves it instead, avoiding
     coloring the unique minimum edge unless doing so drags a second-lowest
-    edge down to the old minimum.
+    edge down to the old minimum.  The first case looks only at the edges
+    around the minimum edges: the lowest edge sharing a free color with one
+    of them, colored with the lowest such color.
     """
 
     def micro_move(self, s: GameState) -> tuple[int, int, dict | None] | None:
         g = s.g
-        uncolored = [e for e in range(g.m) if s.color[e] == 0]
+        color, edges, incident = s.color, g.edges, g.incident
+        uncolored = [e for e in range(g.m) if not color[e]]
         if not uncolored:
             return None
-        avail = {e: s.avail_mask(e) for e in uncolored}
-        counts = {e: avail[e].bit_count() for e in uncolored}
-        m = min(counts.values())
-        min_edges = [e for e in uncolored if counts[e] == m]
-        # phase one: reduce the minimum
-        min_set = set(min_edges)
-        for e in uncolored:
-            if avail[e] == 0:
-                continue
-            mask = 0
-            x, y = g.edges[e]
-            for f in g.incident[x] + g.incident[y]:
-                if f != e and s.color[f] == 0 and f in min_set:
-                    mask |= avail[f]
-            hit = avail[e] & mask
+        free = [s.full_mask & ~used for used in s.umask]
+        avail = [free[u] & free[v] for u, v in edges]
+        counts = [avail[e].bit_count() for e in uncolored]
+        m = min(counts)
+        min_edges = [e for e, n in zip(uncolored, counts) if n == m]
+        # phase one: reduce the minimum; near[e] holds the colors e shares
+        # with the minimum edges around it
+        near: dict[int, int] = {}
+        for f in min_edges:
+            a = avail[f]
+            x, y = edges[f]
+            for e in incident[x] + incident[y]:
+                if e != f and not color[e]:
+                    near[e] = near.get(e, 0) | a
+        for e in sorted(near):
+            hit = avail[e] & near[e]
             if hit:
                 return e, (hit & -hit).bit_length(), None
         # phase two: preserve the minimum
@@ -214,14 +218,14 @@ class GreedyBlockingBreaker:
         if not legal:
             return None
         e0 = legal[0]
-        if e0 not in min_set or len(min_edges) > 1:
+        if len(min_edges) > 1 or e0 != min_edges[0]:
             return e0, (avail[e0] & -avail[e0]).bit_length(), None
         # e0 is the unique minimum: only color it if that knocks a
         # second-lowest neighbor down to the old minimum
-        x, y = g.edges[e0]
+        x, y = edges[e0]
         mask = 0
-        for f in g.incident[x] + g.incident[y]:
-            if f != e0 and s.color[f] == 0 and counts[f] == m + 1:
+        for f in incident[x] + incident[y]:
+            if f != e0 and not color[f] and avail[f].bit_count() == m + 1:
                 mask |= avail[f]
         hit = avail[e0] & mask
         if hit:

@@ -225,9 +225,6 @@ class GameState:
         mask = self.avail_mask(e)
         return {i + 1 for i in range(self.cfg.k) if mask >> i & 1}
 
-    def used_colors(self, v: int) -> set[int]:
-        return {i + 1 for i in range(self.cfg.k) if self.umask[v] >> i & 1}
-
     def uncolored_neighbors(self, v: int) -> list[int]:
         """Neighbors joined to v by a still-uncolored edge, ascending."""
         g = self.g
@@ -360,7 +357,7 @@ class GameState:
         self.umask[u] = mu
         self.umask[v] = mv
 
-    # -- copying / comparison ----------------------------------------------
+    # -- copying -----------------------------------------------------------
 
     def clone(self) -> GameState:
         """An independent copy; searches use ``undo`` instead."""
@@ -380,20 +377,6 @@ class GameState:
         s.log = None if self.log is None else self.log.copy()
         s.trail = list(self.trail)
         return s
-
-    def snapshot(self) -> tuple:
-        """Comparable digest of every rule-relevant state component."""
-        return (
-            tuple(self.color),
-            self.uncolored,
-            self.round,
-            self.turn,
-            self.breaker_moves_this_turn,
-            tuple(self.load),
-            tuple(self.umask),
-            self.blocked_seen,
-            self.forced_count,
-        )
 
 
 def new_game(g: Graph, cfg: GameConfig) -> GameState:

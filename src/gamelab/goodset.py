@@ -135,11 +135,6 @@ def good_set_problems(g: Graph, edges: Sequence[int]) -> list[str]:
     return problems
 
 
-def check_good_set(g: Graph, edges: Sequence[int]) -> bool:
-    """True iff the degree and pairwise-distance conditions hold in g."""
-    return not good_set_problems(g, edges)
-
-
 def condition_values(g: Graph, edges: Sequence[int], b: int) -> tuple[Fraction, Fraction]:
     """LHS and RHS of the harmonic criterion: ((2*Delta-2)/(b-1), H_{|F|-1})."""
     if b < 2:

@@ -252,12 +252,14 @@ def _summarize(params: _Params, traces: list[VertexTrace], k: int) -> dict:
         )
     eligible = [t for t in traces if t.degree >= spike_degree]
     violating = []
+    # nbr_sum >= spike * nbr_cnt in integers; the denominator is positive
+    num, den = spike.numerator, spike.denominator
     for t in eligible:
         for r in range(len(t.loads)):
             if (
                 t.loads[r] < params.tc[2]
                 and t.nbr_cnt[r] > 0
-                and t.nbr_sum[r] >= spike * t.nbr_cnt[r]
+                and t.nbr_sum[r] * den >= num * t.nbr_cnt[r]
             ):
                 violating.append(t)
                 break

@@ -21,7 +21,6 @@ from gamelab.boxgame import (
     box_threshold,
     harmonic_number,
     is_near_uniform,
-    play_boxgame,
     solve_boxgame,
     threshold_lower_bound,
     verify_bob_strategy,
@@ -34,6 +33,22 @@ def oracle_threshold(s: int, b: int) -> int:
     for i in range(2, s + 1):
         val = Fraction(math.floor(Fraction(i, i - 1) * (val + b)))
     return int(val)
+
+
+def play_boxgame(sizes, b, bob=bob_strategy, max_plies=10_000) -> BoxGameState:
+    """Play the scripted Alice against ``bob`` (a None choice ends his turn)
+    to the end, Alice first, and return the final state."""
+    state = BoxGameState.new(sizes, b)
+    for _ in range(max_plies):
+        if state.winner() is not None:
+            return state
+        if state.turn == ALICE:
+            state.alice_claim(alice_strategy(state))
+        elif (choice := bob(state)) is None:
+            state.end_bob_turn()
+        else:
+            state.bob_claim(choice)
+    raise BoxGameError("game did not terminate")
 
 
 def near_uniform_families(max_s: int, max_size: int):

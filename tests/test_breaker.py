@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gamelab import graph as G
 from gamelab._util import StrategyError
@@ -20,6 +22,8 @@ from gamelab.engine import (
     BREAKER_WON,
     MAKER,
     MAKER_WON,
+    MODIFIED,
+    STRICT,
     GameConfig,
     GameState,
     new_game,
@@ -37,6 +41,73 @@ def map_edge_to_box(g: G.Graph, F, e: int) -> int:
         if best_d is None or d < best_d:
             best, best_d = j, d
     return best
+
+
+def greedy_oracle(s: GameState) -> tuple[tuple[int, int, None] | None, str | None]:
+    """Oracle for ``GreedyBlockingBreaker.micro_move``: the full scan over
+    every uncolored edge and its whole neighbourhood.  Returns the move and
+    the phase that chose it ("reduce" or "preserve"; None without a move)."""
+    g = s.g
+    uncolored = [e for e in range(g.m) if s.color[e] == 0]
+    if not uncolored:
+        return None, None
+    avail = {e: s.avail_mask(e) for e in uncolored}
+    counts = {e: avail[e].bit_count() for e in uncolored}
+    m = min(counts.values())
+    min_edges = [e for e in uncolored if counts[e] == m]
+    # phase one: reduce the minimum
+    min_set = set(min_edges)
+    for e in uncolored:
+        if avail[e] == 0:
+            continue
+        mask = 0
+        x, y = g.edges[e]
+        for f in g.incident[x] + g.incident[y]:
+            if f != e and s.color[f] == 0 and f in min_set:
+                mask |= avail[f]
+        hit = avail[e] & mask
+        if hit:
+            return (e, (hit & -hit).bit_length(), None), "reduce"
+    # phase two: preserve the minimum
+    legal = [e for e in uncolored if avail[e]]
+    if not legal:
+        return None, None
+    e0 = legal[0]
+    if e0 not in min_set or len(min_edges) > 1:
+        return (e0, (avail[e0] & -avail[e0]).bit_length(), None), "preserve"
+    x, y = g.edges[e0]
+    mask = 0
+    for f in g.incident[x] + g.incident[y]:
+        if f != e0 and s.color[f] == 0 and counts[f] == m + 1:
+            mask |= avail[f]
+    hit = avail[e0] & mask
+    if hit:
+        return (e0, (hit & -hit).bit_length(), None), "preserve"
+    e = legal[1] if len(legal) > 1 else e0
+    return (e, (avail[e] & -avail[e]).bit_length(), None), "preserve"
+
+
+def random_transition(s: GameState, rng: random.Random) -> None:
+    """Play one random legal transition; Maker is forced onto a random
+    color of a random edge in a quarter of his modified-mode moves."""
+    uncolored = [e for e in range(s.g.m) if s.color[e] == 0]
+    if s.turn == MAKER:
+        if s.cfg.mode == MODIFIED and rng.random() < 0.25:
+            s.apply_move(MAKER, rng.choice(uncolored), rng.randint(1, s.cfg.k))
+            return
+        pairs = [(e, c) for e in uncolored for c in sorted(s.available_colors(e))]
+        if pairs:
+            s.apply_move(MAKER, *rng.choice(pairs))
+        else:
+            s.apply_move(MAKER, uncolored[0], 1)  # modified mode only
+        return
+    pairs = []
+    if s.breaker_moves_this_turn < s.cfg.b:
+        pairs = [(e, c) for e in uncolored for c in sorted(s.available_colors(e))]
+    if pairs and (rng.random() < 0.7 or not s.may_end_breaker_turn()):
+        s.apply_move(BREAKER, *rng.choice(pairs))
+    else:
+        s.end_breaker_turn()
 
 
 def run_breaker_turn(s: GameState, strategy) -> None:
@@ -319,6 +390,69 @@ class TestGreedyBlocking:
         s.end_breaker_turn()
         s.apply_move(MAKER, 1, 2)
         assert s.game_over()  # nothing left: strategy never consulted
+
+
+# the engine tests' fuzz graphs
+FUZZ_GRAPHS = [
+    G.path(4),
+    G.cycle(5),
+    G.star(4),
+    G.complete(4),
+    G.complete_bipartite(2, 3),
+]
+
+
+class TestGreedyOracle:
+    """The greedy Breaker looks only around the minimum edges; the oracle
+    scans every uncolored edge.  They must make the same move."""
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_full_scan(self, data):
+        g = data.draw(st.sampled_from(FUZZ_GRAPHS), label="graph")
+        variant = data.draw(st.sampled_from([GameConfig.skip_variant, GameConfig.classic]))
+        cfg = variant(
+            k=data.draw(st.integers(1, 2 * g.max_degree + 1), label="k"),
+            b=data.draw(st.integers(1, 3), label="b"),
+            mode=data.draw(st.sampled_from([STRICT, MODIFIED]), label="mode"),
+        )
+        rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+        br = GreedyBlockingBreaker()
+        s = new_game(g, cfg)
+        # the opening: every edge is a minimum edge
+        assert br.micro_move(s) == greedy_oracle(s)[0]
+        while not s.game_over():
+            if s.turn == BREAKER and s.breaker_moves_this_turn < cfg.b:
+                assert br.micro_move(s) == greedy_oracle(s)[0]
+            random_transition(s, rng)
+
+    def test_seeded_positions_reach_both_phases(self):
+        # the same comparison on seeded playouts, which must also reach the
+        # preserve phase and its unique-minimum branch
+        phases = {"reduce": 0, "preserve": 0, "unique": 0}
+        br = GreedyBlockingBreaker()
+        rng = random.Random(7)
+        for g in FUZZ_GRAPHS:
+            for variant in (GameConfig.skip_variant, GameConfig.classic):
+                for mode in (STRICT, MODIFIED):
+                    for k in range(1, 2 * g.max_degree + 2):
+                        for b in (1, 2, 3):
+                            s = new_game(g, variant(k=k, b=b, mode=mode))
+                            while not s.game_over():
+                                if s.turn == BREAKER and s.breaker_moves_this_turn < b:
+                                    mv, phase = greedy_oracle(s)
+                                    assert br.micro_move(s) == mv
+                                    if phase:
+                                        phases[phase] += 1
+                                        counts = [
+                                            s.avail_mask(e).bit_count()
+                                            for e in range(g.m) if s.color[e] == 0
+                                        ]
+                                        phases["unique"] += (
+                                            phase == "preserve" and counts.count(min(counts)) == 1
+                                        )
+                                random_transition(s, rng)
+        assert all(phases.values()), phases
 
 
 class TestBaselines:

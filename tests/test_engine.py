@@ -26,6 +26,25 @@ from gamelab.engine import (
 )
 
 
+def used_colors(s: GameState, v: int) -> set[int]:
+    return {i + 1 for i in range(s.cfg.k) if s.umask[v] >> i & 1}
+
+
+def snapshot(s: GameState) -> tuple:
+    """Comparable digest of every rule-relevant state component."""
+    return (
+        tuple(s.color),
+        s.uncolored,
+        s.round,
+        s.turn,
+        s.breaker_moves_this_turn,
+        tuple(s.load),
+        tuple(s.umask),
+        s.blocked_seen,
+        s.forced_count,
+    )
+
+
 def recompute_tables(s: GameState):
     """Oracle: derive load/used/uncolored-neighbor tables from the raw coloring."""
     g = s.g
@@ -59,7 +78,7 @@ def assert_tables_consistent(s: GameState):
     for e in range(s.g.m):
         if s.color[e] == 0:
             u, v = s.g.edges[e]
-            expect = set(range(1, s.cfg.k + 1)) - s.used_colors(u) - s.used_colors(v)
+            expect = set(range(1, s.cfg.k + 1)) - used_colors(s, u) - used_colors(s, v)
             assert s.available_colors(e) == expect
 
 
@@ -296,7 +315,7 @@ class TestFuzzInvariants:
                 for trial in range(5):
                     s = random_playout(g, cfg, seed=555_000 + 10_000 * gi + 1_000 * ci + trial)
                     r = replay(g, cfg, s.log)
-                    assert r.snapshot() == s.snapshot()
+                    assert snapshot(r) == snapshot(s)
                     assert r.log == s.log
 
     def test_jsonl_round_trip(self):
@@ -306,7 +325,7 @@ class TestFuzzInvariants:
         text = s.log.to_jsonl(g)
         back = MoveLog.from_jsonl(text, g)
         assert back == s.log
-        assert replay(g, cfg, back).snapshot() == s.snapshot()
+        assert snapshot(replay(g, cfg, back)) == snapshot(s)
         # serialization is stable byte-for-byte
         assert back.to_jsonl(g) == text
 
@@ -368,20 +387,20 @@ class TestUndo:
         s = GameState(g, cfg, log=keep_log)
         saved = []
         while not s.game_over():
-            saved.append((s.snapshot(), list(s.log) if keep_log else None))
+            saved.append((snapshot(s), list(s.log) if keep_log else None))
             mv = data.draw(st.sampled_from(legal_transitions(s)))
             if mv is None:
                 s.end_breaker_turn()
             else:
                 s.apply_move(s.turn, *mv)
         if keep_log:
-            assert replay(g, cfg, s.log).snapshot() == s.snapshot()
+            assert snapshot(replay(g, cfg, s.log)) == snapshot(s)
         else:
             assert s.log is None
         for snap, log in reversed(saved):
             s.undo()
-            assert s.snapshot() == snap
+            assert snapshot(s) == snap
             assert (list(s.log) if keep_log else s.log) == log
             assert_tables_consistent(s)
         assert s.trail == []
-        assert s.snapshot() == new_game(g, cfg).snapshot()
+        assert snapshot(s) == snapshot(new_game(g, cfg))

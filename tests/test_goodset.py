@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from gamelab import graph as G
 from gamelab.goodset import (
-    check_good_set,
     condition_values,
     find_good_set,
     good_set_problems,
@@ -19,6 +18,11 @@ from gamelab.goodset import (
     reduction_vertex_bound,
 )
 from gamelab.match import mixed_corpus
+
+
+def check_good_set(g: G.Graph, edges) -> bool:
+    """True iff the degree and pairwise-distance conditions hold in g."""
+    return not good_set_problems(g, edges)
 
 
 def brute_force_good_sets(g: G.Graph, size: int) -> list[tuple[int, ...]]:

@@ -380,7 +380,7 @@ class TestCloneDeterminism:
         cfg = GameConfig.skip_variant(k=5, b=1)
         s1 = play_full_game(g, cfg, DangerRedirectMaker(seed=7), seed=70)
         s2 = play_full_game(g, cfg, DangerRedirectMaker(seed=7), seed=70)
-        assert s1.snapshot() == s2.snapshot()
+        assert s1.log == s2.log  # same moves, annotations included
 
 
 class TestBaselines:

@@ -31,6 +31,7 @@ from gamelab.breaker import (
 )
 from gamelab.graph import Graph, cycle, gnp, path, random_regular, star
 from gamelab.maker import DangerRedirectMaker, MakerConfig, UniformRandomMaker
+from gamelab import telemetry
 from gamelab.telemetry import (
     TraceCollector,
     analyze,
@@ -385,6 +386,43 @@ class TestSummary:
         cell = rep.summary["nbr_spike"]
         assert cell["eligible"] == len(eligible)
         assert cell["violating"] == violating
+
+    @pytest.mark.parametrize(
+        "lam", [Fraction(1, 10), Fraction(1, 7), Fraction(1, 9)], ids=["18/5", "36/7", "4"]
+    )
+    def test_spike_cell_counts_a_tie_as_a_violation(self, lam):
+        # spike = 9 * lam * delta on a 4-regular graph; every row is zeroed,
+        # then one trace gets a row exactly at spike * cnt and another one
+        # just below it
+        mcfg = MakerConfig(lam=lam, c=lam / 6)
+        g = random_regular(12, 4, seed=13)
+        cfg = GameConfig.skip_variant(k=7, mode=MODIFIED)
+        _, rep = play_instrumented(
+            g, cfg, DangerRedirectMaker(mcfg, seed=3), UniformRandomBreaker(8), mcfg
+        )
+        spike = 9 * lam * g.max_degree
+        traces = [
+            dataclasses.replace(
+                t, loads=[0] * len(t.loads), nbr_sum=[0] * len(t.loads), nbr_cnt=[1] * len(t.loads)
+            )
+            for t in rep.traces
+        ]
+        for t, below in ((traces[0], 0), (traces[1], 1)):
+            t.nbr_cnt[1] = 2 * spike.denominator
+            t.nbr_sum[1] = 2 * spike.numerator - below
+        params = telemetry._Params(g, cfg, mcfg)
+        cell = telemetry._summarize(params, traces, cfg.k)["nbr_spike"]
+        tc2 = mcfg.threshold_ceil(2, g.max_degree, cfg.b)
+        recount = [
+            t.v
+            for t in traces
+            if any(
+                t.loads[r] < tc2 and t.nbr_cnt[r] > 0 and Fraction(t.nbr_sum[r], t.nbr_cnt[r]) >= spike
+                for r in range(len(t.loads))
+            )
+        ]
+        assert recount == [traces[0].v]
+        assert cell == {"eligible": len(traces), "violating": 1, "fraction": 1 / len(traces)}
 
     def test_danger_and_heavy_cells_recomputed(self):
         g, cfg, rep = self._report(seed=2)
