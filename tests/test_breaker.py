@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -46,7 +47,8 @@ def map_edge_to_box(g: G.Graph, F, e: int) -> int:
 def greedy_oracle(s: GameState) -> tuple[tuple[int, int, None] | None, str | None]:
     """Oracle for ``GreedyBlockingBreaker.micro_move``: the full scan over
     every uncolored edge and its whole neighbourhood.  Returns the move and
-    the phase that chose it ("reduce" or "preserve"; None without a move)."""
+    the case that chose it: "reduce", "preserve", or "unique" when the lowest
+    legal edge is the unique minimum edge (None without a move)."""
     g = s.g
     uncolored = [e for e in range(g.m) if s.color[e] == 0]
     if not uncolored:
@@ -82,9 +84,9 @@ def greedy_oracle(s: GameState) -> tuple[tuple[int, int, None] | None, str | Non
             mask |= avail[f]
     hit = avail[e0] & mask
     if hit:
-        return (e0, (hit & -hit).bit_length(), None), "preserve"
+        return (e0, (hit & -hit).bit_length(), None), "unique"
     e = legal[1] if len(legal) > 1 else e0
-    return (e, (avail[e] & -avail[e]).bit_length(), None), "preserve"
+    return (e, (avail[e] & -avail[e]).bit_length(), None), "unique"
 
 
 def random_transition(s: GameState, rng: random.Random) -> None:
@@ -426,33 +428,24 @@ class TestGreedyOracle:
                 assert br.micro_move(s) == greedy_oracle(s)[0]
             random_transition(s, rng)
 
-    def test_seeded_positions_reach_both_phases(self):
-        # the same comparison on seeded playouts, which must also reach the
-        # preserve phase and its unique-minimum branch
-        phases = {"reduce": 0, "preserve": 0, "unique": 0}
+    def test_seeded_positions_reach_every_case(self):
+        # the same comparison on seeded playouts, which must reach every case
+        cases = {"reduce": 0, "preserve": 0, "unique": 0}
         br = GreedyBlockingBreaker()
         rng = random.Random(7)
-        for g in FUZZ_GRAPHS:
-            for variant in (GameConfig.skip_variant, GameConfig.classic):
-                for mode in (STRICT, MODIFIED):
-                    for k in range(1, 2 * g.max_degree + 2):
-                        for b in (1, 2, 3):
-                            s = new_game(g, variant(k=k, b=b, mode=mode))
-                            while not s.game_over():
-                                if s.turn == BREAKER and s.breaker_moves_this_turn < b:
-                                    mv, phase = greedy_oracle(s)
-                                    assert br.micro_move(s) == mv
-                                    if phase:
-                                        phases[phase] += 1
-                                        counts = [
-                                            s.avail_mask(e).bit_count()
-                                            for e in range(g.m) if s.color[e] == 0
-                                        ]
-                                        phases["unique"] += (
-                                            phase == "preserve" and counts.count(min(counts)) == 1
-                                        )
-                                random_transition(s, rng)
-        assert all(phases.values()), phases
+        for g, variant, mode, b in itertools.product(
+            FUZZ_GRAPHS, (GameConfig.skip_variant, GameConfig.classic), (STRICT, MODIFIED), (1, 2, 3)
+        ):
+            for k in range(1, 2 * g.max_degree + 2):
+                s = new_game(g, variant(k=k, b=b, mode=mode))
+                while not s.game_over():
+                    if s.turn == BREAKER and s.breaker_moves_this_turn < b:
+                        mv, case = greedy_oracle(s)
+                        assert br.micro_move(s) == mv
+                        if case:
+                            cases[case] += 1
+                    random_transition(s, rng)
+        assert all(cases.values()), cases
 
 
 class TestBaselines:
