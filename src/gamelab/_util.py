@@ -55,9 +55,13 @@ def derive_seed(master: int, *parts: object) -> int:
 
 
 def fork_rng(rng: random.Random) -> random.Random:
-    """A copy of ``rng`` that draws on independently: a generator seeded with
-    a constant, so no OS entropy is read, then given ``rng``'s state."""
-    dup = random.Random(0)
+    """A copy of ``rng`` that draws on independently, ``gauss`` included.
+
+    The copy is made by the C constructor with a constant seed, so no OS
+    entropy is read and the Python-level reseed is skipped, then given
+    ``rng``'s state; ``setstate`` also restores the cached ``gauss`` value.
+    """
+    dup = random.Random.__new__(random.Random, 0)
     dup.setstate(rng.getstate())
     return dup
 

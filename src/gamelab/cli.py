@@ -15,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from ._util import BudgetExceeded, StrategyError, check_budget
@@ -136,6 +135,8 @@ def cmd_boxgame(args) -> int:
 
 
 def cmd_goodset(args) -> int:
+    if args.b < 1:
+        raise ValueError("bias b must be at least 1")
     g = load_graph(args.graph)
     cert = find_good_set(g)
     doc: dict = {
@@ -163,7 +164,7 @@ def cmd_telemetry(args) -> int:
     g = load_graph(args.graph)
     log = MoveLog.from_jsonl(Path(args.log).read_text(), g)
     cfg = VARIANTS[args.variant](k=args.k, b=args.b, mode=args.mode)
-    mcfg = MakerConfig(lam=Fraction(args.lam), c=Fraction(args.c))
+    mcfg = MakerConfig(lam=args.lam, c=args.c)
     report = analyze(log, g, cfg, mcfg)
     csv_text = to_csv(report)
     json_text = summary_json(report)

@@ -24,7 +24,9 @@ Both the solver and ``verify_strategy`` play each move on one
 so no position is copied; ``GameState.clone`` remains for the tests'
 clone-based oracle and the benchmark's tracer.  The solver's state keeps no
 move log, since nothing it runs reads one; the verifier's does, because
-strategies read it and a counterexample is a copy of it.
+strategies read it and a counterexample is a copy of it.  The verifier
+forks the scripted strategy lazily: a line shares the strategy of the line
+it branched from until it first asks it for a move.
 """
 
 from __future__ import annotations
@@ -265,13 +267,16 @@ class _Verifier:
         self.want = MAKER_WON if side == MAKER else BREAKER_WON
         self.budget = NodeBudget(budget, "verify_strategy")
 
-    def search(self, state: GameState, strategy) -> MoveLog | None:
+    def search(self, state: GameState, strategy, owned: bool) -> MoveLog | None:
         """First losing line against full opponent enumeration, else None.
 
         The scripted side's moves are played on ``state`` and taken back
-        before returning.  At every opponent decision point each branch but
-        the last gets a clone of the strategy (its RNG stream and memory),
-        and the last gets the node's own, so each line sees the strategy
+        before returning.  A line borrows the strategy of the line it
+        branched from until it first asks the strategy for a move; only
+        then, unless it ``owned`` it, does it fork its own copy (RNG stream
+        and memory).  At every opponent decision point each branch borrows
+        the node's strategy, and the last inherits the node's ownership.
+        A borrowed strategy is never moved, so each line sees the strategy
         exactly as live play would.  No color-symmetry pruning here: a
         concrete strategy need not be equivariant under palette renaming.
         """
@@ -282,22 +287,25 @@ class _Verifier:
                 bad = None if state.winner() == self.want else state.log.copy()
                 break
             if state.turn != self.side:
-                bad = self._branch(state, strategy)
+                bad = self._branch(state, strategy, owned)
                 break
+            if not owned:
+                strategy = strategy.clone()
+                owned = True
             step(state, strategy, strategy)
             plies += 1
         for _ in range(plies):
             state.undo()
         return bad
 
-    def _branch(self, state: GameState, strategy) -> MoveLog | None:
+    def _branch(self, state: GameState, strategy, owned: bool) -> MoveLog | None:
         # every legal move: all colors count as used, so none is pruned
         uncolored = [e for e in range(state.g.m) if state.color[e] == 0]
         moves = list(_moves(state, uncolored, state.full_mask))
         last = len(moves) - 1
         for i, (e, bit) in enumerate(moves):
             plies = _play(state, e, bit)
-            bad = self.search(state, strategy if i == last else strategy.clone())
+            bad = self.search(state, strategy, owned and i == last)
             for _ in range(plies):
                 state.undo()
             if bad is not None:
@@ -319,9 +327,11 @@ def verify_strategy(
     ``sound`` means the strategy's side wins every leaf of the opponent's
     full move tree (for Breaker that tree includes every micro-move
     sequence and every legal pass).  Otherwise ``counterexample`` holds the
-    move log of one losing line, replayable through the engine.  A strategy
-    without per-game state is its own clone, shared across branches; the
-    caller's strategy plays the same afterwards.  Strict mode only.
+    move log of one losing line, replayable through the engine.  A line
+    forks the strategy when it first asks it for a move; a strategy without
+    per-game state is its own clone, shared across every line.  The
+    caller's strategy is never asked for a move, so it plays the same
+    afterwards.  Strict mode only.
     """
     if side not in (MAKER, BREAKER):
         raise ValueError(f"side must be {MAKER!r} or {BREAKER!r}")
@@ -329,5 +339,5 @@ def verify_strategy(
         raise ValueError("verify_strategy requires strict mode")
     cfg = replace(cfg, k=k)
     verifier = _Verifier(side, budget)
-    bad = verifier.search(new_game(g, cfg), strategy.clone())
+    bad = verifier.search(new_game(g, cfg), strategy, False)
     return VerifyResult(bad is None, bad, verifier.budget.nodes)

@@ -28,7 +28,7 @@ from .engine import BREAKER, MAKER, MODIFIED, GameState, MoveLog, uniform_legal_
 _INF = math.inf
 
 
-def _as_fraction(x: object) -> Fraction:
+def _as_fraction(x: object, name: str) -> Fraction:
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
@@ -36,7 +36,10 @@ def _as_fraction(x: object) -> Fraction:
     if isinstance(x, float):
         return Fraction(x).limit_denominator(10**9)
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"{name} {x!r} has a zero denominator") from None
     raise TypeError(f"cannot interpret {x!r} as an exact fraction")
 
 
@@ -52,8 +55,8 @@ class MakerConfig:
     c: Fraction = Fraction(1, 1000)
 
     def __post_init__(self) -> None:
-        lam = _as_fraction(self.lam)
-        c = _as_fraction(self.c)
+        lam = _as_fraction(self.lam, "lambda")
+        c = _as_fraction(self.c, "c")
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "c", c)
         if not 0 < lam < 1:
@@ -207,6 +210,7 @@ class DangerRedirectMaker:
         self.memory = MakerMemory()
         self._bound: tuple[int, int, int] | None = None  # (delta, b, k)
         self._thresholds = (0, 0, 0)
+        self._q = 0.0  # float(cfg.q), the redirect coin's bias
 
     def _bind(self, s: GameState) -> None:
         key = (s.g.max_degree, s.cfg.b, s.cfg.k)
@@ -215,6 +219,7 @@ class DangerRedirectMaker:
             self._thresholds = tuple(
                 self.cfg.threshold_ceil(j, key[0], key[1]) for j in (1, 2, 3)
             )
+            self._q = float(self.cfg.q)
         elif self._bound != key:
             raise StrategyError("one strategy instance may not switch games")
 
@@ -259,7 +264,7 @@ class DangerRedirectMaker:
         redirected = False
         if s.load[v] >= self._thresholds[1] and v in mem.danger:
             targets = [w for w in sorted(mem.danger[v]) if w in nbrs]
-            if targets and rng.random() < float(self.cfg.q):
+            if targets and rng.random() < self._q:
                 u = targets[rng.randrange(len(targets))]
                 redirected = True
 
@@ -279,9 +284,8 @@ class DangerRedirectMaker:
 
     def clone(self) -> "DangerRedirectMaker":
         """Own generator state and memory; constants and bound game shared."""
-        dup = copy.copy(self)
-        dup.rng = fork_rng(self.rng)
-        dup.memory = self.memory.copy()
+        dup = object.__new__(type(self))
+        dup.__dict__ = {**self.__dict__, "rng": fork_rng(self.rng), "memory": self.memory.copy()}
         return dup
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 from pathlib import Path
 
 from ._util import derive_seed, wilson_interval
@@ -122,8 +121,8 @@ class ExperimentSpec:
             return None
         base = MakerConfig()
         return MakerConfig(
-            lam=Fraction(self.lam) if self.lam is not None else base.lam,
-            c=Fraction(self.c) if self.c is not None else base.c,
+            lam=self.lam if self.lam is not None else base.lam,
+            c=self.c if self.c is not None else base.c,
         )
 
 

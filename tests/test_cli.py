@@ -316,6 +316,30 @@ class TestBadInput:
         assert rc == 2
         assert err.startswith("error: ") and " exceed" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (["play", "--maker", "paper", "--lambda", "1/0"], "lambda '1/0'"),
+            (["play", "--maker", "paper", "--c", "1/0"], "c '1/0'"),
+            (["telemetry", "--log", "LOG", "--lambda", "1/0"], "lambda '1/0'"),
+            (["telemetry", "--log", "LOG", "--c", "1/0"], "c '1/0'"),
+        ],
+        ids=["play-lambda", "play-c", "telemetry-lambda", "telemetry-c"],
+    )
+    def test_zero_denominator(self, tmp_path, capsys, argv, err):
+        log = tmp_path / "ok.jsonl"
+        log.write_text(self.GOOD)
+        argv = [str(log) if a == "LOG" else a for a in argv]
+        rc = main(argv + ["--graph", "cycle:5", "--k", "3"])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {err} has a zero denominator\n"
+
+    @pytest.mark.parametrize("b", ["0", "-4"])
+    def test_goodset_bias_below_one(self, capsys, b):
+        rc = main(["goodset", "--graph", "cycle:5", "--b", b])
+        assert rc == 2
+        assert capsys.readouterr() == ("", "error: bias b must be at least 1\n")
+
     def test_negative_tree_index(self, capsys):
         # rejected before the trees of order 16 are walked
         assert main(["gen", "tree:16:-1"]) == 2

@@ -9,6 +9,8 @@ agree with it on every small instance.
 from __future__ import annotations
 
 import random
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -24,15 +26,19 @@ from gamelab.engine import (
     GameState,
     new_game,
     replay,
+    step,
 )
 from gamelab.exact import (
     ChiIndexResult,
+    VerifyResult,
     _canonical_key,
+    _moves,
+    _play,
     game_chromatic_index,
     solve,
     verify_strategy,
 )
-from gamelab.breaker import BoxReductionBreaker, SkipBreaker
+from gamelab.breaker import BoxReductionBreaker, SkipBreaker, UniformRandomBreaker
 from gamelab.maker import DangerRedirectMaker, GreedyMaker, UniformRandomMaker
 from gamelab.graph import Graph, complete, complete_bipartite, cycle, generate, gnp, path, star
 from gamelab._util import BudgetExceeded
@@ -423,3 +429,163 @@ class TestMakeUnmake:
     def test_ladder_node_counts(self, spec, variant, nodes):
         # the search order is unchanged, so each rung searches the same tree
         assert game_chromatic_index(generate(spec), 1, variant(k=1)).nodes == nodes
+
+
+def eager_verify(g: Graph, k: int, cfg: GameConfig, strategy, side: str) -> VerifyResult:
+    """``verify_strategy`` with eager forks: every opponent branch but the
+    last gets a clone of the strategy before its move is played, and the
+    root gets a clone of the caller's."""
+    cfg = replace(cfg, k=k)
+    want = MAKER_WON if side == MAKER else BREAKER_WON
+    nodes = 0
+
+    def search(state: GameState, strategy):
+        nonlocal nodes
+        plies = 0
+        while True:
+            nodes += 1
+            if state.game_over():
+                bad = None if state.winner() == want else state.log.copy()
+                break
+            if state.turn != side:
+                bad = branch(state, strategy)
+                break
+            step(state, strategy, strategy)
+            plies += 1
+        for _ in range(plies):
+            state.undo()
+        return bad
+
+    def branch(state: GameState, strategy):
+        uncolored = [e for e in range(state.g.m) if state.color[e] == 0]
+        moves = list(_moves(state, uncolored, state.full_mask))
+        last = len(moves) - 1
+        for i, (e, bit) in enumerate(moves):
+            plies = _play(state, e, bit)
+            bad = search(state, strategy if i == last else strategy.clone())
+            for _ in range(plies):
+                state.undo()
+            if bad is not None:
+                return bad
+        return None
+
+    bad = search(new_game(g, cfg), strategy.clone())
+    return VerifyResult(bad is None, bad, nodes)
+
+
+def audited_verify(g: Graph, k: int, cfg: GameConfig, strategy, side: str):
+    """``verify_strategy`` plus a count of the forks it made, of those forks
+    later asked for a move, and of moves asked of the caller's strategy."""
+    cls = type(strategy)
+    ask_name = "move" if side == MAKER else "micro_move"
+    clone, ask = cls.clone, getattr(cls, ask_name)
+    counts: Counter = Counter()
+
+    def counted_clone(self):
+        dup = clone(self)
+        if dup is not self:
+            counts["forks"] += 1
+            dup._unasked_fork = True
+        return dup
+
+    def counted_ask(self, s):
+        if self is strategy:
+            counts["caller asked"] += 1
+        elif self.__dict__.pop("_unasked_fork", False):
+            counts["forks asked"] += 1
+        return ask(self, s)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cls, "clone", counted_clone)
+        mp.setattr(cls, ask_name, counted_ask)
+        res = verify_strategy(g, k, cfg, strategy, side)
+    return res, counts
+
+
+# (n, variant, k, b, seeds, sound) for the paper Maker on C_n
+PAPER_CASES = [
+    (6, SKIP, 2, 1, (0, 1, 2), False),
+    (6, SKIP, 3, 1, (0, 1, 2), True),
+    (6, CLASSIC, 2, 1, (0, 1, 2), False),
+    (6, CLASSIC, 3, 1, (0, 1, 2), True),
+    (6, SKIP, 2, 2, (0, 1, 2), False),
+    (6, CLASSIC, 3, 2, (0, 1, 2), True),
+    (7, SKIP, 2, 1, (0, 1, 2), False),
+    (7, SKIP, 3, 1, (0,), True),
+    (7, CLASSIC, 2, 1, (0, 1, 2), False),
+    (7, CLASSIC, 3, 1, (0, 1, 2), True),
+    (8, SKIP, 2, 1, (0, 1, 2), False),
+    (8, SKIP, 3, 1, (0,), True),  # the benchmark's rung: about 100k nodes
+    (8, CLASSIC, 2, 1, (0, 1, 2), False),
+    (8, CLASSIC, 3, 1, (0, 1, 2), True),
+    (8, CLASSIC, 4, 1, (0,), True),
+]
+
+# (graph spec, variant, k, sound) for the uniform random policies
+RANDOM_MAKER_CASES = [
+    ("cycle:5", SKIP, 2, False),
+    ("cycle:6", SKIP, 3, True),
+    ("path:5", CLASSIC, 3, True),
+    ("complete:4", SKIP, 4, False),
+    ("complete:4", CLASSIC, 4, False),
+]
+
+RANDOM_BREAKER_CASES = [
+    ("cycle:5", CLASSIC, 2, True),
+    ("cycle:6", SKIP, 3, False),
+    ("cycle:7", CLASSIC, 2, True),
+    ("complete:4", SKIP, 3, False),
+    ("complete:5", CLASSIC, 3, True),
+    ("complete_bipartite:3:3", CLASSIC, 2, True),
+]
+
+
+def _case_id(case) -> str:
+    spec, variant, k, _ = case
+    return f"{spec}-{variant.__name__}-k{k}"
+
+
+class TestLazyFork:
+    """The verifier forks a strategy only when a line first asks it to move;
+    it must return what eager forking at every branch returns."""
+
+    def check(self, g, k, cfg, make, side, sound):
+        res, counts = audited_verify(g, k, cfg, make(), side)
+        assert res == eager_verify(g, k, cfg, make(), side)
+        assert res.sound == sound
+        if not sound:
+            assert replay(g, replace(cfg, k=k), res.counterexample).winner() != (
+                MAKER_WON if side == MAKER else BREAKER_WON
+            )
+        assert counts["caller asked"] == 0
+        assert counts["forks asked"] == counts["forks"]
+        return counts
+
+    @pytest.mark.parametrize(
+        "n, variant, k, b, seeds, sound",
+        PAPER_CASES,
+        ids=[f"C{n}-{v.__name__}-k{k}-b{b}" for n, v, k, b, _, _ in PAPER_CASES],
+    )
+    def test_paper_maker(self, n, variant, k, b, seeds, sound):
+        for seed in seeds:
+            counts = self.check(
+                cycle(n), k, variant(k=1, b=b), lambda: DangerRedirectMaker(seed=seed), MAKER, sound
+            )
+            assert counts["forks"] > 0
+
+    @pytest.mark.parametrize(
+        "spec, variant, k, sound", RANDOM_MAKER_CASES, ids=map(_case_id, RANDOM_MAKER_CASES)
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_uniform_random_maker(self, spec, variant, k, sound, seed):
+        make = lambda: UniformRandomMaker(seed=seed)
+        self.check(generate(spec), k, variant(k=1), make, MAKER, sound)
+
+    @pytest.mark.parametrize(
+        "spec, variant, k, sound", RANDOM_BREAKER_CASES, ids=map(_case_id, RANDOM_BREAKER_CASES)
+    )
+    @pytest.mark.parametrize("b", [1, 2])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_uniform_random_breaker(self, spec, variant, k, sound, b, seed):
+        make = lambda: UniformRandomBreaker(seed=seed)
+        self.check(generate(spec), k, variant(k=1, b=b), make, BREAKER, sound)

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from gamelab import graph as G
-from gamelab._util import StrategyError
+from gamelab._util import StrategyError, fork_rng
 from gamelab.breaker import (
     BoxReductionBreaker,
     GreedyBlockingBreaker,
@@ -370,6 +370,20 @@ class TestCloneDeterminism:
             expected = ask(twin)
             assert ask(dup) == expected  # the clone continues the stream
             assert ask(original) == expected  # and leaves the original's alone
+
+    def test_fork_rng_continues_the_stream_gauss_included(self):
+        def draws(r):
+            return [r.gauss(0, 1), r.random(), r.randrange(1000), r.gauss(0, 1), r.gauss(0, 1)]
+
+        rng, twin = random.Random(7), random.Random(7)
+        for r in (rng, twin):
+            r.random()
+            r.gauss(0, 1)  # caches the second normal of its pair
+        assert rng.getstate()[2] is not None
+        dup = fork_rng(rng)
+        expected = draws(twin)
+        assert draws(dup) == expected  # the cached normal comes first
+        assert draws(rng) == expected  # drawing from the fork left rng alone
 
     def test_stateless_policies_are_their_own_clone(self):
         for policy in (GreedyMaker(), GreedyBlockingBreaker(), SkipBreaker(), BoxReductionBreaker()):
