@@ -62,15 +62,6 @@ class BoxReductionMemory:
         )
         return cls(F=F, gamma=tuple(gamma), box_of_edge=box_of_edge, b=b)
 
-    def used_mask(self, s: GameState, i: int) -> int:
-        """Bitmask of colors already present on the colored edges around f_i."""
-        mask = 0
-        for e in self.gamma[i]:
-            c = s.color[e]
-            if c:
-                mask |= 1 << (c - 1)
-        return mask
-
     def snapshot(self, s: GameState) -> boxgame.BoxGameState:
         """Rebuild the embedded box game from the engine state and its log.
 
@@ -142,12 +133,12 @@ class BoxReductionBreaker:
             # every box is touched: the reduction has nothing left to say
             ann = {"box_game_over": True}
         else:
-            # realize the claim: lowest fresh-colorable edge around f_target
-            fresh_block = mem.used_mask(s, target)
+            # realize the claim: lowest edge around f_target with a color free on f_target
+            fresh = s.avail_mask(mem.F[target])
             for e in mem.gamma[target]:
                 if s.color[e] != 0:
                     continue
-                mask = s.avail_mask(e) & ~fresh_block
+                mask = s.avail_mask(e) & fresh
                 if mask:
                     return e, (mask & -mask).bit_length(), {"box": target}
             ann = {"reduction_break": True, "box": target}

@@ -299,6 +299,9 @@ def main(argv: list[str] | None = None) -> int:
     except (StrategyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:
+        print("error: search too deep for the Python stack", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterator
 
-from gamelab.graph import Graph
+from gamelab.graph import MAX_EDGE_LIST_VERTICES, Graph
 
 MAKER = "maker"
 BREAKER = "breaker"
@@ -47,6 +47,9 @@ class GameConfig:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError("palette size k must be at least 1")
+        # Maker wins outright from k = 2*Delta - 1, and Delta < MAX_EDGE_LIST_VERTICES
+        if self.k > 2 * MAX_EDGE_LIST_VERTICES:
+            raise ValueError(f"palette size k must be at most {2 * MAX_EDGE_LIST_VERTICES}")
         if self.b < 1:
             raise ValueError("bias b must be at least 1")
         if self.first_player not in (MAKER, BREAKER):

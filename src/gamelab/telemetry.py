@@ -1,9 +1,10 @@
 """Per-vertex traces and summary statistics from annotated game logs.
 
-Rounds are end-of-round snapshots: row r of a trace describes the position
-after every logged record of round <= r has been applied (row 0 is the
-empty board; a game that ends mid-round contributes one final partial
-row).  For each vertex v the following are tracked:
+Rounds are end-of-round snapshots, stored as one load row and one Gamma'
+sum row over all vertices per round: row r describes the position after
+every logged record of round <= r has been applied (row 0 is the empty
+board; a game that ends mid-round contributes one final partial row).  The
+report transposes the rows into per-vertex traces.  For each vertex v:
 
 * ``loads[r]``: number of colored v-edges after round r,
 * ``t1/t2/t3``: first r with ``loads[r] >= ceil(T_j)`` where
@@ -22,15 +23,16 @@ row).  For each vertex v the following are tracked:
   ``record_crossings``),
 * ``danger_prime``: neighbors whose load reached T1 not after v did,
 * ``nbr_sum[r]``/``nbr_cnt[r]``: total load over, and size of, the
-  uncolored neighborhood Gamma'_r(v).
+  uncolored neighborhood Gamma'_r(v); every colored v-edge leaves
+  Gamma'(v), so ``nbr_cnt[r]`` is derived as ``degree - loads[r]``.
 
 Two independent computations are provided.  ``TraceCollector`` maintains
 everything incrementally while a live game runs and must be fed after
 every single engine transition.  ``analyze`` recomputes everything from
 the recorded log alone: it replays the records through a fresh engine
 state, checking each as ``engine.replay`` does, and at every round
-boundary brute-forces the Gamma' sums and sizes of all vertices in one
-pass over the uncolored edges of the coloring.  Agreement of the two is a
+boundary brute-forces the Gamma' sums of all vertices in one pass over
+the uncolored edges of the coloring.  Agreement of the two is a
 tested invariant, not an assumption.
 
 The summary reports, per inequality the analysis tracks at scale
@@ -149,11 +151,9 @@ class _Tally:
 
     def __init__(self, params: _Params) -> None:
         self.params = params
-        g = params.g
-        n = g.n
-        self.loads = [[0] for _ in range(n)]
-        self.sums = [[0] for _ in range(n)]
-        self.cnts = [[len(g.adj[v])] for v in range(n)]
+        n = params.g.n
+        self.load_rows: list[tuple[int, ...]] = [(0,) * n]
+        self.sum_rows: list[tuple[int, ...]] = [(0,) * n]
         self.mem = MakerMemory()
         self.windows = [[0, 0, 0] for _ in range(n)]
         self.good_events: list[list[GoodEdgeEvent]] = [[] for _ in range(n)]
@@ -191,25 +191,23 @@ class _Tally:
         self.redirected += ev.redirected
         return v, ev
 
-    def close_round(self, r: int, state: GameState, loads, sums, cnts) -> None:
-        """Append the end-of-round row of every vertex, then record the
-        threshold crossings of round r."""
-        for v in range(self.params.g.n):
-            self.loads[v].append(loads[v])
-            self.sums[v].append(sums[v])
-            self.cnts[v].append(cnts[v])
+    def close_round(self, r: int, state: GameState, loads, sums) -> None:
+        """Append the end-of-round load and Gamma'-sum rows, then record
+        the threshold crossings of round r."""
+        self.load_rows.append(tuple(loads))
+        self.sum_rows.append(tuple(sums))
         record_crossings(state, self.mem, loads, self.params.thresholds, r)
 
     def file(self, v: int, ev: GoodEdgeEvent) -> None:
         """File a good v-edge event under its load window, if any.
 
-        The window is read from v's rows of the event's round, so that
-        round must be closed already; an event of a round that never closed
-        is kept but belongs to no window.
+        The window is read from v's loads in the rows of the event's round,
+        so that round must be closed already; an event of a round that never
+        closed is kept but belongs to no window.
         """
-        rows = self.loads[v]
+        rows = self.load_rows
         if ev.round < len(rows):
-            prev_load, round_load = rows[ev.round - 1], rows[ev.round]
+            prev_load, round_load = rows[ev.round - 1][v], rows[ev.round][v]
             tc = self.params.tc
             for j in (1, 2, 3):
                 if prev_load >= tc[j - 1] and round_load < tc[j]:
@@ -234,7 +232,7 @@ def _danger_prime(g: Graph, t1: dict[int, int], v: int) -> frozenset[int] | None
     return frozenset(u for u in g.adj[v] if t1.get(u, _INF) <= tv)
 
 
-def _summarize(params: _Params, traces: list[VertexTrace], k: int) -> dict:
+def _summarize(params: _Params, traces: list[VertexTrace]) -> dict:
     lam, c = params.maker_cfg.lam, params.maker_cfg.c
     delta, b = params.delta, params.b
     shortfall = Fraction(1, 5 * b * b) * lam * delta
@@ -313,12 +311,8 @@ class TraceCollector:
         maker_cfg: MakerConfig | None = None,
     ) -> None:
         self.params = _Params(g, game_cfg, maker_cfg or MakerConfig())
-        self.g = g
-        n = g.n
-        self._load = [0] * n
-        self._uncolored_nbrs = [set(g.adj[v]) for v in range(n)]
-        self._cur_sum = [0] * n
-        self._cur_cnt = [len(g.adj[v]) for v in range(n)]
+        self._load = [0] * g.n
+        self._cur_sum = [0] * g.n
         self._tally = _Tally(self.params)
         self._pending: list[tuple[int, GoodEdgeEvent]] = []
         self._cursor = 0
@@ -343,25 +337,24 @@ class TraceCollector:
         good = self._tally.count(rec, self._load)
         if good is not None:
             self._pending.append(good)
-        x, y = self.g.edges[rec.edge]
-        for u in self._uncolored_nbrs[x]:
-            self._cur_sum[u] += 1
-        for u in self._uncolored_nbrs[y]:
-            self._cur_sum[u] += 1
-        self._load[x] += 1
-        self._load[y] += 1
-        self._uncolored_nbrs[x].discard(y)
-        self._uncolored_nbrs[y].discard(x)
-        self._cur_sum[x] -= self._load[y]
-        self._cur_sum[y] -= self._load[x]
-        self._cur_cnt[x] -= 1
-        self._cur_cnt[y] -= 1
+        g, color, load, sums = state.g, state.color, self._load, self._cur_sum
+        x, y = g.edges[rec.edge]
+        # the edge is colored now: x and y leave each other's Gamma', and
+        # every vertex still joined to x or y by an uncolored edge gains 1
+        for w in (x, y):
+            for u, e in zip(g.adj[w], g.incident[w]):
+                if not color[e]:
+                    sums[u] += 1
+        sums[x] -= load[y]
+        sums[y] -= load[x]
+        load[x] += 1
+        load[y] += 1
 
     def _close_round(self, r: int, state: GameState) -> None:
         tally = self._tally
-        if any(len(rows) != r for rows in tally.loads):
+        if len(tally.load_rows) != r:
             raise ValueError(f"round {r} closed out of order")
-        tally.close_round(r, state, self._load, self._cur_sum, self._cur_cnt)
+        tally.close_round(r, state, self._load, self._cur_sum)
         for v_sel, ev in self._pending:
             tally.file(v_sel, ev)
         self._pending.clear()
@@ -381,15 +374,22 @@ def _build_report(tally: _Tally) -> TelemetryReport:
     params = tally.params
     g = params.g
     mem = tally.mem
+    rounds = len(tally.load_rows) - 1
+    # transpose into per-vertex lists, dropping each row set once copied
+    loads = [list(col) for col in zip(*tally.load_rows)]
+    tally.load_rows.clear()
+    sums = [list(col) for col in zip(*tally.sum_rows)]
+    tally.sum_rows.clear()
     traces = []
     for v in range(g.n):
+        degree = g.degree(v)
         traces.append(
             VertexTrace(
                 v=v,
-                degree=g.degree(v),
-                loads=tally.loads[v],
-                nbr_sum=tally.sums[v],
-                nbr_cnt=tally.cnts[v],
+                degree=degree,
+                loads=loads[v],
+                nbr_sum=sums[v],
+                nbr_cnt=[degree - load for load in loads[v]],
                 t1=mem.t1_round.get(v),
                 t2=mem.t2_round.get(v),
                 t3=mem.t3_round.get(v),
@@ -401,22 +401,21 @@ def _build_report(tally: _Tally) -> TelemetryReport:
                 danger_prime=_danger_prime(g, mem.t1_round, v),
             )
         )
-    k = params.game_cfg.k
     return TelemetryReport(
         n=g.n,
         m=g.m,
         delta=params.delta,
-        k=k,
+        k=params.game_cfg.k,
         b=params.b,
         lam=params.maker_cfg.lam,
         c=params.maker_cfg.c,
-        rounds=len(tally.loads[0]) - 1 if g.n else 0,
+        rounds=rounds,
         maker_moves=tally.maker_moves,
         breaker_moves=tally.breaker_moves,
         forced_nonproper=tally.forced,
         redirected_moves=tally.redirected,
         traces=traces,
-        summary=_summarize(params, traces, k),
+        summary=_summarize(params, traces),
     )
 
 
@@ -443,14 +442,11 @@ def analyze(
     def close_round(r: int) -> None:
         load = state.load
         sums = [0] * g.n
-        cnts = [0] * g.n
         for (x, y), c in zip(g.edges, state.color):
             if c == 0:
                 sums[x] += load[y]
                 sums[y] += load[x]
-                cnts[x] += 1
-                cnts[y] += 1
-        tally.close_round(r, state, load, sums, cnts)
+        tally.close_round(r, state, load, sums)
 
     for i, rec in enumerate(log):
         good = None if rec.skip else tally.count(rec, state.load)

@@ -346,6 +346,24 @@ class TestBadInput:
         assert capsys.readouterr().err == "error: tree index -1 is negative\n"
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--graph", "cycle:3000", "--k", "3"],
+            ["chi", "--graph", "cycle:1500"],
+            ["boxgame", "--sizes", "3000,3000,3000", "--b", "1", "--solve"],
+        ],
+        ids=["solve", "chi", "boxgame"],
+    )
+    def test_search_too_deep(self, capsys, argv):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: search too deep for the Python stack\n")
+
+    @pytest.mark.parametrize("command", ["solve", "play"])
+    def test_palette_above_cap(self, capsys, command):
+        assert main([command, "--graph", "cycle:5", "--k", "100000000000"]) == 2
+        assert capsys.readouterr() == ("", "error: palette size k must be at most 200000\n")
+
+    @pytest.mark.parametrize(
         "argv, what",
         [
             (["solve", "--graph", "cycle:5", "--k", "3"], "solve"),

@@ -175,6 +175,15 @@ class TestBasics:
         with pytest.raises(ValueError):
             GameConfig(k=1, mode="lenient")
 
+    def test_palette_size_capped(self):
+        # no admissible graph has 2 * Delta - 1 above the cap, so no game
+        # needs a larger palette; a huge k would only build a huge bitmask
+        cap = 2 * G.MAX_EDGE_LIST_VERTICES
+        assert GameConfig(k=cap).k == cap
+        for k in (cap + 1, 100_000_000_000):
+            with pytest.raises(ValueError, match=f"palette size k must be at most {cap}"):
+                GameConfig(k=k)
+
 
 class TestRuleErrors:
     def test_wrong_turn(self):

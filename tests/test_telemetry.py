@@ -65,25 +65,47 @@ def play_instrumented(g, cfg, maker, breaker, mcfg=None):
     return s, col.finish(s)
 
 
-def brute_load_rows(g, log):
-    """Per-vertex end-of-round load series, straight from the records."""
-    rows = [[0] for _ in range(g.n)]
+def brute_rows(g, log):
+    """Per-vertex end-of-round loads, Gamma' sums and Gamma' sizes, straight
+    from the records: a row is taken at every end-of-turn record and, if the
+    log ends mid-round, once more at its end."""
     load = [0] * g.n
+    colored: set[frozenset[int]] = set()
+    loads, sums, cnts = ([[] for _ in range(g.n)] for _ in range(3))
+
+    def take_row():
+        for v in range(g.n):
+            gamma = [u for u in g.adj[v] if frozenset((u, v)) not in colored]
+            loads[v].append(load[v])
+            sums[v].append(sum(load[u] for u in gamma))
+            cnts[v].append(len(gamma))
+
+    take_row()
     dirty = False
     for rec in log:
         if rec.skip:
-            for v in range(g.n):
-                rows[v].append(load[v])
+            take_row()
             dirty = False
             continue
         x, y = g.edges[rec.edge]
         load[x] += 1
         load[y] += 1
+        colored.add(frozenset((x, y)))
         dirty = True
     if dirty:
-        for v in range(g.n):
-            rows[v].append(load[v])
-    return rows
+        take_row()
+    return loads, sums, cnts
+
+
+def assert_rows_match_oracle(g, cfg, log, live):
+    """Live report == batch report, and their rows == the raw-record oracle."""
+    assert live == analyze(log, g, cfg, MCFG)
+    loads, sums, cnts = brute_rows(g, log)
+    assert live.rounds == len(loads[0]) - 1
+    for tr in live.traces:
+        assert tr.loads == loads[tr.v]
+        assert tr.nbr_sum == sums[tr.v]
+        assert tr.nbr_cnt == cnts[tr.v]
 
 
 def thresholds(mcfg, delta, b):
@@ -104,9 +126,12 @@ class TestTraceBookkeeping:
 
     def test_load_trace_matches_raw_log(self):
         g, cfg, _, s, live = self._game()
-        rows = brute_load_rows(g, s.log)
-        for tr in live.traces:
-            assert tr.loads == rows[tr.v]
+        assert_rows_match_oracle(g, cfg, s.log, live)
+
+    @pytest.mark.parametrize("seed", range(1, 9))
+    def test_rows_match_raw_log_oracle(self, seed):
+        g, cfg, _, s, live = self._game(seed)
+        assert_rows_match_oracle(g, cfg, s.log, live)
 
     def test_load_plus_uncolored_neighbors_is_degree(self):
         _, _, _, _, live = self._game(seed=1)
@@ -237,6 +262,18 @@ class TestSmallExamples:
             assert tr.i_mid == frozenset()
             assert tr.danger is None and tr.danger_prime is None
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_isolated_vertices_keep_empty_rows(self, seed):
+        # a triangle plus three isolated vertices: rows cover all six
+        g = Graph(6, [(0, 1), (1, 2), (0, 2)])
+        cfg = GameConfig.skip_variant(k=3 + seed % 2, mode=MODIFIED)
+        breaker = (UniformRandomBreaker(seed), GreedyBlockingBreaker(), SkipBreaker())[seed % 3]
+        s, live = play_instrumented(g, cfg, DangerRedirectMaker(MCFG, seed=seed), breaker, MCFG)
+        assert live.rounds >= 1
+        assert_rows_match_oracle(g, cfg, s.log, live)
+        for tr in live.traces[3:]:
+            assert tr.loads == tr.nbr_sum == tr.nbr_cnt == [0] * (live.rounds + 1)
+
     def test_report_equality_is_deep(self):
         g = path(5)
         cfg = GameConfig.skip_variant(k=3, mode=MODIFIED)
@@ -250,7 +287,8 @@ class TestSmallExamples:
 
 class TestLiveEqualsBatch:
     def test_thousand_game_fuzz(self):
-        """Incremental counters equal the from-scratch recomputation."""
+        """Incremental counters equal the from-scratch recomputation, and
+        both give the raw-record oracle's rows."""
         arenas = [
             (path(5), GameConfig.skip_variant(k=3, mode=MODIFIED)),
             (cycle(6), GameConfig.skip_variant(k=3, b=2, mode=MODIFIED)),
@@ -273,8 +311,7 @@ class TestLiveEqualsBatch:
                 if isinstance(breaker, SkipBreaker) and not cfg.breaker_may_skip:
                     breaker = UniformRandomBreaker(i)
                 s, live = play_instrumented(g, cfg, maker, breaker, MCFG)
-                batch = analyze(s.log, g, cfg, MCFG)
-                assert live == batch
+                assert_rows_match_oracle(g, cfg, s.log, live)
                 games += 1
         assert games >= 1000
 
@@ -411,7 +448,7 @@ class TestSummary:
             t.nbr_cnt[1] = 2 * spike.denominator
             t.nbr_sum[1] = 2 * spike.numerator - below
         params = telemetry._Params(g, cfg, mcfg)
-        cell = telemetry._summarize(params, traces, cfg.k)["nbr_spike"]
+        cell = telemetry._summarize(params, traces)["nbr_spike"]
         tc2 = mcfg.threshold_ceil(2, g.max_degree, cfg.b)
         recount = [
             t.v
