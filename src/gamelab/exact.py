@@ -10,14 +10,19 @@ reductions keep the tree tractable:
   lowest of them is tried; any two globally-fresh colors lead to positions
   that differ by a color permutation and therefore have the same value.
 * transposition table (``memoize=True``) -- positions are cached under a
-  canonical key: the coloring vector with colors renumbered by first
-  appearance in edge order, the count of palette colors still unused, and
-  the turn phase (player to move, Breaker colorings already spent this
-  turn).  The round number never affects what moves are legal, so it is
-  deliberately absent from the key.
+  color-permutation-invariant key, one int.  The solver keeps, for each
+  color, the bitmask of the edges carrying it, setting the bit when it
+  plays a coloring and clearing it when it takes the coloring back.
+  Classes of distinct colors are disjoint, so the sorted masks determine
+  the coloring up to a palette permutation, and with it how many colors
+  are unused.  They are packed in m-bit fields, and the turn phase (Breaker
+  colorings spent this turn, player to move) is folded in below them.  The
+  round number never affects what moves are legal, so it is deliberately
+  absent from the key.
 
-``memoize=False`` runs the same recursion without the table; agreement of
-the two modes is the standard self-check for the canonicalization.
+``memoize=False`` runs the same recursion without the table and without
+the color masks; agreement of the two modes is the standard self-check for
+the key.
 
 Both the solver and ``verify_strategy`` play each move on one
 ``GameState`` and take it back with ``undo`` once its subtree is searched,
@@ -92,34 +97,6 @@ class VerifyResult:
     nodes: int
 
 
-def _canonical_key(state: GameState) -> tuple[bytes, int, bool, int]:
-    """Color-permutation-invariant position key.
-
-    Colors are renumbered 1, 2, ... in order of first appearance along the
-    edge index order, so any two positions equal up to a palette
-    permutation collapse to the same key, and positions in distinct orbits
-    cannot collide (the relabeled vector reconstructs the orbit).
-    """
-    relabel: dict[int, int] = {}
-    out = bytearray(state.g.m)
-    nxt = 1
-    for e, c in enumerate(state.color):
-        if c:
-            r = relabel.get(c)
-            if r is None:
-                r = nxt
-                relabel[c] = r
-                nxt += 1
-            out[e] = r
-    unused = state.cfg.k - (nxt - 1)
-    return (
-        bytes(out),
-        unused,
-        state.turn == BREAKER,
-        state.breaker_moves_this_turn,
-    )
-
-
 def _moves(
     state: GameState, edges: Iterable[int], used: int
 ) -> Iterator[tuple[int | None, int]]:
@@ -161,18 +138,30 @@ def _play(state: GameState, e: int | None, bit: int) -> int:
 
 
 class _Solver:
-    def __init__(self, memoize: bool, budget: int | None) -> None:
+    def __init__(self, state: GameState, memoize: bool, budget: int | None) -> None:
         self.budget = NodeBudget(budget, "solve")
-        self.table: dict | None = {} if memoize else None
+        self.table: dict[int, bool] | None = {} if memoize else None
+        self.m = m = state.g.m
+        # classes[c]: bitmask of the edges colored c.  A fresh color is the
+        # lowest unused one, so only colors 1..min(k, m) ever appear;
+        # classes[0] stays 0.
+        self.classes = [0] * (min(state.cfg.k, m) + 1) if memoize else None
 
     def maker_wins(self, state: GameState, used: int) -> bool:
         self.budget.tick()
         w = state.winner()
         if w != ONGOING:
             return w == MAKER_WON
-        key = None
-        if self.table is not None:
-            key = _canonical_key(state)
+        m = self.m
+        classes = self.classes
+        if classes is not None:
+            # the sorted classes in m-bit fields, then the turn phase
+            key = 0
+            for mask in sorted(classes):
+                key = key << m | mask
+            key = (key * state.cfg.b + state.breaker_moves_this_turn) * 2 + (
+                state.turn == BREAKER
+            )
             hit = self.table.get(key)
             if hit is not None:
                 return hit
@@ -180,20 +169,26 @@ class _Solver:
         # child won for him
         order = sorted(
             (state.avail_mask(e).bit_count(), e)
-            for e in range(state.g.m)
+            for e in range(m)
             if state.color[e] == 0
         )
         mover_value = state.turn == MAKER
         val = not mover_value
         for e, bit in _moves(state, [e for _, e in order], used):
             plies = _play(state, e, bit)
-            won = self.maker_wins(state, used | bit)
+            if classes is not None and e is not None:
+                c = bit.bit_length()
+                classes[c] |= 1 << e
+                won = self.maker_wins(state, used | bit)
+                classes[c] ^= 1 << e
+            else:
+                won = self.maker_wins(state, used | bit)
             for _ in range(plies):
                 state.undo()
             if won == mover_value:
                 val = mover_value
                 break
-        if self.table is not None:
+        if classes is not None:
             self.table[key] = val
         return val
 
@@ -216,8 +211,9 @@ def solve(
     if cfg.mode != STRICT:
         raise ValueError("exact solver requires strict mode")
     cfg = replace(cfg, k=k)
-    solver = _Solver(memoize, budget)
-    win = solver.maker_wins(GameState(g, cfg, log=False), 0)
+    state = GameState(g, cfg, log=False)
+    solver = _Solver(state, memoize, budget)
+    win = solver.maker_wins(state, 0)
     return SolveResult(MAKER if win else BREAKER, solver.budget.nodes)
 
 

@@ -3,7 +3,10 @@
 The reference oracle here is a deliberately dumb full-enumeration minimax
 over engine states: every legal move, every color, no symmetry reduction,
 no ordering, no table.  The solver (with and without memoization) must
-agree with it on every small instance.
+agree with it on every small instance.  Two more oracles check the
+transposition table: ``scratch_key`` rebuilds the solver's key from the
+coloring alone, and ``plain_key_winner`` memoizes on the raw position, so
+it shares no key code with the solver.
 """
 
 from __future__ import annotations
@@ -31,15 +34,16 @@ from gamelab.engine import (
 from gamelab.exact import (
     ChiIndexResult,
     VerifyResult,
-    _canonical_key,
     _moves,
     _play,
+    _Solver,
     game_chromatic_index,
     solve,
     verify_strategy,
 )
 from gamelab.breaker import BoxReductionBreaker, SkipBreaker, UniformRandomBreaker
 from gamelab.maker import DangerRedirectMaker, GreedyMaker, UniformRandomMaker
+from gamelab.match import mixed_corpus
 from gamelab.graph import Graph, complete, complete_bipartite, cycle, generate, gnp, path, star
 from gamelab._util import BudgetExceeded
 
@@ -208,6 +212,54 @@ def _replay_prefix(g: Graph, cfg: GameConfig, seq, perm: dict[int, int]):
     return s
 
 
+def scratch_key(state: GameState) -> int:
+    """The solver's transposition key, rebuilt from ``state.color``.
+
+    Each color's class is the bitmask of the edges that carry it.  The
+    classes, sorted, are packed in m-bit fields, and the turn phase is
+    folded in last.  The solver also packs the empty classes of its unused
+    colors, but those sort first and add nothing to the int, so only the
+    colors on the board are listed here.
+    """
+    m = state.g.m
+    classes: dict[int, int] = {}
+    for e, c in enumerate(state.color):
+        if c:
+            classes[c] = classes.get(c, 0) | 1 << e
+    key = 0
+    for mask in sorted(classes.values()):
+        key = key << m | mask
+    return (key * state.cfg.b + state.breaker_moves_this_turn) * 2 + (
+        state.turn == BREAKER
+    )
+
+
+def decode_key(key: int, b: int) -> tuple[int, int, bool]:
+    """(packed classes, Breaker colorings this turn, Breaker to move)."""
+    return key // (2 * b), key // 2 % b, bool(key % 2)
+
+
+def coloring_orbit(state: GameState) -> frozenset:
+    """The coloring up to a palette permutation: its set of color classes."""
+    classes: dict[int, set[int]] = {}
+    for e, c in enumerate(state.color):
+        if c:
+            classes.setdefault(c, set()).add(e)
+    return frozenset(frozenset(edges) for edges in classes.values())
+
+
+def recolored(state: GameState, perm: dict[int, int]) -> GameState:
+    """A position with ``state``'s phase and its coloring renamed by ``perm``."""
+    s = GameState(state.g, state.cfg, log=False)
+    s.color = [perm[c] if c else 0 for c in state.color]
+    s.turn = state.turn
+    s.breaker_moves_this_turn = state.breaker_moves_this_turn
+    return s
+
+
+KEY_GRAPHS = [path(4), cycle(4), cycle(5), star(4), complete(4), complete_bipartite(2, 3)]
+
+
 class TestCanonicalKey:
     @given(seed=st.integers(0, 10**6))
     @settings(max_examples=60, deadline=None)
@@ -225,19 +277,19 @@ class TestCanonicalKey:
         ident = {c: c for c in colors}
         s1 = _replay_prefix(g, cfg, seq, ident)
         s2 = _replay_prefix(g, cfg, seq, perm)
-        assert _canonical_key(s1) == _canonical_key(s2)
+        assert scratch_key(s1) == scratch_key(s2)
 
     def test_phase_distinguishes_turn_and_spent_moves(self):
         g = path(4)
         cfg = GameConfig.skip_variant(k=3, b=2)
         s = new_game(g, cfg)
-        k0 = _canonical_key(s)
+        k0 = scratch_key(s)
         s.apply_move(BREAKER, 0, 1)
-        k1 = _canonical_key(s)
+        k1 = scratch_key(s)
         s.end_breaker_turn()
-        k2 = _canonical_key(s)
+        k2 = scratch_key(s)
         assert k0 != k1 and k1 != k2
-        assert k1[3] == 1 and k2[3] == 0
+        assert decode_key(k1, cfg.b)[1] == 1 and decode_key(k2, cfg.b)[1] == 0
 
     def test_key_is_coloring_orbit(self):
         g = path(4)
@@ -248,8 +300,100 @@ class TestCanonicalKey:
         b.apply_move(BREAKER, 0, 3)
         c = new_game(g, cfg)
         c.apply_move(BREAKER, 1, 1)
-        assert _canonical_key(a) == _canonical_key(b)
-        assert _canonical_key(a) != _canonical_key(c)
+        assert scratch_key(a) == scratch_key(b)
+        assert scratch_key(a) != scratch_key(c)
+
+    @given(
+        g=st.sampled_from(KEY_GRAPHS),
+        extra=st.integers(-2, 3),
+        b=st.sampled_from([1, 2, 3]),
+        classic=st.booleans(),
+        seed=st.integers(0, 10**6),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_incremental_key_matches_scratch_key(self, g, extra, b, classic, seed):
+        """Random ``_play``/``undo`` lines, with the color classes kept the way
+        the solver keeps them: the packed key equals the from-scratch key, is
+        blind to palette renaming, and tells apart positions whose orbit or
+        phase differs."""
+        rng = random.Random(seed)
+        k = max(1, g.m + extra)
+        cfg = (CLASSIC if classic else SKIP)(k=k, b=b)
+        state = GameState(g, cfg, log=False)
+        m = g.m
+        classes = [0] * (min(k, m) + 1)
+
+        def packed() -> int:
+            key = 0
+            for mask in sorted(classes):
+                key = key << m | mask
+            return (key * b + state.breaker_moves_this_turn) * 2 + (state.turn == BREAKER)
+
+        seen: dict[int, tuple] = {}
+        line: list[tuple[int, int | None, int]] = []
+        for _ in range(6 * m):
+            if not state.game_over():
+                key = packed()
+                assert key == scratch_key(state)
+                decoded = decode_key(key, b)
+                assert decoded[1:] == (state.breaker_moves_this_turn, state.turn == BREAKER)
+                shuffled = rng.sample(range(1, k + 1), k)
+                perm = dict(zip(range(1, k + 1), shuffled))
+                assert scratch_key(recolored(state, perm)) == key
+                # equal keys exactly when orbit and phase are equal
+                pos = (coloring_orbit(state), state.turn, state.breaker_moves_this_turn)
+                for other_key, other_pos in seen.items():
+                    assert (other_key == key) == (other_pos == pos)
+                seen[key] = pos
+            used = sum(1 << (c - 1) for c in set(state.color) if c)
+            uncolored = [e for e in range(m) if state.color[e] == 0]
+            moves = [] if state.game_over() else list(_moves(state, uncolored, used))
+            if line and (not moves or rng.random() < 0.3):
+                plies, e, c = line.pop()
+                if e is not None:
+                    classes[c] ^= 1 << e
+                for _ in range(plies):
+                    state.undo()
+                continue
+            if not moves:
+                break
+            e, bit = rng.choice(moves)
+            plies = _play(state, e, bit)
+            c = bit.bit_length()
+            if e is not None:
+                classes[c] |= 1 << e
+            line.append((plies, e, c))
+
+    @pytest.mark.parametrize(
+        "spec, k, variant, b",
+        [
+            ("cycle:7", 3, SKIP, 1),
+            ("complete:4", 4, CLASSIC, 2),
+            ("complete_bipartite:3:3", 4, SKIP, 1),
+            ("star:4", 9, SKIP, 3),
+            ("path:6", 2, CLASSIC, 1),
+        ],
+    )
+    def test_solver_looks_up_the_scratch_key(self, spec, k, variant, b):
+        """Every table lookup of a whole solve uses the key rebuilt from
+        the position the solver is at."""
+        g = generate(spec)
+        state = GameState(g, variant(k=k, b=b), log=False)
+        solver = _Solver(state, True, None)
+        lookups = 0
+
+        class AuditedTable(dict):
+            def get(self, key, default=None):
+                nonlocal lookups
+                assert key == scratch_key(state)
+                lookups += 1
+                return super().get(key, default)
+
+        solver.table = AuditedTable()
+        win = solver.maker_wins(state, 0)
+        assert (MAKER if win else BREAKER) == solve(g, k, variant(k=1, b=b)).winner
+        assert 0 < len(solver.table) <= lookups
+        assert not any(solver.classes) and not any(state.color) and not state.trail
 
 
 class TestChiIndex:
@@ -290,6 +434,85 @@ class TestChiIndex:
         assert res.partial
         assert res.value is None
         assert res.winners == {}
+
+
+def plain_key_winner(g: Graph, k: int, cfg: GameConfig) -> str:
+    """Winner by a memoized minimax keyed on the raw position,
+    ``(bytes(color), turn, breaker_moves_this_turn)``.
+
+    It shares no key code with the solver and no move order either (edges
+    in index order).  Its one reduction is the fresh-color rule: of the
+    colors not yet on the board only the lowest is tried.
+    """
+    cfg = replace(cfg, k=k)
+    state = GameState(g, cfg, log=False)
+    palette = range(1, k + 1)
+    table: dict[tuple, bool] = {}
+
+    def rec() -> bool:
+        w = state.winner()
+        if w != ONGOING:
+            return w == MAKER_WON
+        key = (bytes(state.color), state.turn, state.breaker_moves_this_turn)
+        hit = table.get(key)
+        if hit is not None:
+            return hit
+        used = set(state.color)
+        fresh = next((c for c in palette if c not in used), None)
+        moves: list[tuple] = [
+            (e, c)
+            for e in range(g.m)
+            if state.color[e] == 0
+            for c in sorted(state.available_colors(e))
+            if c in used or c == fresh
+        ]
+        maker = state.turn == MAKER
+        if not maker and state.may_end_breaker_turn():
+            moves.append((None, None))
+        val = not maker
+        for e, c in moves:
+            if e is None:
+                state.end_breaker_turn()
+                plies = 1
+            else:
+                state.apply_move(state.turn, e, c)
+                plies = 1
+                if not maker and state.breaker_moves_this_turn == cfg.b and not state.game_over():
+                    state.end_breaker_turn()
+                    plies = 2
+            won = rec()
+            for _ in range(plies):
+                state.undo()
+            if won == maker:
+                val = maker
+                break
+        table[key] = val
+        return val
+
+    return MAKER_WON if rec() else BREAKER_WON
+
+
+PLAIN_KEY_CASES = [(name, g, SKIP) for name, g in mixed_corpus() if g.m <= 10] + [
+    ("complete_bipartite:3:3", complete_bipartite(3, 3), CLASSIC),
+    ("cycle:11", cycle(11), CLASSIC),
+]
+
+
+class TestPlainKeyOracle:
+    @pytest.mark.parametrize(
+        "name, g, variant",
+        PLAIN_KEY_CASES,
+        ids=[f"{name}-{variant.__name__}" for name, _, variant in PLAIN_KEY_CASES],
+    )
+    def test_winner_map_matches_plain_key(self, name, g, variant):
+        # winners only: the plain key merges fewer positions, so it searches more
+        res = game_chromatic_index(g, 1, variant(k=1))
+        plain = {
+            k: plain_key_winner(g, k, variant(k=1))
+            for k in range(max(1, g.max_degree), 2 * g.max_degree)
+        }
+        assert not res.partial
+        assert res.winners == plain
 
 
 class TestBudget:
@@ -429,6 +652,11 @@ class TestMakeUnmake:
     def test_ladder_node_counts(self, spec, variant, nodes):
         # the search order is unchanged, so each rung searches the same tree
         assert game_chromatic_index(generate(spec), 1, variant(k=1)).nodes == nodes
+
+    def test_palette_far_above_edge_count(self):
+        # only colors 1..m can ever be on the board, whatever k is
+        res = solve(generate("cycle:9"), 2000, SKIP(k=1))
+        assert (res.winner, res.nodes) == (MAKER, 33_595)
 
 
 def eager_verify(g: Graph, k: int, cfg: GameConfig, strategy, side: str) -> VerifyResult:
