@@ -126,7 +126,7 @@ class TestSubcommands:
         assert doc["nodes"] > 0
 
     def test_solve_budget_exceeded_fails(self, capsys):
-        rc = main(["solve", "--graph", "cycle:7", "--k", "3", "--budget", "10"])
+        rc = main(["solve", "--graph", "complete:5", "--k", "6", "--budget", "10"])
         assert rc == 1
         assert "budget" in capsys.readouterr().err
 
@@ -348,8 +348,8 @@ class TestBadInput:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["solve", "--graph", "cycle:3000", "--k", "3"],
-            ["chi", "--graph", "cycle:1500"],
+            ["solve", "--graph", "complete_bipartite:40:40", "--k", "45"],
+            ["chi", "--graph", "complete_bipartite:60:60"],
             ["boxgame", "--sizes", "3000,3000,3000", "--b", "1", "--solve"],
         ],
         ids=["solve", "chi", "boxgame"],

@@ -518,7 +518,7 @@ class TestPlainKeyOracle:
 class TestBudget:
     def test_solve_budget_exceeded(self):
         with pytest.raises(BudgetExceeded) as ei:
-            solve(cycle(7), 3, SKIP(k=1), budget=50)
+            solve(complete(5), 6, SKIP(k=1), budget=50)
         assert ei.value.nodes > 50
 
     def test_negative_budget_rejected(self):
