@@ -174,9 +174,11 @@ class GameState:
 
     Every transition pushes onto ``trail`` what it overwrote, and ``undo``
     takes the last one back, so a search plays and takes back positions on
-    one state.  ``log=False`` keeps no move log (``log`` is None), for a
-    search that runs no strategy.  ``clone`` remains for the tests'
-    clone-based oracle and the benchmark's tracer.
+    one state.  ``apply_move`` checks a coloring against the rules, then
+    commits it with ``_commit``; a search whose generator yields only legal
+    moves commits them directly.  ``log=False`` keeps no move log (``log``
+    is None), for a search that runs no strategy.  ``clone`` remains for the
+    tests' clone-based oracle and the benchmark's tracer.
     """
 
     __slots__ = (
@@ -274,20 +276,25 @@ class GameState:
             raise IllegalMove(f"edge {e} is already colored")
         if not 1 <= c <= cfg.k:
             raise IllegalMove(f"color {c} outside palette 1..{cfg.k}")
+        if player == BREAKER and self.breaker_moves_this_turn >= cfg.b:
+            raise IllegalMove(f"bias exceeded: already colored {cfg.b} edges this turn")
+        if (player == BREAKER or cfg.mode == STRICT) and not self.avail_mask(e) >> (c - 1) & 1:
+            raise IllegalMove(f"color {c} blocked on edge {e}")
+        self._commit(e, c, ann)
+
+    def _commit(self, e: int, c: int, ann: dict | None = None) -> None:
+        """Color e with c for the player to move, unchecked.
+
+        ``apply_move`` is this after the rule checks; a search whose move
+        generator yields only legal moves calls it directly.
+        """
         u, v = self.g.edges[e]
         umask = self.umask
         bit = 1 << (c - 1)
         proper = not (umask[u] | umask[v]) & bit
-        if player == BREAKER:
-            if self.breaker_moves_this_turn >= cfg.b:
-                raise IllegalMove(f"bias exceeded: already colored {cfg.b} edges this turn")
-            if not proper:
-                raise IllegalMove(f"color {c} blocked on edge {e}")
-        elif not proper and cfg.mode == STRICT:
-            raise IllegalMove(f"color {c} blocked on edge {e}")
-
+        player = self.turn
         self.trail.append((
-            e, umask[u], umask[v], self.turn, self.breaker_moves_this_turn,
+            e, umask[u], umask[v], player, self.breaker_moves_this_turn,
             self.blocked_seen, self.forced_count,
         ))
         if not proper:

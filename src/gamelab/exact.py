@@ -2,7 +2,7 @@
 
 ``solve`` runs a boolean minimax over full positions: Maker wins a position
 iff some move of his wins, Breaker's turn is expanded into at most ``b``
-sequential micro-moves plus (where the rules allow it) a pass.  Two
+sequential micro-moves plus (where the rules allow it) a pass.  Three
 reductions keep the tree tractable:
 
 * color symmetry -- palette colors are interchangeable, so whenever several
@@ -19,10 +19,24 @@ reductions keep the tree tractable:
   colorings spent this turn, player to move) is folded in below them.  The
   round number never affects what moves are legal, so it is deliberately
   absent from the key.
+* trivial-bound cuts -- the pass that counts each uncolored edge's
+  available colors for the move order also settles two kinds of node
+  without expanding them; the value goes into the table like any other.
+  A *safe* board, where every uncolored e = uv has more available colors
+  than uncolored neighbours ((deg u - load u) + (deg v - load v) - 2), is a
+  Maker win: a later coloring next to e removes at most one color from
+  A(e) and exactly one uncolored neighbour, so the surplus never falls, e
+  always keeps a color, and no edge can be blocked.  This is the bound
+  chi'_g <= 2*Delta - 1 applied to a position.  A *one-move block* is a
+  Breaker win: it is his turn (with bias left, since ``_play`` closes a
+  spent turn), some uncolored e has exactly one available color c, and an
+  uncolored neighbour f != e can take c; coloring f with c blocks e.
 
-``memoize=False`` runs the same recursion without the table and without
-the color masks; agreement of the two modes is the standard self-check for
-the key.
+``memoize=False`` runs the same recursion, cuts included, without the
+table and without the color masks; agreement of the two modes is the
+standard self-check for the key.  ``verify_strategy`` has no cuts: on a
+safe board any legal Maker strategy wins, but the verifier also certifies
+that the strategy moves legally on every line, so it plays each line out.
 
 Both the solver and ``verify_strategy`` play each move on one
 ``GameState`` and take it back with ``undo`` once its subtree is searched,
@@ -125,16 +139,35 @@ def _moves(
 
 def _play(state: GameState, e: int | None, bit: int) -> int:
     """Play one move of ``_moves`` on ``state``; returns the number of
-    transitions to take back with ``undo``.  A move that spends Breaker's
-    bias also closes his turn, so no search position has one pending."""
+    transitions to take back with ``undo``.  ``_moves`` yields legal moves
+    only, so a coloring is committed without the rule checks.  A move that
+    spends Breaker's bias also closes his turn, so no search position has
+    one pending."""
     if e is None:
         state.end_breaker_turn()
         return 1
-    state.apply_move(state.turn, e, bit.bit_length())
+    state._commit(e, bit.bit_length())
     if state.breaker_moves_this_turn == state.cfg.b and not state.game_over():
         state.end_breaker_turn()
         return 2
     return 1
+
+
+def _one_move_block(state: GameState, order: list[tuple[int, int]]) -> bool:
+    """Whether Breaker, to move with bias left, blocks an edge with his next
+    coloring: some uncolored e has one available color c, and an uncolored
+    neighbour f != e can take c.  ``order`` lists the uncolored edges as
+    (availability, index) pairs, ascending, so those with one color lead."""
+    g, color = state.g, state.color
+    for a, e in order:
+        if a > 1:
+            return False
+        c = state.avail_mask(e)
+        for w in g.edges[e]:
+            for f in g.incident[w]:
+                if f != e and color[f] == 0 and state.avail_mask(f) & c:
+                    return True
+    return False
 
 
 class _Solver:
@@ -142,6 +175,7 @@ class _Solver:
         self.budget = NodeBudget(budget, "solve")
         self.table: dict[int, bool] | None = {} if memoize else None
         self.m = m = state.g.m
+        self.deg = [len(inc) for inc in state.g.incident]
         # classes[c]: bitmask of the edges colored c.  A fresh color is the
         # lowest unused one, so only colors 1..min(k, m) ever appear;
         # classes[0] stays 0.
@@ -165,29 +199,47 @@ class _Solver:
             hit = self.table.get(key)
             if hit is not None:
                 return hit
-        # edges in (availability, index) order; the mover wins with any
-        # child won for him
-        order = sorted(
-            (state.avail_mask(e).bit_count(), e)
-            for e in range(m)
-            if state.color[e] == 0
+        # one pass over the uncolored edges: availability for the move
+        # order, and whether each edge has more colors left than uncolored
+        # neighbours (edges at u other than e number deg u - load u - 1)
+        color, edges, umask, load, deg = (
+            state.color, state.g.edges, state.umask, state.load, self.deg
         )
+        full = state.full_mask
+        order = []
+        safe = True
+        for e in range(m):
+            if color[e] == 0:
+                u, v = edges[e]
+                a = (full & ~(umask[u] | umask[v])).bit_count()
+                order.append((a, e))
+                if a <= deg[u] - load[u] + deg[v] - load[v] - 2:
+                    safe = False
         mover_value = state.turn == MAKER
-        val = not mover_value
-        for e, bit in _moves(state, [e for _, e in order], used):
-            plies = _play(state, e, bit)
-            if classes is not None and e is not None:
-                c = bit.bit_length()
-                classes[c] |= 1 << e
-                won = self.maker_wins(state, used | bit)
-                classes[c] ^= 1 << e
+        if safe:
+            val = True
+        else:
+            # edges in (availability, index) order; the mover wins with
+            # any child won for him
+            order.sort()
+            if not mover_value and _one_move_block(state, order):
+                val = False
             else:
-                won = self.maker_wins(state, used | bit)
-            for _ in range(plies):
-                state.undo()
-            if won == mover_value:
-                val = mover_value
-                break
+                val = not mover_value
+                for e, bit in _moves(state, [e for _, e in order], used):
+                    plies = _play(state, e, bit)
+                    if classes is not None and e is not None:
+                        c = bit.bit_length()
+                        classes[c] |= 1 << e
+                        won = self.maker_wins(state, used | bit)
+                        classes[c] ^= 1 << e
+                    else:
+                        won = self.maker_wins(state, used | bit)
+                    for _ in range(plies):
+                        state.undo()
+                    if won == mover_value:
+                        val = mover_value
+                        break
         if classes is not None:
             self.table[key] = val
         return val

@@ -427,7 +427,8 @@ class TestChiIndex:
         if g.m == 0:
             return
         k = 2 * g.max_degree - 1
-        assert solve(g, k, SKIP(k=1)).winner == MAKER
+        res = solve(g, k, SKIP(k=1))
+        assert (res.winner, res.nodes) == (MAKER, 1)
 
     def test_partial_map_on_tiny_budget(self):
         res = game_chromatic_index(cycle(5), 1, SKIP(k=1), budget=5)
@@ -437,16 +438,23 @@ class TestChiIndex:
 
 
 def plain_key_winner(g: Graph, k: int, cfg: GameConfig) -> str:
-    """Winner by a memoized minimax keyed on the raw position,
-    ``(bytes(color), turn, breaker_moves_this_turn)``.
+    """Winner from the opening by ``plain_key_wins``."""
+    state = GameState(g, replace(cfg, k=k), log=False)
+    return MAKER_WON if plain_key_wins(state) else BREAKER_WON
+
+
+def plain_key_wins(state: GameState) -> bool:
+    """Whether Maker wins from ``state``, by a memoized minimax keyed on the
+    raw position, ``(bytes(color), turn, breaker_moves_this_turn)``.
 
     It shares no key code with the solver and no move order either (edges
-    in index order).  Its one reduction is the fresh-color rule: of the
-    colors not yet on the board only the lowest is tried.
+    in index order), plays through the checked ``apply_move``, and has no
+    trivial-bound cuts.  Its one reduction is the fresh-color rule: of the
+    colors not yet on the board only the lowest is tried.  ``state`` is
+    left as it was found.
     """
-    cfg = replace(cfg, k=k)
-    state = GameState(g, cfg, log=False)
-    palette = range(1, k + 1)
+    g, cfg = state.g, state.cfg
+    palette = range(1, cfg.k + 1)
     table: dict[tuple, bool] = {}
 
     def rec() -> bool:
@@ -489,12 +497,13 @@ def plain_key_winner(g: Graph, k: int, cfg: GameConfig) -> str:
         table[key] = val
         return val
 
-    return MAKER_WON if rec() else BREAKER_WON
+    return rec()
 
 
 PLAIN_KEY_CASES = [(name, g, SKIP) for name, g in mixed_corpus() if g.m <= 10] + [
     ("complete_bipartite:3:3", complete_bipartite(3, 3), CLASSIC),
     ("cycle:11", cycle(11), CLASSIC),
+    ("cycle:11", cycle(11), SKIP),
 ]
 
 
@@ -513,6 +522,90 @@ class TestPlainKeyOracle:
         }
         assert not res.partial
         assert res.winners == plain
+
+
+def search_line(g: Graph, cfg: GameConfig, rng: random.Random) -> GameState:
+    """The position after a random line of search moves (``_moves`` and
+    ``_play``, so a spent Breaker turn is closed) that stops short of the
+    end of the game."""
+    state = GameState(g, cfg, log=False)
+    used = 0
+    for _ in range(rng.randrange(g.m)):
+        uncolored = [e for e in range(g.m) if state.color[e] == 0]
+        e, bit = rng.choice(list(_moves(state, uncolored, used)))
+        plies = _play(state, e, bit)
+        if state.game_over():
+            for _ in range(plies):
+                state.undo()
+            break
+        used |= bit
+    return state
+
+
+def solve_from(state: GameState, memoize: bool) -> tuple[bool, int]:
+    """(Maker wins, nodes) of ``_Solver`` started at ``state``, with the
+    color classes and used colors of the position."""
+    solver = _Solver(state, memoize, None)
+    used = 0
+    for e, c in enumerate(state.color):
+        if c:
+            used |= 1 << (c - 1)
+            if memoize:
+                solver.classes[c] |= 1 << e
+    return solver.maker_wins(state, used), solver.budget.nodes
+
+
+CUT_GRAPHS = KEY_GRAPHS + [cycle(7), path(6)]
+
+
+class TestTrivialBoundCuts:
+    """The safe-board and one-move-block cuts, against the cut-free plain
+    key from positions inside the game."""
+
+    def check(self, g: Graph, cfg: GameConfig, seed: int) -> tuple[bool, int]:
+        state = search_line(g, cfg, random.Random(seed))
+        expect = plain_key_wins(state)
+        for memoize in (True, False):
+            win, nodes = solve_from(state, memoize)
+            assert win == expect, (g, cfg, seed, memoize)
+        return win, nodes
+
+    @given(
+        g=st.sampled_from(CUT_GRAPHS),
+        extra=st.integers(0, 10),
+        b=st.sampled_from([1, 2, 3]),
+        classic=st.booleans(),
+        seed=st.integers(0, 10**6),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_solver_matches_plain_key_inside_the_game(self, g, extra, b, classic, seed):
+        delta = g.max_degree
+        k = delta + extra % delta
+        self.check(g, (CLASSIC if classic else SKIP)(k=k, b=b), seed)
+
+    def test_both_cuts_fire_in_a_seeded_sweep(self):
+        # a fresh solver's root is never a table hit, so a one-node solve of
+        # an unfinished position is a cut: Maker wins on a safe board,
+        # Breaker by a one-move block
+        fired = Counter()
+        for i, g in enumerate(CUT_GRAPHS):
+            delta = g.max_degree
+            for k in range(delta, 2 * delta):
+                for b in (1, 2, 3):
+                    for variant in (SKIP, CLASSIC):
+                        for seed in range(3):
+                            win, nodes = self.check(g, variant(k=k, b=b), 1000 * i + seed)
+                            if nodes == 1:
+                                fired[win] += 1
+        assert fired[True] > 0 and fired[False] > 0, fired
+
+    @pytest.mark.parametrize("variant", [SKIP, CLASSIC])
+    def test_top_of_trivial_range_settles_at_the_root(self, variant):
+        for name, g in mixed_corpus():
+            k = 2 * g.max_degree - 1
+            for memoize in (True, False):
+                res = solve(g, k, variant(k=1), memoize=memoize)
+                assert (res.winner, res.nodes) == (MAKER, 1), name
 
 
 class TestBudget:
@@ -642,21 +735,24 @@ class TestMakeUnmake:
     @pytest.mark.parametrize(
         "spec, variant, nodes",
         [
-            ("cycle:11", SKIP, 133_933),
-            ("complete:5", SKIP, 68_314),
-            ("complete_bipartite:3:3", SKIP, 28_494),
-            ("cycle:11", CLASSIC, 26_930),
+            ("cycle:11", SKIP, 21),
+            ("complete:5", SKIP, 19_416),
+            ("complete_bipartite:3:3", SKIP, 6_810),
+            ("cycle:11", CLASSIC, 13),
         ],
         ids=["C11-skip", "K5", "K33", "C11-classic"],
     )
     def test_ladder_node_counts(self, spec, variant, nodes):
-        # the search order is unchanged, so each rung searches the same tree
+        # the search order and the cuts fix the tree each rung searches
         assert game_chromatic_index(generate(spec), 1, variant(k=1)).nodes == nodes
 
     def test_palette_far_above_edge_count(self):
-        # only colors 1..m can ever be on the board, whatever k is
+        # only colors 1..m can ever be on the board, whatever k is; and
+        # with k far above 2*Delta - 1 the root is a safe board
         res = solve(generate("cycle:9"), 2000, SKIP(k=1))
-        assert (res.winner, res.nodes) == (MAKER, 33_595)
+        assert (res.winner, res.nodes) == (MAKER, 1)
+        res = solve(generate("cycle:9"), 2000, SKIP(k=1), memoize=False)
+        assert (res.winner, res.nodes) == (MAKER, 1)
 
 
 def eager_verify(g: Graph, k: int, cfg: GameConfig, strategy, side: str) -> VerifyResult:
