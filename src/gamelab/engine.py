@@ -174,9 +174,9 @@ class GameState:
 
     Every transition pushes onto ``trail`` what it overwrote, and ``undo``
     takes the last one back, so a search plays and takes back positions on
-    one state.  ``apply_move`` checks a coloring against the rules, then
-    commits it with ``_commit``; a search whose generator yields only legal
-    moves commits them directly.  ``log=False`` keeps no move log (``log``
+    one state.  ``apply_move`` and ``end_breaker_turn`` check a move against
+    the rules, then commit it with ``_commit`` or ``_close_turn``; a search
+    whose generator yields only legal moves commits them directly.  ``log=False`` keeps no move log (``log``
     is None), for a search that runs no strategy.  ``clone`` remains for the
     tests' clone-based oracle and the benchmark's tracer.
     """
@@ -340,6 +340,14 @@ class GameState:
             raise IllegalMove("not breaker's turn")
         if not self.may_end_breaker_turn():
             raise IllegalMove("breaker may not sit out in this variant")
+        self._close_turn()
+
+    def _close_turn(self) -> None:
+        """Close Breaker's turn, unchecked.
+
+        ``end_breaker_turn`` is this after the rule checks; a search whose
+        move generator has already checked them calls it directly.
+        """
         self.trail.append((None, self.breaker_moves_this_turn, self.round))
         if self.log is not None:
             self.log.append(MoveRecord(self.round, BREAKER, None, None, True, None))

@@ -140,15 +140,15 @@ def _moves(
 def _play(state: GameState, e: int | None, bit: int) -> int:
     """Play one move of ``_moves`` on ``state``; returns the number of
     transitions to take back with ``undo``.  ``_moves`` yields legal moves
-    only, so a coloring is committed without the rule checks.  A move that
-    spends Breaker's bias also closes his turn, so no search position has
-    one pending."""
+    only, so a coloring or an end of turn is committed without the rule
+    checks.  A move that spends Breaker's bias also closes his turn, so no
+    search position has one pending."""
     if e is None:
-        state.end_breaker_turn()
+        state._close_turn()
         return 1
     state._commit(e, bit.bit_length())
     if state.breaker_moves_this_turn == state.cfg.b and not state.game_over():
-        state.end_breaker_turn()
+        state._close_turn()
         return 2
     return 1
 
