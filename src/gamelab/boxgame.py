@@ -13,7 +13,8 @@ threshold ``box_threshold(s, b)`` defined by the recurrence
     f(1, b) = 0,        f(s, b) = floor(s / (s - 1) * (f(s - 1, b) + b)).
 
 The module exposes the threshold, the closed-form criterion, an exact minimax
-solver used to validate it, and the explicit strategies on both sides.
+solver used to validate it, and Bob's explicit strategy with an
+exhaustive check of it.
 """
 
 from __future__ import annotations
@@ -221,23 +222,6 @@ def solve_boxgame(
         return memo[key]
 
     return visit(BoxGameState.new(sizes, b, first=first))
-
-
-def alice_strategy(state: BoxGameState) -> int:
-    """Touch the most endangered box: untouched with fewest elements left."""
-    best = None
-    for i in range(state.s):
-        if state.touched[i] or state.remaining[i] == 0:
-            continue
-        if best is None or state.remaining[i] < state.remaining[best]:
-            best = i
-    if best is None:
-        # nothing untouched is claimable; take any remaining element
-        for i in range(state.s):
-            if state.remaining[i] > 0:
-                return i
-        raise BoxGameError("no claimable box")
-    return best
 
 
 def bob_strategy(state: BoxGameState) -> int | None:

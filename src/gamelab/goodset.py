@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .boxgame import harmonic_number
-from .graph import Graph, edge_distance
+from .graph import Graph
 
 
 @dataclass(frozen=True)
@@ -109,30 +109,6 @@ def find_good_set(g: Graph) -> GoodSetCertificate:
         steps=tuple(steps),
         distances=tuple(dists),
     )
-
-
-def good_set_problems(g: Graph, edges: Sequence[int]) -> list[str]:
-    """All reasons why ``edges`` fails to be a good set (empty if none)."""
-    problems: list[str] = []
-    delta = g.max_degree
-    seen: set[int] = set()
-    for e in edges:
-        if not 0 <= e < g.m:
-            problems.append(f"edge index {e} out of range")
-            continue
-        if e in seen:
-            problems.append(f"edge {e} listed twice")
-        seen.add(e)
-        u, v = g.edges[e]
-        if g.degree(u) != delta or g.degree(v) != delta:
-            problems.append(f"edge {e} has an endpoint below degree {delta}")
-    clean = sorted(e for e in seen if 0 <= e < g.m)
-    for i, e in enumerate(clean):
-        for f in clean[i + 1 :]:
-            d = edge_distance(g, e, f)
-            if d < 4:
-                problems.append(f"edges {e} and {f} are at distance {d} < 4")
-    return problems
 
 
 def condition_values(g: Graph, edges: Sequence[int], b: int) -> tuple[Fraction, Fraction]:

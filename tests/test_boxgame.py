@@ -15,7 +15,6 @@ from gamelab.boxgame import (
     BOB_WON,
     BoxGameError,
     BoxGameState,
-    alice_strategy,
     bob_strategy,
     bob_wins,
     box_threshold,
@@ -33,6 +32,23 @@ def oracle_threshold(s: int, b: int) -> int:
     for i in range(2, s + 1):
         val = Fraction(math.floor(Fraction(i, i - 1) * (val + b)))
     return int(val)
+
+
+def alice_strategy(state: BoxGameState) -> int:
+    """Touch the most endangered box: untouched with fewest elements left."""
+    best = None
+    for i in range(state.s):
+        if state.touched[i] or state.remaining[i] == 0:
+            continue
+        if best is None or state.remaining[i] < state.remaining[best]:
+            best = i
+    if best is None:
+        # nothing untouched is claimable; take any remaining element
+        for i in range(state.s):
+            if state.remaining[i] > 0:
+                return i
+        raise BoxGameError("no claimable box")
+    return best
 
 
 def play_boxgame(sizes, b, bob=bob_strategy, max_plies=10_000) -> BoxGameState:

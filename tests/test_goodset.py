@@ -13,11 +13,34 @@ from gamelab import graph as G
 from gamelab.goodset import (
     condition_values,
     find_good_set,
-    good_set_problems,
     harmonic_condition,
     reduction_vertex_bound,
 )
 from gamelab.match import mixed_corpus
+
+
+def good_set_problems(g: G.Graph, edges) -> list[str]:
+    """All reasons why ``edges`` fails to be a good set (empty if none)."""
+    problems: list[str] = []
+    delta = g.max_degree
+    seen: set[int] = set()
+    for e in edges:
+        if not 0 <= e < g.m:
+            problems.append(f"edge index {e} out of range")
+            continue
+        if e in seen:
+            problems.append(f"edge {e} listed twice")
+        seen.add(e)
+        u, v = g.edges[e]
+        if g.degree(u) != delta or g.degree(v) != delta:
+            problems.append(f"edge {e} has an endpoint below degree {delta}")
+    clean = sorted(e for e in seen if 0 <= e < g.m)
+    for i, e in enumerate(clean):
+        for f in clean[i + 1 :]:
+            d = G.edge_distance(g, e, f)
+            if d < 4:
+                problems.append(f"edges {e} and {f} are at distance {d} < 4")
+    return problems
 
 
 def check_good_set(g: G.Graph, edges) -> bool:
