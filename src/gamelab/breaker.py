@@ -103,6 +103,8 @@ class BoxReductionBreaker:
     the instance is its own clone.
     """
 
+    position_only = False  # reads which edges Maker colored from the log
+
     def __init__(self) -> None:
         self.memory: BoxReductionMemory | None = None
         self._graph: Graph | None = None  # the graph ``memory`` was built for
@@ -155,6 +157,8 @@ class BoxReductionBreaker:
 class UniformRandomBreaker:
     """Colors uniformly random legal pairs until the bias is spent."""
 
+    position_only = False  # RNG stream
+
     def __init__(self, seed: int | None = None) -> None:
         self.rng = random.Random(seed)
 
@@ -179,6 +183,8 @@ class GreedyBlockingBreaker:
     around the minimum edges: the lowest edge sharing a free color with one
     of them, colored with the lowest such color.
     """
+
+    position_only = True
 
     def micro_move(self, s: GameState) -> tuple[int, int, dict | None] | None:
         g = s.g
@@ -232,6 +238,8 @@ class GreedyBlockingBreaker:
 
 class SkipBreaker:
     """Always passes; only legal in the skip variant."""
+
+    position_only = True
 
     def micro_move(self, s: GameState) -> None:
         return None

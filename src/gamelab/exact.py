@@ -37,6 +37,14 @@ table and without the color masks; agreement of the two modes is the
 standard self-check for the key.  ``verify_strategy`` has no cuts: on a
 safe board any legal Maker strategy wins, but the verifier also certifies
 that the strategy moves legally on every line, so it plays each line out.
+It has a memo instead, for a strategy whose class sets ``position_only``:
+its move is a function of the position, so it plays the same subtree from
+the same position, and an opponent decision point proven sound once is
+sound again.  The memo keeps only such points (coloring and Breaker's
+spent count, one int); an unsound one ends the whole search.  The search
+order is unchanged and a hit only skips a subtree already proven sound, so
+the verdict and the first counterexample are those of the memo-free search,
+and only ``nodes`` falls.
 
 Both the solver and ``verify_strategy`` play each move on one
 ``GameState`` and take it back with ``undo`` once its subtree is searched,
@@ -51,6 +59,7 @@ it branched from until it first asks it for a move.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from struct import Struct
 from typing import Iterable, Iterator
 
 from .engine import (
@@ -310,10 +319,22 @@ def game_chromatic_index(
 
 
 class _Verifier:
-    def __init__(self, side: str, budget: int | None) -> None:
+    def __init__(self, side: str, budget: int | None, m: int, position_only: bool) -> None:
         self.side = side
         self.want = MAKER_WON if side == MAKER else BREAKER_WON
         self.budget = NodeBudget(budget, "verify_strategy")
+        # keys of opponent decision points proven sound, for a strategy
+        # whose move depends on the position alone
+        self.proven: set[int] | None = set() if position_only else None
+        # one 32-bit word per edge holds any palette GameConfig allows
+        self.words = Struct(f"<{m}I")
+
+    def key(self, state: GameState) -> int:
+        """The memo's key of an opponent decision point: the coloring, then
+        Breaker's colorings spent this turn.  The opponent is always the one
+        to move there, and the round never affects what moves are legal."""
+        packed = int.from_bytes(self.words.pack(*state.color), "little")
+        return packed * state.cfg.b + state.breaker_moves_this_turn
 
     def search(self, state: GameState, strategy, owned: bool) -> MoveLog | None:
         """First losing line against full opponent enumeration, else None.
@@ -347,6 +368,11 @@ class _Verifier:
         return bad
 
     def _branch(self, state: GameState, strategy, owned: bool) -> MoveLog | None:
+        proven = self.proven
+        if proven is not None:
+            key = self.key(state)
+            if key in proven:
+                return None
         # every legal move: all colors count as used, so none is pruned
         uncolored = [e for e in range(state.g.m) if state.color[e] == 0]
         moves = list(_moves(state, uncolored, state.full_mask))
@@ -358,6 +384,8 @@ class _Verifier:
                 state.undo()
             if bad is not None:
                 return bad
+        if proven is not None:
+            proven.add(key)
         return None
 
 
@@ -377,15 +405,19 @@ def verify_strategy(
     sequence and every legal pass).  Otherwise ``counterexample`` holds the
     move log of one losing line, replayable through the engine.  A line
     forks the strategy when it first asks it for a move; a strategy without
-    per-game state is its own clone, shared across every line.  The
+    per-game state is its own clone, shared across every line.  Any other
     caller's strategy is never asked for a move, so it plays the same
-    afterwards.  Strict mode only.
+    afterwards.  A strategy whose class sets ``position_only = True``
+    promises that its move depends on the position alone (coloring, player
+    to move, Breaker's colorings this turn); the search then skips any
+    opponent decision point it has already proven sound, which lowers
+    ``nodes`` and changes nothing else.  Strict mode only.
     """
     if side not in (MAKER, BREAKER):
         raise ValueError(f"side must be {MAKER!r} or {BREAKER!r}")
     if cfg.mode != STRICT:
         raise ValueError("verify_strategy requires strict mode")
     cfg = replace(cfg, k=k)
-    verifier = _Verifier(side, budget)
+    verifier = _Verifier(side, budget, g.m, getattr(strategy, "position_only", False))
     bad = verifier.search(new_game(g, cfg), strategy, False)
     return VerifyResult(bad is None, bad, verifier.budget.nodes)

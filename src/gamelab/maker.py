@@ -204,6 +204,8 @@ class DangerRedirectMaker:
          forced in the modified process).
     """
 
+    position_only = False  # RNG stream, danger memory and the log's last turn
+
     def __init__(self, cfg: MakerConfig | None = None, seed: int | None = None) -> None:
         self.cfg = cfg or MakerConfig()
         self.rng = random.Random(seed)
@@ -292,6 +294,8 @@ class DangerRedirectMaker:
 class UniformRandomMaker:
     """Colors a uniformly random legal (edge, color) pair."""
 
+    position_only = False  # RNG stream
+
     def __init__(self, seed: int | None = None) -> None:
         self.rng = random.Random(seed)
 
@@ -315,6 +319,8 @@ class UniformRandomMaker:
 
 class GreedyMaker:
     """Colors an uncolored edge of minimum availability with its lowest color."""
+
+    position_only = True
 
     def move(self, s: GameState) -> tuple[int, int, dict | None]:
         if s.uncolored == 0:

@@ -1,5 +1,6 @@
 """Module layering: the library never depends on the command line, and
-every strategy policy defines its own clone."""
+every strategy policy defines its own clone and states whether its move
+depends on the position alone."""
 
 from __future__ import annotations
 
@@ -53,14 +54,29 @@ def test_detector_sees_every_import_form():
         assert not imports_cli(ast.parse(src)), src
 
 
-def test_every_policy_defines_its_own_clone():
-    # the benchmark tracer wraps only methods a class defines itself, so an
-    # inherited clone would drop out of maker.clone and breaker.clone
-    policies = [
+def policies() -> list[type]:
+    return [
         cls
         for module in (maker, breaker)
         for _, cls in inspect.getmembers(module, inspect.isclass)
         if cls.__module__ == module.__name__ and (hasattr(cls, "move") or hasattr(cls, "micro_move"))
     ]
-    assert len(policies) >= 7
-    assert [cls.__name__ for cls in policies if "clone" not in vars(cls)] == []
+
+
+def test_every_policy_defines_its_own_clone():
+    # the benchmark tracer wraps only methods a class defines itself, so an
+    # inherited clone would drop out of maker.clone and breaker.clone
+    assert len(policies()) >= 7
+    assert [cls.__name__ for cls in policies() if "clone" not in vars(cls)] == []
+
+
+def test_every_policy_states_whether_it_is_position_only():
+    # the verifier memoizes proven-sound positions only for position-only
+    # strategies; such a strategy holds no per-game state, so it is its own
+    # clone, and a subclass must state the claim again rather than inherit it
+    assert [cls.__name__ for cls in policies() if "position_only" not in vars(cls)] == []
+    position_only = [cls for cls in policies() if cls.position_only]
+    assert position_only
+    for cls in position_only:
+        strategy = cls()
+        assert strategy.clone() is strategy, cls.__name__

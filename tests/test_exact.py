@@ -27,6 +27,7 @@ from gamelab.engine import (
     ONGOING,
     GameConfig,
     GameState,
+    apply_record,
     new_game,
     replay,
     step,
@@ -37,11 +38,17 @@ from gamelab.exact import (
     _moves,
     _play,
     _Solver,
+    _Verifier,
     game_chromatic_index,
     solve,
     verify_strategy,
 )
-from gamelab.breaker import BoxReductionBreaker, SkipBreaker, UniformRandomBreaker
+from gamelab.breaker import (
+    BoxReductionBreaker,
+    GreedyBlockingBreaker,
+    SkipBreaker,
+    UniformRandomBreaker,
+)
 from gamelab.maker import DangerRedirectMaker, GreedyMaker, UniformRandomMaker
 from gamelab.match import mixed_corpus
 from gamelab.graph import Graph, complete, complete_bipartite, cycle, generate, gnp, path, star
@@ -753,13 +760,18 @@ class TestMakeUnmake:
         assert (res.winner, res.nodes) == (MAKER, 1)
 
 
-def eager_verify(g: Graph, k: int, cfg: GameConfig, strategy, side: str) -> VerifyResult:
+def eager_verify(
+    g: Graph, k: int, cfg: GameConfig, strategy, side: str, memo: bool = False
+) -> VerifyResult:
     """``verify_strategy`` with eager forks: every opponent branch but the
     last gets a clone of the strategy before its move is played, and the
-    root gets a clone of the caller's."""
+    root gets a clone of the caller's.  ``memo`` skips an opponent decision
+    point whose (coloring tuple, Breaker's spent count) already returned
+    sound, as the verifier does for a position-only strategy."""
     cfg = replace(cfg, k=k)
     want = MAKER_WON if side == MAKER else BREAKER_WON
     nodes = 0
+    proven = set()
 
     def search(state: GameState, strategy):
         nonlocal nodes
@@ -779,6 +791,9 @@ def eager_verify(g: Graph, k: int, cfg: GameConfig, strategy, side: str) -> Veri
         return bad
 
     def branch(state: GameState, strategy):
+        key = (tuple(state.color), state.breaker_moves_this_turn)
+        if memo and key in proven:
+            return None
         uncolored = [e for e in range(state.g.m) if state.color[e] == 0]
         moves = list(_moves(state, uncolored, state.full_mask))
         last = len(moves) - 1
@@ -789,6 +804,7 @@ def eager_verify(g: Graph, k: int, cfg: GameConfig, strategy, side: str) -> Veri
                 state.undo()
             if bad is not None:
                 return bad
+        proven.add(key)
         return None
 
     bad = search(new_game(g, cfg), strategy.clone())
@@ -911,3 +927,98 @@ class TestLazyFork:
     def test_uniform_random_breaker(self, spec, variant, k, sound, b, seed):
         make = lambda: UniformRandomBreaker(seed=seed)
         self.check(generate(spec), k, variant(k=1, b=b), make, BREAKER, sound)
+
+
+# (graph spec, policy, variant, b, k) for the position-only policies: every
+# k in [Δ, 2Δ−1], both variants (the skip Breaker only where it may pass)
+MEMO_POLICIES = {GreedyMaker: MAKER, GreedyBlockingBreaker: BREAKER, SkipBreaker: BREAKER}
+MEMO_GRAPHS = (
+    "cycle:5", "cycle:6", "cycle:7", "path:6",
+    "complete:4", "star:4", "complete_bipartite:2:3", "complete_bipartite:3:3",
+)
+# eager searches of 1.5 s to minutes, left out to keep the suite fast; the
+# greedy C_8 rung below stands in for a large memoized search
+MEMO_SLOW = {
+    ("cycle:7", GreedyMaker, SKIP, 2, 3),
+    ("complete:4", GreedyMaker, SKIP, 2, 5),
+    ("complete_bipartite:2:3", GreedyMaker, SKIP, 2, 5),
+    ("complete_bipartite:3:3", GreedyMaker, SKIP, 1, 5),
+    ("complete_bipartite:3:3", GreedyMaker, SKIP, 2, 5),
+    ("complete_bipartite:3:3", GreedyMaker, CLASSIC, 1, 5),
+    ("complete_bipartite:3:3", GreedyMaker, CLASSIC, 2, 5),
+}
+MEMO_CASES = [
+    (spec, policy, variant, b, k)
+    for spec in MEMO_GRAPHS
+    for policy in MEMO_POLICIES
+    for variant in ((SKIP,) if policy is SkipBreaker else (SKIP, CLASSIC))
+    for b in (1, 2)
+    for delta in (generate(spec).max_degree,)
+    for k in range(delta, 2 * delta)
+    if (spec, policy, variant, b, k) not in MEMO_SLOW
+]
+
+
+class TestVerifierMemo:
+    """For a strategy whose move depends on the position alone, the verifier
+    skips opponent decision points already proven sound; verdict and first
+    counterexample must be those of the memo-free eager search."""
+
+    def check(self, g, k, cfg, policy):
+        side = MEMO_POLICIES[policy]
+        res = verify_strategy(g, k, cfg, policy(), side)
+        ref = eager_verify(g, k, cfg, policy(), side)
+        assert (res.sound, res.counterexample) == (ref.sound, ref.counterexample)
+        assert res.nodes <= ref.nodes
+        # and it skips exactly what a memo on the plain position skips
+        assert res == eager_verify(g, k, cfg, policy(), side, memo=True)
+        return res
+
+    @pytest.mark.parametrize(
+        "spec, policy, variant, b, k",
+        MEMO_CASES,
+        ids=[f"{s}-{p.__name__}-{v.__name__}-b{b}-k{k}" for s, p, v, b, k in MEMO_CASES],
+    )
+    def test_matches_eager_search(self, spec, policy, variant, b, k):
+        self.check(generate(spec), k, variant(k=1, b=b), policy)
+
+    @pytest.mark.parametrize(
+        "spec, variant, b, k",
+        [("complete:4", SKIP, 1, 4), ("complete:4", SKIP, 2, 4), ("complete:4", CLASSIC, 2, 4)],
+        ids=["K4-skip-b1", "K4-skip-b2", "K4-classic-b2"],
+    )
+    def test_memo_holds_no_position_of_the_refuted_line(self, monkeypatch, spec, variant, b, k):
+        # storing a refuted position changes no result, since the first
+        # counterexample ends the search; the memo must still hold only
+        # positions proven sound
+        verifiers = []
+        init = _Verifier.__init__
+
+        def spy(self, *args):
+            init(self, *args)
+            verifiers.append(self)
+
+        monkeypatch.setattr(_Verifier, "__init__", spy)
+        g, cfg = generate(spec), variant(k=k, b=b)
+        res = verify_strategy(g, k, cfg, GreedyMaker(), MAKER)
+        assert not res.sound
+        [verifier] = verifiers
+        assert verifier.proven
+        state = new_game(g, cfg)
+        on_line = set()
+        for rec in res.counterexample:
+            if state.turn == BREAKER and state.breaker_moves_this_turn < b:
+                on_line.add(verifier.key(state))
+            apply_record(state, rec)
+        assert on_line and not on_line & verifier.proven
+
+    def test_benchmark_greedy_rung(self):
+        # 116,993 nodes without the memo
+        res = verify_strategy(cycle(8), 3, SKIP(k=3), GreedyMaker(), MAKER)
+        assert (res.sound, res.nodes) == (True, 20_159)
+
+    def test_palette_above_one_byte(self):
+        # colors above 255 reach the key; with k = 300, packing them modulo
+        # 256 would merge the positions of colors 1 and 257
+        res = self.check(path(3), 300, SKIP(k=1, b=2), GreedyMaker)
+        assert (res.sound, res.nodes) == (True, 181_504)
