@@ -176,9 +176,10 @@ class GameState:
     takes the last one back, so a search plays and takes back positions on
     one state.  ``apply_move`` and ``end_breaker_turn`` check a move against
     the rules, then commit it with ``_commit`` or ``_close_turn``; a search
-    whose generator yields only legal moves commits them directly.  ``log=False`` keeps no move log (``log``
-    is None), for a search that runs no strategy.  ``clone`` remains for the
-    tests' clone-based oracle and the benchmark's tracer.
+    whose generator yields only legal moves commits them directly.
+    ``log=False`` keeps no move log (``log`` is None), for a search that runs
+    no strategy.  ``clone`` remains for the tests' clone-based oracle and the
+    benchmark's tracer.
     """
 
     __slots__ = (
