@@ -197,13 +197,9 @@ def _children(state: BoxGameState) -> Iterator[BoxGameState]:
         yield child
 
 
-def solve_boxgame(
-    sizes: Sequence[int],
-    b: int,
-    first: str = ALICE,
-    budget: int | None = None,
-) -> bool:
-    """Exact minimax value: True iff Bob destroys a box under optimal play."""
+def solve_boxgame(sizes: Sequence[int], b: int, budget: int | None = None) -> bool:
+    """Exact minimax value with Alice moving first: True iff Bob destroys a
+    box under optimal play."""
     memo: dict[tuple, bool] = {}
     nodes = NodeBudget(budget, "box-game solver")
 
@@ -221,7 +217,7 @@ def solve_boxgame(
             memo[key] = any(children) if state.turn == BOB else all(children)
         return memo[key]
 
-    return visit(BoxGameState.new(sizes, b, first=first))
+    return visit(BoxGameState.new(sizes, b))
 
 
 def bob_strategy(state: BoxGameState) -> int | None:

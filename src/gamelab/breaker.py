@@ -146,7 +146,7 @@ class BoxReductionBreaker:
             ann = {"reduction_break": True, "box": target}
             near = [e for gam in mem.gamma for e in gam]
         fallback = self._any_legal(s, near)
-        if fallback is None and not s.cfg.breaker_may_skip:
+        if fallback is None and s.cfg.variant == "classic":
             fallback = self._any_legal(s, range(s.g.m))
         return None if fallback is None else (fallback[0], fallback[1], ann)
 

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from ._util import BudgetExceeded, StrategyError, check_budget
 from .boxgame import box_threshold, bob_wins, is_near_uniform, solve_boxgame
-from .engine import MODIFIED, STRICT, MoveLog
+from .engine import MODIFIED, STRICT, VARIANTS, GameConfig, MoveLog
 from .exact import game_chromatic_index, solve
 from .goodset import condition_values, find_good_set, harmonic_condition
 from .graph import generate, write_edge_list
@@ -27,7 +27,6 @@ from .maker import MakerConfig
 from .match import (
     BREAKER_POLICIES,
     MAKER_POLICIES,
-    VARIANTS,
     ExperimentSpec,
     load_graph,
     run_match,
@@ -58,7 +57,7 @@ def cmd_gen(args) -> int:
 
 def cmd_solve(args) -> int:
     g = load_graph(args.graph)
-    cfg = VARIANTS[args.variant](k=args.k, b=args.b)
+    cfg = GameConfig(args.k, args.b, args.variant)
     res = solve(g, args.k, cfg, budget=args.budget, memoize=not args.no_memo)
     doc = {
         "graph": args.graph,
@@ -76,7 +75,7 @@ def cmd_solve(args) -> int:
 
 def cmd_chi(args) -> int:
     g = load_graph(args.graph)
-    cfg = VARIANTS[args.variant](k=1, b=args.b)
+    cfg = GameConfig(1, args.b, args.variant)
     res = game_chromatic_index(
         g, args.b, cfg, budget=args.budget, memoize=not args.no_memo
     )
@@ -163,7 +162,7 @@ def cmd_goodset(args) -> int:
 def cmd_telemetry(args) -> int:
     g = load_graph(args.graph)
     log = MoveLog.from_jsonl(Path(args.log).read_text(), g)
-    cfg = VARIANTS[args.variant](k=args.k, b=args.b, mode=args.mode)
+    cfg = GameConfig(args.k, args.b, args.variant, args.mode)
     mcfg = MakerConfig(lam=args.lam, c=args.c)
     report = analyze(log, g, cfg, mcfg)
     csv_text = to_csv(report)

@@ -27,6 +27,8 @@ BREAKER = "breaker"
 STRICT = "strict"
 MODIFIED = "modified"
 
+VARIANTS = ("skip", "classic")  # as built by skip_variant() and classic()
+
 ONGOING = "ongoing"
 MAKER_WON = "maker_won"
 BREAKER_WON = "breaker_won"
@@ -40,8 +42,7 @@ class IllegalMove(ValueError):
 class GameConfig:
     k: int
     b: int = 1
-    breaker_may_skip: bool = True
-    first_player: str = BREAKER
+    variant: str = "skip"
     mode: str = STRICT
 
     def __post_init__(self) -> None:
@@ -52,20 +53,20 @@ class GameConfig:
             raise ValueError(f"palette size k must be at most {2 * MAX_EDGE_LIST_VERTICES}")
         if self.b < 1:
             raise ValueError("bias b must be at least 1")
-        if self.first_player not in (MAKER, BREAKER):
-            raise ValueError(f"bad first_player {self.first_player!r}")
+        if self.variant not in VARIANTS:
+            raise ValueError(f"unknown variant {self.variant!r}")
         if self.mode not in (STRICT, MODIFIED):
             raise ValueError(f"bad mode {self.mode!r}")
 
     @classmethod
     def skip_variant(cls, k: int, b: int = 1, mode: str = STRICT) -> GameConfig:
         """Breaker opens the game and may sit out on any turn."""
-        return cls(k=k, b=b, breaker_may_skip=True, first_player=BREAKER, mode=mode)
+        return cls(k, b, "skip", mode)
 
     @classmethod
     def classic(cls, k: int, b: int = 1, mode: str = STRICT) -> GameConfig:
         """Maker opens; Breaker must color when he legally can."""
-        return cls(k=k, b=b, breaker_may_skip=False, first_player=MAKER, mode=mode)
+        return cls(k, b, "classic", mode)
 
 
 @dataclass(frozen=True)
@@ -205,7 +206,7 @@ class GameState:
         self.color: list[int] = [0] * g.m
         self.uncolored = g.m
         self.round = 1
-        self.turn = cfg.first_player
+        self.turn = BREAKER if cfg.variant == "skip" else MAKER
         self.breaker_moves_this_turn = 0
         self.load: list[int] = [0] * g.n
         self.umask: list[int] = [0] * g.n
@@ -259,7 +260,7 @@ class GameState:
         or when no legal coloring is left."""
         return (
             self.breaker_moves_this_turn >= 1
-            or self.cfg.breaker_may_skip
+            or self.cfg.variant == "skip"
             or not self.breaker_has_legal_move()
         )
 

@@ -20,7 +20,6 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
 
 from ._util import StrategyError, fork_rng
 from .engine import BREAKER, MAKER, MODIFIED, GameState, MoveLog, uniform_legal_move
@@ -111,24 +110,20 @@ class MakerMemory:
 
 
 def record_crossings(
-    s: GameState,
-    mem: MakerMemory,
-    loads: Sequence[int],
-    thresholds: tuple[int, int, int],
-    r: int,
+    s: GameState, mem: MakerMemory, thresholds: tuple[int, int, int], r: int
 ) -> None:
     """Record the threshold crossings of round r and freeze new danger sets.
 
-    ``loads[v]`` is v's load at the end of round r and ``thresholds`` the
-    integer loads (ceilings) that meet T1 <= T2 <= T3.  Each vertex whose
-    load meets T_j for the first time gets ``r`` in ``mem.t<j>_round``.
-    Once every crossing is recorded, D(v) is frozen from ``s`` for each
-    vertex newly past T2, in vertex order.
+    ``s`` is the position at the end of round r, so ``s.load[v]`` is v's
+    load then, and ``thresholds`` are the integer loads (ceilings) that meet
+    T1 <= T2 <= T3.  Each vertex whose load meets T_j for the first time
+    gets ``r`` in ``mem.t<j>_round``.  Once every crossing is recorded, D(v)
+    is frozen from ``s`` for each vertex newly past T2, in vertex order.
     """
     t1, t2, t3 = thresholds
     t1_round, t2_round, t3_round = mem.t1_round, mem.t2_round, mem.t3_round
     newly_t2 = []
-    for v, load in enumerate(loads):
+    for v, load in enumerate(s.load):
         # loads only grow, so a vertex past T3 has every crossing recorded
         if load < t1 or v in t3_round:
             continue
@@ -233,7 +228,7 @@ class DangerRedirectMaker:
         self._bind(s)
         # Maker moves first within a round, so the loads seen here are those
         # at the end of round s.round - 1
-        record_crossings(s, self.memory, s.load, self._thresholds, s.round - 1)
+        record_crossings(s, self.memory, self._thresholds, s.round - 1)
         g, rng, mem = s.g, self.rng, self.memory
 
         # step 1: anchor edge

@@ -2,8 +2,8 @@
 
 One master seed determines a match byte for byte: per-trial randomness is
 derived by hashing ``(seed, trial, role)``, never drawn from a shared
-generator, so trial order cannot matter.  Also here: the policy and variant
-registries, graph loading by file or name, and the named smoke corpus.
+generator, so trial order cannot matter.  Also here: the policy registries,
+graph loading by file or name, and the named smoke corpus.
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ from .maker import DangerRedirectMaker, GreedyMaker, MakerConfig, UniformRandomM
 
 MAKER_POLICIES = ("paper", "random", "greedy")
 BREAKER_POLICIES = ("box", "random", "greedy", "skip")
-
-VARIANTS = {"skip": GameConfig.skip_variant, "classic": GameConfig.classic}
 
 # corpus graphs that no generator spec describes, as (n, edges)
 _NAMED_GRAPHS = {
@@ -110,11 +108,7 @@ class ExperimentSpec:
     logs_dir: str | None = None
 
     def game_config(self) -> GameConfig:
-        try:
-            factory = VARIANTS[self.variant]
-        except KeyError:
-            raise ValueError(f"unknown variant {self.variant!r}") from None
-        return factory(k=self.k, b=self.b, mode=self.mode)
+        return GameConfig(self.k, self.b, self.variant, self.mode)
 
     def maker_config(self) -> MakerConfig | None:
         if self.lam is None and self.c is None:

@@ -26,14 +26,17 @@ report transposes the rows into per-vertex traces.  For each vertex v:
   uncolored neighborhood Gamma'_r(v); every colored v-edge leaves
   Gamma'(v), so ``nbr_cnt[r]`` is derived as ``degree - loads[r]``.
 
-Two independent computations are provided.  ``TraceCollector`` maintains
-everything incrementally while a live game runs and must be fed after
-every single engine transition.  ``analyze`` recomputes everything from
-the recorded log alone: it replays the records through a fresh engine
-state, checking each as ``engine.replay`` does, and at every round
-boundary brute-forces the Gamma' sums of all vertices in one pass over
-the uncolored edges of the coloring.  Agreement of the two is a
-tested invariant, not an assumption.
+Two front ends feed one shared tally: after every coloring they pass it
+the record and the position, and at every round boundary the position and
+the Gamma' sums.  ``TraceCollector`` runs beside a live game: it must be fed
+after every single engine transition, keeps the Gamma' sums up to date
+move by move, and ``finish`` refuses a log with records it was never shown.
+``analyze`` works from the recorded log alone: it replays the records
+through a fresh engine state, checking each as ``engine.replay`` does, and
+at every round boundary brute-forces the Gamma' sums of all vertices in one
+pass over the uncolored edges of the coloring.  So the two differ only in
+where the Gamma' sums come from and in live against replayed engine state;
+their agreement is a tested invariant, not an assumption.
 
 The summary reports, per inequality the analysis tracks at scale
 (lam, c, b, delta), how many vertices violate it.  These are descriptive
@@ -146,8 +149,9 @@ class _Params:
 
 
 class _Tally:
-    """Everything both paths accumulate: per-round rows, threshold
-    crossings and danger sets (in ``mem``), filed good events, move counts."""
+    """Everything both front ends share: per-round rows, threshold crossings
+    and danger sets (in ``mem``), and the Maker records' good events, which
+    ``_build_report`` files once every round is closed."""
 
     def __init__(self, params: _Params) -> None:
         self.params = params
@@ -155,81 +159,58 @@ class _Tally:
         self.load_rows: list[tuple[int, ...]] = [(0,) * n]
         self.sum_rows: list[tuple[int, ...]] = [(0,) * n]
         self.mem = MakerMemory()
-        self.windows = [[0, 0, 0] for _ in range(n)]
-        self.good_events: list[list[GoodEdgeEvent]] = [[] for _ in range(n)]
-        self.i_prime: list[list[int]] = [[] for _ in range(n)]
-        self.i_mid: list[set[int]] = [set() for _ in range(n)]
-        self.maker_moves = 0
-        self.breaker_moves = 0
-        self.forced = 0
-        self.redirected = 0
+        self.events: list[tuple[int, GoodEdgeEvent]] = []
 
-    def count(self, rec: MoveRecord, load: list[int]) -> tuple[int, GoodEdgeEvent] | None:
-        """Count one coloring record, played when the loads were ``load``.
+    def count(self, rec: MoveRecord, state: GameState) -> None:
+        """Count one coloring record, just played on ``state``.
 
-        A Maker record is a good event of the vertex its annotation names;
-        returns that vertex with the event, to be filed once its round is
-        closed.
+        A Maker record is a good event of the vertex v its annotation names;
+        v's load before the record is ``state.load[v]``, less the record's
+        own edge if v is one of its endpoints.
         """
         if rec.player != MAKER:
-            self.breaker_moves += 1
-            return None
+            return
         ann = rec.ann
         v = ann.get("v") if ann else None
-        if type(v) is not int or not 0 <= v < len(load):
+        if type(v) is not int or not 0 <= v < len(state.load):
             raise ValueError("log missing annotations")
-        ev = GoodEdgeEvent(
-            rec.round,
-            rec.edge,
-            rec.color,
-            load[v],
-            bool(ann.get("redirected", False)),
-            bool(ann.get("forced_nonproper", False)),
-        )
-        self.maker_moves += 1
-        self.forced += ev.forced
-        self.redirected += ev.redirected
-        return v, ev
+        pre_load = state.load[v] - (v in state.g.edges[rec.edge])
+        redirected, forced = bool(ann.get("redirected")), bool(ann.get("forced_nonproper"))
+        ev = GoodEdgeEvent(rec.round, rec.edge, rec.color, pre_load, redirected, forced)
+        self.events.append((v, ev))
 
-    def close_round(self, r: int, state: GameState, loads, sums) -> None:
-        """Append the end-of-round load and Gamma'-sum rows, then record
-        the threshold crossings of round r."""
-        self.load_rows.append(tuple(loads))
+    def close_round(self, r: int, state: GameState, sums) -> None:
+        """Append the end-of-round load and Gamma'-sum rows of the position
+        ``state``, then record the threshold crossings of round r."""
+        self.load_rows.append(tuple(state.load))
         self.sum_rows.append(tuple(sums))
-        record_crossings(state, self.mem, loads, self.params.thresholds, r)
+        record_crossings(state, self.mem, self.params.thresholds, r)
 
-    def file(self, v: int, ev: GoodEdgeEvent) -> None:
-        """File a good v-edge event under its load window, if any.
 
-        The window is read from v's loads in the rows of the event's round,
-        so that round must be closed already; an event of a round that never
-        closed is kept but belongs to no window.
-        """
-        rows = self.load_rows
-        if ev.round < len(rows):
-            prev_load, round_load = rows[ev.round - 1][v], rows[ev.round][v]
-            tc = self.params.tc
-            for j in (1, 2, 3):
-                if prev_load >= tc[j - 1] and round_load < tc[j]:
-                    self.windows[v][j - 1] += 1
-                    i_prime = self.i_prime[v]
-                    if (
-                        j == 1
-                        and ev.color not in i_prime
-                        and len(i_prime) < self.params.i_prime_cap
-                    ):
-                        i_prime.append(ev.color)
-                    if j == 2:
-                        self.i_mid[v].add(ev.color)
-                    break
-        self.good_events[v].append(ev)
+def _file_events(params: _Params, loads: list[int], events: list[GoodEdgeEvent]):
+    """Window counts, I' and I_mid of one vertex from its per-round loads
+    and its good events, in play order; each event's round is closed."""
+    tc = params.tc
+    counts = [0, 0, 0]
+    i_prime: list[int] = []
+    i_mid: set[int] = set()
+    for ev in events:
+        prev_load, round_load = loads[ev.round - 1], loads[ev.round]
+        for j in (1, 2, 3):
+            if prev_load >= tc[j - 1] and round_load < tc[j]:
+                counts[j - 1] += 1
+                if j == 1 and ev.color not in i_prime and len(i_prime) < params.i_prime_cap:
+                    i_prime.append(ev.color)
+                if j == 2:
+                    i_mid.add(ev.color)
+                break
+    return tuple(counts), tuple(i_prime), frozenset(i_mid)
 
 
 def _danger_prime(g: Graph, t1: dict[int, int], v: int) -> frozenset[int] | None:
     if v not in t1:
         return None
-    tv = t1[v]
-    return frozenset(u for u in g.adj[v] if t1.get(u, _INF) <= tv)
+    return frozenset(u for u in g.adj[v] if t1.get(u, _INF) <= t1[v])
 
 
 def _summarize(params: _Params, traces: list[VertexTrace]) -> dict:
@@ -299,24 +280,19 @@ class TraceCollector:
 
     ``observe(state)`` must be called after *every* engine transition
     (``apply_move`` or ``end_breaker_turn``), so that exactly one new log
-    record is visible per call; the live game state is needed at round
-    boundaries to freeze danger sets.  ``finish(state)`` closes a trailing
-    partial round and builds the report.
+    record is visible per call; loads and danger sets are read from the live
+    state, and only the Gamma' sums are kept here, updated move by move.
+    ``finish(state)`` raises ValueError unless every record of ``state.log``
+    was observed, then closes a trailing partial round and builds the report.
     """
 
     def __init__(
-        self,
-        g: Graph,
-        game_cfg: GameConfig,
-        maker_cfg: MakerConfig | None = None,
+        self, g: Graph, game_cfg: GameConfig, maker_cfg: MakerConfig | None = None
     ) -> None:
         self.params = _Params(g, game_cfg, maker_cfg or MakerConfig())
-        self._load = [0] * g.n
         self._cur_sum = [0] * g.n
         self._tally = _Tally(self.params)
-        self._pending: list[tuple[int, GoodEdgeEvent]] = []
         self._cursor = 0
-        self._dirty = False
         self._finished = False
 
     def observe(self, state: GameState) -> None:
@@ -333,11 +309,8 @@ class TraceCollector:
         if rec.skip:
             self._close_round(rec.round, state)
             return
-        self._dirty = True
-        good = self._tally.count(rec, self._load)
-        if good is not None:
-            self._pending.append(good)
-        g, color, load, sums = state.g, state.color, self._load, self._cur_sum
+        self._tally.count(rec, state)
+        g, color, load, sums = state.g, state.color, state.load, self._cur_sum
         x, y = g.edges[rec.edge]
         # the edge is colored now: x and y leave each other's Gamma', and
         # every vertex still joined to x or y by an uncolored edge gains 1
@@ -345,27 +318,24 @@ class TraceCollector:
             for u, e in zip(g.adj[w], g.incident[w]):
                 if not color[e]:
                     sums[u] += 1
-        sums[x] -= load[y]
-        sums[y] -= load[x]
-        load[x] += 1
-        load[y] += 1
+        # state.load already counts this edge
+        sums[x] -= load[y] - 1
+        sums[y] -= load[x] - 1
 
     def _close_round(self, r: int, state: GameState) -> None:
-        tally = self._tally
-        if len(tally.load_rows) != r:
+        if len(self._tally.load_rows) != r:
             raise ValueError(f"round {r} closed out of order")
-        tally.close_round(r, state, self._load, self._cur_sum)
-        for v_sel, ev in self._pending:
-            tally.file(v_sel, ev)
-        self._pending.clear()
-        self._dirty = False
+        self._tally.close_round(r, state, self._cur_sum)
 
     def finish(self, state: GameState) -> TelemetryReport:
         if self._finished:
             raise ValueError("collector already finished")
-        if self._dirty:
-            last_round = state.log[len(state.log) - 1].round
-            self._close_round(last_round, state)
+        log = state.log
+        if len(log) != self._cursor:
+            raise ValueError(f"collector observed {self._cursor} of {len(log)} log records")
+        # a game that ends mid-round contributes a final partial row
+        if len(log) and not log[-1].skip:
+            self._close_round(log[-1].round, state)
         self._finished = True
         return _build_report(self._tally)
 
@@ -375,14 +345,19 @@ def _build_report(tally: _Tally) -> TelemetryReport:
     g = params.g
     mem = tally.mem
     rounds = len(tally.load_rows) - 1
+    colored = sum(tally.load_rows[-1]) // 2  # an edge loads both endpoints
     # transpose into per-vertex lists, dropping each row set once copied
     loads = [list(col) for col in zip(*tally.load_rows)]
     tally.load_rows.clear()
     sums = [list(col) for col in zip(*tally.sum_rows)]
     tally.sum_rows.clear()
+    good_events: list[list[GoodEdgeEvent]] = [[] for _ in range(g.n)]
+    for v, ev in tally.events:
+        good_events[v].append(ev)
     traces = []
     for v in range(g.n):
         degree = g.degree(v)
+        window_counts, i_prime, i_mid = _file_events(params, loads[v], good_events[v])
         traces.append(
             VertexTrace(
                 v=v,
@@ -393,14 +368,15 @@ def _build_report(tally: _Tally) -> TelemetryReport:
                 t1=mem.t1_round.get(v),
                 t2=mem.t2_round.get(v),
                 t3=mem.t3_round.get(v),
-                window_counts=tuple(tally.windows[v]),
-                good_events=tally.good_events[v],
-                i_prime=tuple(tally.i_prime[v]),
-                i_mid=frozenset(tally.i_mid[v]),
+                window_counts=window_counts,
+                good_events=good_events[v],
+                i_prime=i_prime,
+                i_mid=i_mid,
                 danger=mem.danger.get(v),
                 danger_prime=_danger_prime(g, mem.t1_round, v),
             )
         )
+    events = [ev for _, ev in tally.events]
     return TelemetryReport(
         n=g.n,
         m=g.m,
@@ -410,34 +386,29 @@ def _build_report(tally: _Tally) -> TelemetryReport:
         lam=params.maker_cfg.lam,
         c=params.maker_cfg.c,
         rounds=rounds,
-        maker_moves=tally.maker_moves,
-        breaker_moves=tally.breaker_moves,
-        forced_nonproper=tally.forced,
-        redirected_moves=tally.redirected,
+        maker_moves=len(events),
+        breaker_moves=colored - len(events),
+        forced_nonproper=sum(ev.forced for ev in events),
+        redirected_moves=sum(ev.redirected for ev in events),
         traces=traces,
         summary=_summarize(params, traces),
     )
 
 
 def analyze(
-    log: MoveLog,
-    g: Graph,
-    game_cfg: GameConfig,
-    maker_cfg: MakerConfig | None = None,
+    log: MoveLog, g: Graph, game_cfg: GameConfig, maker_cfg: MakerConfig | None = None
 ) -> TelemetryReport:
     """Recompute the full report from a recorded log, from scratch.
 
-    The records are replayed through a fresh engine state; per-round
+    The records are replayed through a fresh engine state, and per-round
     neighborhood sums are brute-forced from that state at every round
-    boundary rather than maintained incrementally, and good events are
-    filed only once the whole log is replayed.  Raises ValueError when a
-    record breaks the rules (as ``engine.replay`` does) or a Maker record
-    lacks the strategy annotation naming its vertex.
+    boundary rather than maintained incrementally.  Raises ValueError when a
+    record breaks the rules (as ``engine.replay`` does) or, once played, a
+    Maker record lacks the strategy annotation naming its vertex.
     """
     params = _Params(g, game_cfg, maker_cfg or MakerConfig())
     tally = _Tally(params)
     state = new_game(g, game_cfg)
-    events: list[tuple[int, GoodEdgeEvent]] = []
 
     def close_round(r: int) -> None:
         load = state.load
@@ -446,23 +417,20 @@ def analyze(
             if c == 0:
                 sums[x] += load[y]
                 sums[y] += load[x]
-        tally.close_round(r, state, load, sums)
+        tally.close_round(r, state, sums)
 
     for i, rec in enumerate(log):
-        good = None if rec.skip else tally.count(rec, state.load)
         try:
             apply_record(state, rec)
         except IllegalMove as exc:
             raise IllegalMove(f"log record {i}: {exc}") from None
         if rec.skip:
             close_round(rec.round)
-        elif good is not None:
-            events.append(good)
+        else:
+            tally.count(rec, state)
     # a game that ends mid-round contributes a final partial row
     if len(log) and not log[-1].skip:
         close_round(state.round)
-    for v_sel, ev in events:
-        tally.file(v_sel, ev)
     return _build_report(tally)
 
 

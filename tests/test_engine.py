@@ -17,6 +17,7 @@ from gamelab.engine import (
     MODIFIED,
     ONGOING,
     STRICT,
+    VARIANTS,
     GameConfig,
     GameState,
     IllegalMove,
@@ -104,7 +105,7 @@ def random_playout(g: G.Graph, cfg: GameConfig, seed: int, check_every_move: boo
             has_move = s.breaker_has_legal_move()
             must_end = s.breaker_moves_this_turn >= cfg.b or not has_move
             may_end = (
-                s.breaker_moves_this_turn >= 1 or cfg.breaker_may_skip or not has_move
+                s.breaker_moves_this_turn >= 1 or cfg.variant == "skip" or not has_move
             )
             if must_end or (may_end and rng.random() < 0.4):
                 s.end_breaker_turn()
@@ -174,6 +175,13 @@ class TestBasics:
             GameConfig(k=1, b=0)
         with pytest.raises(ValueError):
             GameConfig(k=1, mode="lenient")
+
+    def test_variant_is_named(self):
+        assert VARIANTS == ("skip", "classic")
+        assert GameConfig.skip_variant(k=3) == GameConfig(3, 1, "skip", STRICT)
+        assert GameConfig.classic(k=3, b=2, mode=MODIFIED) == GameConfig(3, 2, "classic", MODIFIED)
+        with pytest.raises(ValueError, match="unknown variant 'x'"):
+            GameConfig(k=3, variant="x")
 
     def test_palette_size_capped(self):
         # no admissible graph has 2 * Delta - 1 above the cap, so no game

@@ -87,7 +87,7 @@ def oracle_value(g: Graph, cfg: GameConfig) -> str:
                     return False
         if (
             state.breaker_moves_this_turn >= 1
-            or cfg.breaker_may_skip
+            or cfg.variant == "skip"
             or not state.breaker_has_legal_move()
         ):
             child = state.clone()
@@ -121,7 +121,7 @@ class TestOracleAgreement:
     @pytest.mark.parametrize("make_cfg", [SKIP, CLASSIC])
     def test_matches_plain_enumeration(self, g, k, b, make_cfg):
         cfg = make_cfg(k=1, b=b)
-        expect = oracle_value(g, GameConfig(k=k, b=b, first_player=cfg.first_player, breaker_may_skip=cfg.breaker_may_skip))
+        expect = oracle_value(g, GameConfig(k=k, b=b, variant=cfg.variant))
         assert solve(g, k, cfg).winner == expect
         assert solve(g, k, cfg, memoize=False).winner == expect
 
@@ -196,7 +196,7 @@ def _random_prefix(g: Graph, cfg: GameConfig, seed: int) -> list[tuple]:
         ]
         may_end = (
             s.breaker_moves_this_turn >= 1
-            or cfg.breaker_may_skip
+            or cfg.variant == "skip"
             or not moves
         )
         if s.breaker_moves_this_turn == cfg.b or not moves or (may_end and rng.random() < 0.4):

@@ -40,7 +40,7 @@ def run_breaker_turn_random(s: GameState, rng: random.Random) -> None:
     while s.turn == BREAKER and not s.game_over():
         has_move = s.breaker_has_legal_move()
         must_end = s.breaker_moves_this_turn >= s.cfg.b or not has_move
-        may_end = s.breaker_moves_this_turn >= 1 or s.cfg.breaker_may_skip or not has_move
+        may_end = s.breaker_moves_this_turn >= 1 or s.cfg.variant == "skip" or not has_move
         if must_end or (may_end and rng.random() < 0.3):
             s.end_breaker_turn()
             return

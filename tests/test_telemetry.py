@@ -22,6 +22,7 @@ from gamelab.engine import (
     GameConfig,
     MoveLog,
     new_game,
+    step,
 )
 from gamelab.breaker import (
     BoxReductionBreaker,
@@ -97,8 +98,25 @@ def brute_rows(g, log):
     return loads, sums, cnts
 
 
+def brute_events(g, log):
+    """Per-vertex good events as (round, edge, pre_load), straight from the
+    records: pre_load counts the colorings at v before the event's record."""
+    colorings = [0] * g.n
+    events = [[] for _ in range(g.n)]
+    for rec in log:
+        if rec.skip:
+            continue
+        if rec.player == MAKER:
+            v = rec.ann["v"]
+            events[v].append((rec.round, rec.edge, colorings[v]))
+        for w in g.edges[rec.edge]:
+            colorings[w] += 1
+    return events
+
+
 def assert_rows_match_oracle(g, cfg, log, live):
-    """Live report == batch report, and their rows == the raw-record oracle."""
+    """Live report == batch report, and their rows, move counts and good
+    events == the raw-record oracle."""
     assert live == analyze(log, g, cfg, MCFG)
     loads, sums, cnts = brute_rows(g, log)
     assert live.rounds == len(loads[0]) - 1
@@ -106,6 +124,15 @@ def assert_rows_match_oracle(g, cfg, log, live):
         assert tr.loads == loads[tr.v]
         assert tr.nbr_sum == sums[tr.v]
         assert tr.nbr_cnt == cnts[tr.v]
+    colorings = [rec for rec in log if not rec.skip]
+    maker_recs = [rec for rec in colorings if rec.player == MAKER]
+    assert live.maker_moves == len(maker_recs)
+    assert live.breaker_moves == sum(rec.player == BREAKER for rec in colorings)
+    assert live.forced_nonproper == sum(bool(rec.ann.get("forced_nonproper")) for rec in maker_recs)
+    assert live.redirected_moves == sum(bool(rec.ann.get("redirected")) for rec in maker_recs)
+    events = brute_events(g, log)
+    for tr in live.traces:
+        assert [(ev.round, ev.edge, ev.pre_load) for ev in tr.good_events] == events[tr.v]
 
 
 def thresholds(mcfg, delta, b):
@@ -308,7 +335,7 @@ class TestLiveEqualsBatch:
             for j, (g, cfg) in enumerate(arenas):
                 maker = DangerRedirectMaker(MCFG, seed=1000 * i + j)
                 breaker = breakers[(i + j) % 3](i)
-                if isinstance(breaker, SkipBreaker) and not cfg.breaker_may_skip:
+                if isinstance(breaker, SkipBreaker) and cfg.variant != "skip":
                     breaker = UniformRandomBreaker(i)
                 s, live = play_instrumented(g, cfg, maker, breaker, MCFG)
                 assert_rows_match_oracle(g, cfg, s.log, live)
@@ -362,6 +389,23 @@ class TestErrors:
         state.apply_move(MAKER, e, c, ann)
         with pytest.raises(ValueError, match="every transition"):
             col.observe(state)
+
+    def test_collector_refuses_unobserved_transitions(self):
+        # the last transition is a Maker move; unobserved, it used to be
+        # dropped from the report (11 Maker moves against analyze's 12)
+        g = random_regular(12, 4, seed=13)
+        cfg = GameConfig.skip_variant(k=7, mode=MODIFIED)
+        maker, breaker = DangerRedirectMaker(MCFG, seed=3), GreedyBlockingBreaker()
+        state = new_game(g, cfg)
+        col = TraceCollector(g, cfg, MCFG)
+        while not state.game_over():
+            step(state, maker, breaker)
+            if not state.game_over():
+                col.observe(state)
+        assert state.log[-1].player == MAKER
+        assert analyze(state.log, g, cfg, MCFG).maker_moves == 12
+        with pytest.raises(ValueError, match="observed 35 of 36 log records"):
+            col.finish(state)
 
     def test_collector_finish_is_final(self):
         g = path(4)
