@@ -391,8 +391,8 @@ class TestErrors:
             col.observe(state)
 
     def test_collector_refuses_unobserved_transitions(self):
-        # the last transition is a Maker move; unobserved, it used to be
-        # dropped from the report (11 Maker moves against analyze's 12)
+        # the last transition, a Maker move, goes unobserved: finish must
+        # refuse rather than report 11 Maker moves against analyze's 12
         g = random_regular(12, 4, seed=13)
         cfg = GameConfig.skip_variant(k=7, mode=MODIFIED)
         maker, breaker = DangerRedirectMaker(MCFG, seed=3), GreedyBlockingBreaker()
