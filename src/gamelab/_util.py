@@ -1,4 +1,4 @@
-"""Shared helpers: seeds, generator forks, confidence intervals, search budgets."""
+"""Shared helpers: seeds, draw tapes, confidence intervals, search budgets."""
 
 from __future__ import annotations
 
@@ -54,16 +54,75 @@ def derive_seed(master: int, *parts: object) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def fork_rng(rng: random.Random) -> random.Random:
-    """A copy of ``rng`` that draws on independently, ``gauss`` included.
+_GROWTH = (32,) * 64  # getrandbits arguments of one growth step: 64 words
 
-    The copy is made by the C constructor with a constant seed, so no OS
-    entropy is read and the Python-level reseed is skipped, then given
-    ``rng``'s state; ``setstate`` also restores the cached ``gauss`` value.
+
+class DrawTape:
+    """The draws of ``random.Random(seed)``, with forks that cost O(1).
+
+    Its 32-bit words (``getrandbits(32)``) are drawn when first needed onto
+    one list that every fork shares; a holder owns only its position, so a
+    fork continues the stream and leaves its origin's alone.  ``randrange``
+    and ``random`` read words as ``random.Random``'s methods do.
     """
-    dup = random.Random.__new__(random.Random, 0)
-    dup.setstate(rng.getstate())
-    return dup
+
+    __slots__ = ("_words", "_draw", "pos")
+
+    def __init__(self, seed: int | None = None) -> None:
+        self._words: list[int] = []
+        self._draw = random.Random(seed).getrandbits
+        self.pos = 0
+
+    def fork(self) -> "DrawTape":
+        dup = object.__new__(DrawTape)
+        dup._words, dup._draw, dup.pos = self._words, self._draw, self.pos
+        return dup
+
+    def _grow(self, end: int) -> None:
+        """Draw words onto the shared list until it holds ``end`` of them."""
+        words = self._words
+        while len(words) < end:
+            words.extend(map(self._draw, _GROWTH))
+
+    def randrange(self, n: int) -> int:
+        """As ``random.Random.randrange(n)``: ``getrandbits(n.bit_length())``,
+        least significant word first, until it falls below n."""
+        if n <= 0:
+            raise ValueError("empty range for randrange()")
+        k = n.bit_length()
+        words, pos = self._words, self.pos
+        if k <= 32:
+            shift = 32 - k
+            while True:
+                try:
+                    r = words[pos] >> shift
+                except IndexError:
+                    self._grow(pos + 1)
+                    continue
+                pos += 1
+                if r < n:
+                    self.pos = pos
+                    return r
+        count = (k + 31) // 32
+        while True:  # several words, the top one shifted down to k bits
+            self._grow(pos + count)
+            *low, top = words[pos : pos + count]
+            pos += count
+            r = top >> (-k % 32)
+            for w in reversed(low):
+                r = r << 32 | w
+            if r < n:
+                self.pos = pos
+                return r
+
+    def random(self) -> float:
+        """As ``random.Random.random()``: 53 bits from two words."""
+        words, pos = self._words, self.pos
+        if len(words) < pos + 2:
+            self._grow(pos + 2)
+        self.pos = pos + 2
+        a, b = words[pos] >> 5, words[pos + 1] >> 6
+        return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0)
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:

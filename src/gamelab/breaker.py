@@ -18,12 +18,11 @@ Annotations written into the move log:
 from __future__ import annotations
 
 import copy
-import random
 from dataclasses import dataclass
 from typing import Sequence
 
 from . import boxgame
-from ._util import StrategyError, fork_rng
+from ._util import DrawTape, StrategyError
 from .engine import BREAKER, MAKER, GameState, uniform_legal_move
 from .goodset import GoodSetCertificate, find_good_set
 from .graph import Graph
@@ -157,10 +156,10 @@ class BoxReductionBreaker:
 class UniformRandomBreaker:
     """Colors uniformly random legal pairs until the bias is spent."""
 
-    position_only = False  # RNG stream
+    position_only = False  # draw tape
 
     def __init__(self, seed: int | None = None) -> None:
-        self.rng = random.Random(seed)
+        self.rng = DrawTape(seed)
 
     def micro_move(self, s: GameState) -> tuple[int, int, None] | None:
         mv = uniform_legal_move(s, self.rng)
@@ -168,7 +167,7 @@ class UniformRandomBreaker:
 
     def clone(self) -> "UniformRandomBreaker":
         dup = copy.copy(self)
-        dup.rng = fork_rng(self.rng)
+        dup.rng = self.rng.fork()
         return dup
 
 

@@ -53,7 +53,8 @@ clone-based oracle and the benchmark's tracer.  The solver's state keeps no
 move log, since nothing it runs reads one; the verifier's does, because
 strategies read it and a counterexample is a copy of it.  The verifier
 forks the scripted strategy lazily: a line shares the strategy of the line
-it branched from until it first asks it for a move.
+it branched from until it first asks it for a move.  A fork copies the
+strategy's memory and its position on a shared draw tape (``DrawTape``).
 """
 
 from __future__ import annotations
@@ -342,9 +343,9 @@ class _Verifier:
         The scripted side's moves are played on ``state`` and taken back
         before returning.  A line borrows the strategy of the line it
         branched from until it first asks the strategy for a move; only
-        then, unless it ``owned`` it, does it fork its own copy (RNG stream
-        and memory).  At every opponent decision point each branch borrows
-        the node's strategy, and the last inherits the node's ownership.
+        then, unless it ``owned`` it, does it fork its own copy (tape
+        position and memory).  At every opponent decision point each branch
+        borrows the node's strategy, and the last inherits its ownership.
         A borrowed strategy is never moved, so each line sees the strategy
         exactly as live play would.  No color-symmetry pruning here: a
         concrete strategy need not be equivariant under palette renaming.
@@ -404,9 +405,10 @@ def verify_strategy(
     full move tree (for Breaker that tree includes every micro-move
     sequence and every legal pass).  Otherwise ``counterexample`` holds the
     move log of one losing line, replayable through the engine.  A line
-    forks the strategy when it first asks it for a move; a strategy without
-    per-game state is its own clone, shared across every line.  Any other
-    caller's strategy is never asked for a move, so it plays the same
+    forks the strategy when it first asks it for a move, which copies the
+    strategy's tape position and memory, not a generator state; a strategy
+    without per-game state is its own clone, shared across every line.  Any
+    other caller's strategy is never asked for a move, so it plays the same
     afterwards.  A strategy whose class sets ``position_only = True``
     promises that its move depends on the position alone (coloring, player
     to move, Breaker's colorings this turn); the search then skips any

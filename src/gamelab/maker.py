@@ -9,19 +9,20 @@ set D(v) of *dangerous* neighbors is frozen once, and from then on a small
 probability q redirects Maker's choice into D(v) so the risky edges at v get
 colored before v's load reaches T3.
 
-All random draws go through a single `random.Random` owned by the strategy,
-in a fixed documented order, so logs replay bit-for-bit from the seed.
+All random draws come from the strategy's `DrawTape`, the words of one
+`random.Random(seed)` shared by every clone, in a fixed documented order
+(see `DangerRedirectMaker`).  They use the words as `random.Random` would,
+so logs replay bit-for-bit from the seed; a clone copies a tape position.
 """
 
 from __future__ import annotations
 
 import copy
 import math
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from ._util import StrategyError, fork_rng
+from ._util import DrawTape, StrategyError
 from .engine import BREAKER, MAKER, MODIFIED, GameState, MoveLog, uniform_legal_move
 
 _INF = math.inf
@@ -199,11 +200,11 @@ class DangerRedirectMaker:
          forced in the modified process).
     """
 
-    position_only = False  # RNG stream, danger memory and the log's last turn
+    position_only = False  # draw tape, danger memory and the log's last turn
 
     def __init__(self, cfg: MakerConfig | None = None, seed: int | None = None) -> None:
         self.cfg = cfg or MakerConfig()
-        self.rng = random.Random(seed)
+        self.rng = DrawTape(seed)
         self.memory = MakerMemory()
         self._bound: tuple[int, int, int] | None = None  # (delta, b, k)
         self._thresholds = (0, 0, 0)
@@ -280,19 +281,19 @@ class DangerRedirectMaker:
         return e, color, ann
 
     def clone(self) -> "DangerRedirectMaker":
-        """Own generator state and memory; constants and bound game shared."""
+        """Own tape position and memory; constants and bound game shared."""
         dup = object.__new__(type(self))
-        dup.__dict__ = {**self.__dict__, "rng": fork_rng(self.rng), "memory": self.memory.copy()}
+        dup.__dict__ = {**self.__dict__, "rng": self.rng.fork(), "memory": self.memory.copy()}
         return dup
 
 
 class UniformRandomMaker:
     """Colors a uniformly random legal (edge, color) pair."""
 
-    position_only = False  # RNG stream
+    position_only = False  # draw tape
 
     def __init__(self, seed: int | None = None) -> None:
-        self.rng = random.Random(seed)
+        self.rng = DrawTape(seed)
 
     def move(self, s: GameState) -> tuple[int, int, dict | None]:
         if s.uncolored == 0:
@@ -308,7 +309,7 @@ class UniformRandomMaker:
 
     def clone(self) -> "UniformRandomMaker":
         dup = copy.copy(self)
-        dup.rng = fork_rng(self.rng)
+        dup.rng = self.rng.fork()
         return dup
 
 

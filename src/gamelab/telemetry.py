@@ -10,7 +10,7 @@ report transposes the rows into per-vertex traces.  For each vertex v:
 * ``t1/t2/t3``: first r with ``loads[r] >= ceil(T_j)`` where
   ``T_j = j*lam*delta/b``,
 * good v-edge events: every Maker record carries an annotation naming the
-  vertex v it played for, making the move's edge a "good v-edge",
+  endpoint v of its edge it played for, making that edge a "good v-edge",
 * window counts: good v-edges colored at rounds r with
   ``loads[r-1] >= ceil(T_{j-1})`` and ``loads[r] < ceil(T_j)`` for
   j in {1,2,3}.  A round that jumps across a window boundary belongs to
@@ -161,20 +161,23 @@ class _Tally:
         self.mem = MakerMemory()
         self.events: list[tuple[int, GoodEdgeEvent]] = []
 
-    def count(self, rec: MoveRecord, state: GameState) -> None:
-        """Count one coloring record, just played on ``state``.
+    def count(self, i: int, rec: MoveRecord, state: GameState) -> None:
+        """Count coloring record i of the log, just played on ``state``.
 
-        A Maker record is a good event of the vertex v its annotation names;
-        v's load before the record is ``state.load[v]``, less the record's
-        own edge if v is one of its endpoints.
+        A Maker record is a good event of the vertex v its annotation names,
+        which must be an endpoint of its edge (else ValueError naming record
+        i); v's load before the record is ``state.load[v]`` less that edge.
         """
         if rec.player != MAKER:
             return
         ann = rec.ann
         v = ann.get("v") if ann else None
-        if type(v) is not int or not 0 <= v < len(state.load):
-            raise ValueError("log missing annotations")
-        pre_load = state.load[v] - (v in state.g.edges[rec.edge])
+        if type(v) is not int:
+            raise ValueError(f"log record {i}: missing annotations")
+        ends = state.g.edges[rec.edge]
+        if v not in ends:
+            raise ValueError(f"log record {i}: annotated vertex {v} is not on edge {ends}")
+        pre_load = state.load[v] - 1
         redirected, forced = bool(ann.get("redirected")), bool(ann.get("forced_nonproper"))
         ev = GoodEdgeEvent(rec.round, rec.edge, rec.color, pre_load, redirected, forced)
         self.events.append((v, ev))
@@ -304,12 +307,13 @@ class TraceCollector:
                 "collector must observe every transition (one new record at "
                 f"a time, got {fresh})"
             )
-        rec = state.log[self._cursor]
+        i = self._cursor
+        rec = state.log[i]
         self._cursor += 1
         if rec.skip:
             self._close_round(rec.round, state)
             return
-        self._tally.count(rec, state)
+        self._tally.count(i, rec, state)
         g, color, load, sums = state.g, state.color, state.load, self._cur_sum
         x, y = g.edges[rec.edge]
         # the edge is colored now: x and y leave each other's Gamma', and
@@ -402,9 +406,9 @@ def analyze(
 
     The records are replayed through a fresh engine state, and per-round
     neighborhood sums are brute-forced from that state at every round
-    boundary rather than maintained incrementally.  Raises ValueError when a
-    record breaks the rules (as ``engine.replay`` does) or, once played, a
-    Maker record lacks the strategy annotation naming its vertex.
+    boundary rather than maintained incrementally.  Raises ValueError naming
+    the record that breaks the rules (as ``engine.replay`` does) or, once
+    played, is a Maker record not annotated with an endpoint of its edge.
     """
     params = _Params(g, game_cfg, maker_cfg or MakerConfig())
     tally = _Tally(params)
@@ -427,7 +431,7 @@ def analyze(
         if rec.skip:
             close_round(rec.round)
         else:
-            tally.count(rec, state)
+            tally.count(i, rec, state)
     # a game that ends mid-round contributes a final partial row
     if len(log) and not log[-1].skip:
         close_round(state.round)

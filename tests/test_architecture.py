@@ -1,6 +1,7 @@
 """Module layering: the library never depends on the command line, and
 every strategy policy defines its own clone and states whether its move
-depends on the position alone."""
+depends on the position alone; a randomized policy draws from a draw
+tape, so forking it copies no generator state."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import gamelab
 from gamelab import breaker, maker
+from gamelab._util import DrawTape
 
 PACKAGE = Path(gamelab.__file__).parent
 
@@ -80,3 +82,22 @@ def test_every_policy_states_whether_it_is_position_only():
     for cls in position_only:
         strategy = cls()
         assert strategy.clone() is strategy, cls.__name__
+
+
+def test_every_randomized_policy_holds_a_draw_tape():
+    # the verifier forks a strategy per line; a tape forks in O(1), and a
+    # generator anywhere else would bring back copying its whole state
+    randomized = [cls() for cls in policies() if not cls.position_only]
+    with_rng = [p for p in randomized if hasattr(p, "rng")]
+    assert len(with_rng) >= 3
+    assert [type(p).__name__ for p in with_rng if type(p.rng) is not DrawTape] == []
+
+
+def test_no_module_copies_a_generator_state():
+    calls = [
+        f"{p.name}:{node.lineno}"
+        for p in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(p.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in ("getstate", "setstate")
+    ]
+    assert calls == []

@@ -31,6 +31,7 @@ from gamelab.engine import (
 )
 from gamelab.goodset import find_good_set
 from gamelab.maker import GreedyMaker, UniformRandomMaker
+from helpers import edge_distance
 
 
 def map_edge_to_box(g: G.Graph, F, e: int) -> int:
@@ -38,7 +39,7 @@ def map_edge_to_box(g: G.Graph, F, e: int) -> int:
     edge e (lowest index on ties), one BFS per member."""
     best, best_d = -1, None
     for j, f in enumerate(F):
-        d = G.edge_distance(g, f, e)
+        d = edge_distance(g, f, e)
         if best_d is None or d < best_d:
             best, best_d = j, d
     return best

@@ -264,7 +264,23 @@ class TestBadInput:
         log.write_text(self.GOOD + '{"r":2,"p":"M","e":[0,1],"c":1,"ann":{"v":"x"}}\n')
         rc = main(["telemetry", "--log", str(log), "--graph", "cycle:5", "--k", "3"])
         assert rc == 2
-        assert capsys.readouterr().err == "error: log missing annotations\n"
+        assert capsys.readouterr().err == "error: log record 1: missing annotations\n"
+
+    def test_maker_record_annotated_off_its_edge(self, tmp_path, capsys):
+        g = cycle(8)
+        cfg = GameConfig.skip_variant(k=3, mode=MODIFIED)
+        s = play_game(g, cfg, make_maker("paper", 0), make_breaker("greedy", 0))
+        rec = s.log[2]
+        assert (g.edges[rec.edge], rec.ann["v"]) == ((0, 7), 0)
+        records = list(s.log)
+        records[2] = dataclasses.replace(rec, ann={**rec.ann, "v": 1})
+        log = tmp_path / "moved.jsonl"
+        log.write_text(MoveLog(records).to_jsonl(g))
+        rc = main(["telemetry", "--log", str(log), "--graph", "cycle:8", "--k", "3"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: log record 2: annotated vertex 1 is not on edge (0, 7)\n"
+        )
 
     @pytest.mark.parametrize("which", ["missing log", "log is a directory", "graph is a directory"])
     def test_unreadable_file(self, tmp_path, capsys, which):

@@ -17,6 +17,7 @@ from gamelab.goodset import (
     reduction_vertex_bound,
 )
 from gamelab.match import mixed_corpus
+from helpers import edge_distance
 
 
 def good_set_problems(g: G.Graph, edges) -> list[str]:
@@ -37,7 +38,7 @@ def good_set_problems(g: G.Graph, edges) -> list[str]:
     clean = sorted(e for e in seen if 0 <= e < g.m)
     for i, e in enumerate(clean):
         for f in clean[i + 1 :]:
-            d = G.edge_distance(g, e, f)
+            d = edge_distance(g, e, f)
             if d < 4:
                 problems.append(f"edges {e} and {f} are at distance {d} < 4")
     return problems
@@ -61,7 +62,7 @@ def brute_force_good_sets(g: G.Graph, size: int) -> list[tuple[int, ...]]:
     out = []
     for combo in itertools.combinations(eligible, size):
         if all(
-            G.edge_distance(g, e, f) >= 4
+            edge_distance(g, e, f) >= 4
             for i, e in enumerate(combo)
             for f in combo[i + 1 :]
         ):
@@ -120,7 +121,7 @@ class TestGreedy:
                 tuple(g.vertex_distances(g.edges[e])) for e in cert.edges
             )
             assert cert.pair_distances == tuple(
-                (e, f, G.edge_distance(g, e, f))
+                (e, f, edge_distance(g, e, f))
                 for i, e in enumerate(cert.edges)
                 for f in cert.edges[i + 1 :]
             )

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gamelab import graph as G
-from gamelab.graph import Graph, GraphError, edge_distance
+from gamelab.graph import Graph, GraphError
+from helpers import edge_distance
 
 
 def allpairs_dist(g: Graph) -> list[list[float]]:

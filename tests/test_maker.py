@@ -7,9 +7,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gamelab import graph as G
-from gamelab._util import StrategyError, fork_rng
+from gamelab._util import DrawTape, StrategyError
 from gamelab.breaker import (
     BoxReductionBreaker,
     GreedyBlockingBreaker,
@@ -371,20 +373,6 @@ class TestCloneDeterminism:
             assert ask(dup) == expected  # the clone continues the stream
             assert ask(original) == expected  # and leaves the original's alone
 
-    def test_fork_rng_continues_the_stream_gauss_included(self):
-        def draws(r):
-            return [r.gauss(0, 1), r.random(), r.randrange(1000), r.gauss(0, 1), r.gauss(0, 1)]
-
-        rng, twin = random.Random(7), random.Random(7)
-        for r in (rng, twin):
-            r.random()
-            r.gauss(0, 1)  # caches the second normal of its pair
-        assert rng.getstate()[2] is not None
-        dup = fork_rng(rng)
-        expected = draws(twin)
-        assert draws(dup) == expected  # the cached normal comes first
-        assert draws(rng) == expected  # drawing from the fork left rng alone
-
     def test_stateless_policies_are_their_own_clone(self):
         for policy in (GreedyMaker(), GreedyBlockingBreaker(), SkipBreaker(), BoxReductionBreaker()):
             assert policy.clone() is policy
@@ -395,6 +383,45 @@ class TestCloneDeterminism:
         s1 = play_full_game(g, cfg, DangerRedirectMaker(seed=7), seed=70)
         s2 = play_full_game(g, cfg, DangerRedirectMaker(seed=7), seed=70)
         assert s1.log == s2.log  # same moves, annotations included
+
+
+TAPE_RANGES = (1, 2, 3, 2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**40, 10**11)
+
+
+def tape_draws(r, ops) -> list:
+    """``random()`` for each None in ``ops``, else ``randrange(n)``."""
+    return [r.random() if n is None else r.randrange(n) for n in ops]
+
+
+class TestDrawTape:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 2**64 - 1),
+        st.lists(st.none() | st.sampled_from(TAPE_RANGES), max_size=120),
+    )
+    def test_draws_equal_the_generators(self, seed, ops):
+        assert tape_draws(DrawTape(seed), ops) == tape_draws(random.Random(seed), ops)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_empty_range_raises_like_the_generator(self, n):
+        with pytest.raises(ValueError):
+            random.Random(0).randrange(n)
+        with pytest.raises(ValueError, match="empty range"):
+            DrawTape(0).randrange(n)
+
+    def test_fork_continues_the_stream_and_leaves_the_original_alone(self):
+        ops = [None, 3, 2**40, None, 10**11, 1, 2**32 + 1, 2**31] * 4
+        at_end = 0
+        for prefix in range(140):
+            tape, twin = DrawTape(prefix), random.Random(prefix)
+            assert tape_draws(tape, [2**32 - 1] * prefix) == tape_draws(twin, [2**32 - 1] * prefix)
+            # with every drawn word read, the fork is first to draw new ones
+            at_end += tape.pos == len(tape._words)
+            dup = tape.fork()
+            expected = tape_draws(twin, ops)
+            assert tape_draws(dup, ops) == expected
+            assert tape_draws(tape, ops) == expected
+        assert at_end >= 2
 
 
 class TestBaselines:

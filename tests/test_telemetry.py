@@ -378,6 +378,23 @@ class TestErrors:
         with pytest.raises(ValueError, match="log record 0: expected round 1, record says 8"):
             analyze(shifted, g, cfg, MCFG)
 
+    def test_annotation_off_the_edge_rejected(self):
+        # record 2 is Maker's (0, 7) for v = 0; naming vertex 1 instead used
+        # to file (0, 7) among vertex 1's good events
+        g = cycle(8)
+        cfg = GameConfig.skip_variant(k=3, mode=MODIFIED)
+        s, _ = play_instrumented(
+            g, cfg, DangerRedirectMaker(MCFG, seed=0), GreedyBlockingBreaker(), MCFG
+        )
+        rec = s.log[2]
+        assert (rec.player, g.edges[rec.edge], rec.ann["v"]) == (MAKER, (0, 7), 0)
+        bad = MoveLog(list(s.log))
+        bad.records[2] = dataclasses.replace(rec, ann={**rec.ann, "v": 1})
+        with pytest.raises(
+            ValueError, match=r"^log record 2: annotated vertex 1 is not on edge \(0, 7\)$"
+        ):
+            analyze(bad, g, cfg, MCFG)
+
     def test_collector_requires_every_transition(self):
         g = path(4)
         cfg = GameConfig.skip_variant(k=3)
