@@ -13,8 +13,7 @@ threshold ``box_threshold(s, b)`` defined by the recurrence
     f(1, b) = 0,        f(s, b) = floor(s / (s - 1) * (f(s - 1, b) + b)).
 
 The module exposes the threshold, the closed-form criterion, an exact minimax
-solver used to validate it, and Bob's explicit strategy with an
-exhaustive check of it.
+solver used to validate it, and Bob's explicit strategy.
 """
 
 from __future__ import annotations
@@ -242,37 +241,3 @@ def bob_strategy(state: BoxGameState) -> int | None:
     if state.remaining[smallest] <= state.claims_left:
         return smallest
     return largest
-
-
-def verify_bob_strategy(
-    sizes: Sequence[int],
-    b: int,
-    first: str = ALICE,
-    budget: int | None = None,
-) -> tuple[bool, int]:
-    """Check that the scripted Bob beats *every* Alice line.
-
-    Returns (sound, nodes).  Alice's choices are enumerated up to box
-    equivalence (same remaining count and touch flag); Bob follows
-    ``bob_strategy``.
-    """
-    nodes = NodeBudget(budget, "box-strategy verifier")
-
-    def visit(state: BoxGameState) -> bool:
-        nodes.tick()
-        w = state.winner()
-        if w is not None:
-            return w == BOB_WON
-        if state.turn == BOB:
-            nxt = state.clone()
-            while nxt.winner() is None and nxt.turn == BOB:
-                choice = bob_strategy(nxt)
-                if choice is None:
-                    nxt.end_bob_turn()
-                else:
-                    nxt.bob_claim(choice)
-            return visit(nxt)
-        return all(map(visit, _children(state)))
-
-    root = BoxGameState.new(sizes, b, first=first)
-    return visit(root), nodes.nodes

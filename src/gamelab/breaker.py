@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
+from itertools import compress, islice
 from typing import Sequence
 
 from . import boxgame
@@ -181,21 +182,73 @@ class GreedyBlockingBreaker:
     edge down to the old minimum.  The first case looks only at the edges
     around the minimum edges: the lowest edge sharing a free color with one
     of them, colored with the lowest such color.
+
+    The instance keeps each edge's available colors and their count, read
+    from the state it last saw.  A colored edge has no colors and the count
+    k + 1, so the minimum count is one ``min``.  When that state has only
+    grown its trail since, only the edges at the endpoints of the newly
+    colored edges are read again; any other state, or an ``undo`` below the
+    last read, rebuilds both lists.  They are derived from the position, so
+    the move still depends on the position alone.
     """
 
     position_only = True
 
+    def __init__(self) -> None:
+        self._state: GameState | None = None  # the state last read
+        self._depth = 0  # its trail length then
+        self._top: tuple | None = None  # and the trail entry then on top
+        self._avail: list[int] = []
+        self._count: list[int] = []
+
+    def _read(self, s: GameState) -> tuple[list[int], list[int]]:
+        """Bring ``_avail`` and ``_count`` up to date with s."""
+        g, trail, depth = s.g, s.trail, self._depth
+        full, umask, color = s.full_mask, s.umask, s.color
+        colored = s.cfg.k + 1  # the count of a colored edge
+        # every transition pushes a fresh tuple and undo pops it, so an
+        # unmoved top entry means the trail below it is unchanged as well
+        grown = len(trail) >= depth and (not depth or trail[depth - 1] is self._top)
+        if s is self._state and grown:
+            avail, count = self._avail, self._count
+            edges, incident = g.edges, g.incident
+            for i in range(depth, len(trail)):
+                e = trail[i][0]
+                if e is None:  # an end of turn
+                    continue
+                # coloring e with c took c from every edge at its endpoints
+                avail[e], count[e] = 0, colored
+                bit = 1 << (color[e] - 1)
+                for w in edges[e]:
+                    for f in incident[w]:
+                        a = avail[f]
+                        if a & bit:
+                            avail[f] = a ^ bit
+                            count[f] -= 1
+        else:
+            free = [full & ~used for used in umask]
+            avail = self._avail = [
+                0 if c else free[u] & free[v] for c, (u, v) in zip(color, g.edges)
+            ]
+            count = self._count = [colored if c else a.bit_count() for c, a in zip(color, avail)]
+            self._state = s
+        self._depth = len(trail)
+        self._top = trail[-1] if trail else None
+        return avail, count
+
     def micro_move(self, s: GameState) -> tuple[int, int, dict | None] | None:
+        avail, count = self._read(s)
+        m = min(count, default=s.cfg.k + 1)
+        if m > s.cfg.k:  # every edge is colored
+            return None
         g = s.g
         color, edges, incident = s.color, g.edges, g.incident
-        uncolored = [e for e in range(g.m) if not color[e]]
-        if not uncolored:
-            return None
-        free = [s.full_mask & ~used for used in s.umask]
-        avail = [free[u] & free[v] for u, v in edges]
-        counts = [avail[e].bit_count() for e in uncolored]
-        m = min(counts)
-        min_edges = [e for e, n in zip(uncolored, counts) if n == m]
+        min_edges = [count.index(m)]
+        try:
+            while True:
+                min_edges.append(count.index(m, min_edges[-1] + 1))
+        except ValueError:  # no minimum edge above the last one
+            pass
         # phase one: reduce the minimum; near[e] holds the colors e shares
         # with the minimum edges around it
         near: dict[int, int] = {}
@@ -209,30 +262,29 @@ class GreedyBlockingBreaker:
             hit = avail[e] & near[e]
             if hit:
                 return e, (hit & -hit).bit_length(), None
-        # phase two: preserve the minimum
-        legal = [e for e in uncolored if avail[e]]
+        # phase two: preserve the minimum; the two lowest legal edges decide
+        legal = list(islice(compress(range(g.m), avail), 2))
         if not legal:
             return None
         e0 = legal[0]
         if len(min_edges) > 1 or e0 != min_edges[0]:
             return e0, (avail[e0] & -avail[e0]).bit_length(), None
         # e0 is the unique minimum: only color it if that knocks a
-        # second-lowest neighbor down to the old minimum
+        # second-lowest neighbor down to the old minimum (a colored
+        # neighbor adds no colors to the mask)
         x, y = edges[e0]
         mask = 0
         for f in incident[x] + incident[y]:
-            if f != e0 and not color[f] and avail[f].bit_count() == m + 1:
+            if count[f] == m + 1:
                 mask |= avail[f]
         hit = avail[e0] & mask
         if hit:
             return e0, (hit & -hit).bit_length(), None
-        if len(legal) > 1:
-            e = legal[1]
-            return e, (avail[e] & -avail[e]).bit_length(), None
-        return e0, (avail[e0] & -avail[e0]).bit_length(), None
+        e = legal[-1]
+        return e, (avail[e] & -avail[e]).bit_length(), None
 
     def clone(self) -> "GreedyBlockingBreaker":
-        return self  # no per-game state
+        return self  # holds only data derived from the position it last read
 
 
 class SkipBreaker:

@@ -37,9 +37,17 @@ from .match import play_game  # noqa: F401
 from .telemetry import analyze, summary_json, to_csv
 
 
+def _int(text: str, name: str) -> int:
+    """``int(text)``, with an error that names the argument it came from."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{name}: {text!r} is not an integer") from None
+
+
 def master_seed(arg_seed: int) -> int:
     env = os.environ.get("GAMELAB_SEED")
-    return int(env) if env is not None else arg_seed
+    return _int(env, "GAMELAB_SEED") if env is not None else arg_seed
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -113,7 +121,7 @@ def cmd_play(args) -> int:
 
 
 def cmd_boxgame(args) -> int:
-    sizes = [int(x) for x in args.sizes.split(",") if x.strip()]
+    sizes = [_int(x, "--sizes") for x in args.sizes.split(",") if x.strip()]
     if not sizes:
         raise ValueError("need at least one box size")
     doc: dict = {
@@ -182,7 +190,7 @@ def cmd_accept(args) -> int:
 
     only = None
     if args.only:
-        only = sorted({int(x) for x in args.only.split(",") if x.strip()})
+        only = sorted({_int(x, "--only") for x in args.only.split(",") if x.strip()})
         if not only:
             raise ValueError("need at least one criterion number")
         for n in only:

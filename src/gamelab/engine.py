@@ -171,13 +171,17 @@ class GameState:
     ``umask[v]`` is the bitmask of colors used at v (bit i = color i+1), kept
     for the blocked-edge check, and ``load[v]`` the number of colored edges at
     v.  Anything else a strategy or a report needs, such as the uncolored
-    neighborhoods or Breaker's last turn, it derives from ``color`` or ``log``.
+    neighborhoods or Breaker's last turn, it derives from ``color``, ``log``
+    or ``trail``.
 
-    Every transition pushes onto ``trail`` what it overwrote, and ``undo``
-    takes the last one back, so a search plays and takes back positions on
-    one state.  ``apply_move`` and ``end_breaker_turn`` check a move against
-    the rules, then commit it with ``_commit`` or ``_close_turn``; a search
-    whose generator yields only legal moves commits them directly.
+    Every transition pushes onto ``trail`` one new tuple of what it
+    overwrote, whose first field is the colored edge, or None for an end of
+    turn, and ``undo`` pops it again, so a search plays and takes back
+    positions on one state.  A strategy may therefore keep data derived at
+    one trail entry and catch up on the entries pushed above it.
+    ``apply_move`` and ``end_breaker_turn`` check a move against the rules,
+    then commit it with ``_commit`` or ``_close_turn``; a search whose
+    generator yields only legal moves commits them directly.
     ``log=False`` keeps no move log (``log`` is None), for a search that runs
     no strategy.  ``clone`` remains for the tests' clone-based oracle and the
     benchmark's tracer.

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+from typing import Sequence
+
+from gamelab._util import NodeBudget
+from gamelab.boxgame import ALICE, BOB, BOB_WON, BoxGameState, _children, bob_strategy
 from gamelab.graph import Graph
 
 
@@ -15,3 +19,37 @@ def edge_distance(g: Graph, e: int, f: int) -> float:
     fu, fv = g.endpoints(f)
     dist = g.vertex_distances((eu, ev))
     return min(dist[fu], dist[fv])
+
+
+def verify_bob_strategy(
+    sizes: Sequence[int],
+    b: int,
+    first: str = ALICE,
+    budget: int | None = None,
+) -> tuple[bool, int]:
+    """Check that the scripted Bob beats *every* Alice line.
+
+    Returns (sound, nodes).  Alice's choices are enumerated up to box
+    equivalence (same remaining count and touch flag); Bob follows
+    ``bob_strategy``.
+    """
+    nodes = NodeBudget(budget, "box-strategy verifier")
+
+    def visit(state: BoxGameState) -> bool:
+        nodes.tick()
+        w = state.winner()
+        if w is not None:
+            return w == BOB_WON
+        if state.turn == BOB:
+            nxt = state.clone()
+            while nxt.winner() is None and nxt.turn == BOB:
+                choice = bob_strategy(nxt)
+                if choice is None:
+                    nxt.end_bob_turn()
+                else:
+                    nxt.bob_claim(choice)
+            return visit(nxt)
+        return all(map(visit, _children(state)))
+
+    root = BoxGameState.new(sizes, b, first=first)
+    return visit(root), nodes.nodes

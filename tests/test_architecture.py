@@ -74,8 +74,9 @@ def test_every_policy_defines_its_own_clone():
 
 def test_every_policy_states_whether_it_is_position_only():
     # the verifier memoizes proven-sound positions only for position-only
-    # strategies; such a strategy holds no per-game state, so it is its own
-    # clone, and a subclass must state the claim again rather than inherit it
+    # strategies; such a strategy holds only data derived from the position,
+    # so it is its own clone, and a subclass must state the claim again
+    # rather than inherit it
     assert [cls.__name__ for cls in policies() if "position_only" not in vars(cls)] == []
     position_only = [cls for cls in policies() if cls.position_only]
     assert position_only

@@ -22,8 +22,8 @@ from gamelab.boxgame import (
     is_near_uniform,
     solve_boxgame,
     threshold_lower_bound,
-    verify_bob_strategy,
 )
+from helpers import verify_bob_strategy
 
 
 def oracle_threshold(s: int, b: int) -> int:

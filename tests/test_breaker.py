@@ -429,6 +429,44 @@ class TestGreedyOracle:
                 assert br.micro_move(s) == greedy_oracle(s)[0]
             random_transition(s, rng)
 
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_full_scan_across_undo_and_states(self, data):
+        """The verifier's access pattern: one instance serves two live
+        states, one first cloned from the other, that play, take moves
+        back and play on."""
+        g = data.draw(st.sampled_from(FUZZ_GRAPHS), label="graph")
+        variant = data.draw(st.sampled_from([GameConfig.skip_variant, GameConfig.classic]))
+        cfg = variant(
+            k=data.draw(st.integers(1, 2 * g.max_degree + 1), label="k"),
+            b=data.draw(st.integers(1, 3), label="b"),
+            mode=data.draw(st.sampled_from([STRICT, MODIFIED]), label="mode"),
+        )
+        rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+        br = GreedyBlockingBreaker()
+
+        def check(s: GameState) -> None:
+            if not s.game_over() and s.turn == BREAKER and s.breaker_moves_this_turn < cfg.b:
+                assert br.micro_move(s) == greedy_oracle(s)[0]
+
+        first = new_game(g, cfg)
+        for _ in range(data.draw(st.integers(0, g.m), label="shared opening")):
+            if first.game_over():
+                break
+            random_transition(first, rng)
+            check(first)
+        # the clone shares the trail's entries but is another state
+        states = (first, first.clone())
+        steps = st.tuples(st.integers(0, 1), st.one_of(st.just(0), st.integers(1, 4)))
+        for which, undos in data.draw(st.lists(steps, max_size=40), label="steps"):
+            s = states[which]
+            if undos:
+                for _ in range(min(undos, len(s.trail))):
+                    s.undo()
+            elif not s.game_over():
+                random_transition(s, rng)
+            check(s)
+
     def test_seeded_positions_reach_every_case(self):
         # the same comparison on seeded playouts, which must reach every case
         cases = {"reduce": 0, "preserve": 0, "unique": 0}

@@ -325,6 +325,24 @@ class TestBadInput:
         assert rc == 2
         assert err.startswith("error: need at least one ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (["accept", "--only", "x"], "--only: 'x' is not an integer"),
+            (["accept", "--only", "1,x"], "--only: 'x' is not an integer"),
+            (["boxgame", "--sizes", "a"], "--sizes: 'a' is not an integer"),
+            (["boxgame", "--sizes", "2,2.5"], "--sizes: '2.5' is not an integer"),
+        ],
+    )
+    def test_integer_list_item_names_its_argument(self, capsys, argv, err):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {err}\n")
+
+    def test_env_seed_names_the_variable(self, capsys, monkeypatch):
+        monkeypatch.setenv("GAMELAB_SEED", "abc")
+        assert main(["play", "--graph", "cycle:5", "--k", "3"]) == 2
+        assert capsys.readouterr() == ("", "error: GAMELAB_SEED: 'abc' is not an integer\n")
+
     @pytest.mark.parametrize("spec", ["cycle:100001", "gnp:1415:0.0:1", "tree:30:100000000"])
     def test_generator_over_size_cap(self, capsys, spec):
         rc = main(["gen", spec])

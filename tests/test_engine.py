@@ -421,3 +421,43 @@ class TestUndo:
             assert_tables_consistent(s)
         assert s.trail == []
         assert snapshot(s) == snapshot(new_game(g, cfg))
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_each_transition_pushes_one_fresh_entry(self, data):
+        """The trail contract that incremental strategy state relies on:
+        each transition, checked or not, pushes one new tuple whose first
+        field is the colored edge (None for an end of turn); undo pops one."""
+        g = data.draw(st.sampled_from(FUZZ_GRAPHS), label="graph")
+        variant = data.draw(st.sampled_from([GameConfig.skip_variant, GameConfig.classic]))
+        cfg = variant(
+            k=data.draw(st.integers(2, 5), label="k"),
+            b=data.draw(st.integers(1, 3), label="b"),
+            mode=data.draw(st.sampled_from([STRICT, MODIFIED]), label="mode"),
+        )
+        s = GameState(g, cfg, log=data.draw(st.booleans(), label="keep_log"))
+        pushed = []  # every entry ever pushed, alive, so none can come back
+        for _ in range(60):
+            if s.game_over():
+                break
+            before = list(s.trail)
+            if before and data.draw(st.integers(0, 3), label="undo") == 0:
+                s.undo()
+                assert len(s.trail) == len(before) - 1
+                assert all(a is b for a, b in zip(s.trail, before))
+                continue
+            mv = data.draw(st.sampled_from(legal_transitions(s)), label="move")
+            checked = data.draw(st.booleans(), label="checked")
+            if mv is None:
+                s.end_breaker_turn() if checked else s._close_turn()
+            elif checked:
+                s.apply_move(s.turn, *mv)
+            else:
+                s._commit(*mv)
+            assert len(s.trail) == len(before) + 1
+            assert all(a is b for a, b in zip(s.trail, before))
+            top = s.trail[-1]
+            assert type(top) is tuple
+            assert top[0] == (None if mv is None else mv[0])
+            assert all(top is not old for old in pushed)
+            pushed.append(top)

@@ -12,6 +12,8 @@ one-move block is a Breaker win, settled without expanding the node.  The
 values stayed; the trees shrank (cycle:7 skip 1581 -> 13, cycle:9 classic
 3757 -> 11, K_3,3 28494 -> 6810, star:4 with b = 2 88 -> 4).  The verifier
 has no such cuts, so its counts and the counterexample did not move.
+The greedy-Breaker log digests were taken before the greedy Breaker
+kept its edge availability up to date from the engine's trail.
 The whole module runs in a few seconds.
 """
 
@@ -22,14 +24,16 @@ import hashlib
 import pytest
 
 from gamelab import acceptance
-from gamelab._util import BudgetExceeded
-from gamelab.boxgame import ALICE, BOB, solve_boxgame, verify_bob_strategy
-from gamelab.breaker import BoxReductionBreaker
+from gamelab._util import BudgetExceeded, derive_seed
+from gamelab.boxgame import ALICE, BOB, solve_boxgame
+from gamelab.breaker import BoxReductionBreaker, GreedyBlockingBreaker
 from gamelab.cli import ExperimentSpec, run_match
 from gamelab.engine import BREAKER, MAKER, MODIFIED, GameConfig
 from gamelab.exact import game_chromatic_index, verify_strategy
 from gamelab.graph import generate
-from gamelab.maker import UniformRandomMaker
+from gamelab.maker import DangerRedirectMaker, MakerConfig, UniformRandomMaker
+from gamelab.match import play_game
+from helpers import verify_bob_strategy
 
 
 def sha256(text: str) -> str:
@@ -91,6 +95,26 @@ def test_match_report_digest(maker, breaker):
         k=5, b=2, mode=MODIFIED, trials=8, seed=0,
     )
     assert sha256(run_match(spec).to_json()) == MATCH_DIGESTS[maker, breaker]
+
+
+# Whole move logs of the paper Maker against the greedy Breaker on the
+# criterion-9 graph, so that any changed greedy-Breaker move shows; the
+# match reports above hold aggregates only.
+GREEDY_LOG_DIGESTS = {
+    (32, 0): "7d793e9fde517cf41df7b5f9804e7d9860a21f8d4ddeaad1ba80acd6fab913d6",
+    (32, 1): "4f869e4fa7cdd0ec73b09c16be49341e04e8ae4be6cb402e5bf5c026ec6f9d16",
+    (30, 0): "143fedf52bb9fb43c578fa4089e5d6880aaf430fc85ad32464171fcb2a452358",
+    (30, 1): "721587fa7242d18014ee8fac9f2887b23a2c77d57f60cf659732b760c986c9d5",
+}
+
+
+@pytest.mark.parametrize("k, game", sorted(GREEDY_LOG_DIGESTS))
+def test_paper_maker_vs_greedy_breaker_log_digest(k, game):
+    g = generate("random_regular:64:16:1")
+    cfg = GameConfig.skip_variant(k=k, mode=MODIFIED)
+    maker = DangerRedirectMaker(MakerConfig(), seed=derive_seed(0, "greedy-log", k, game))
+    s = play_game(g, cfg, maker, GreedyBlockingBreaker())
+    assert sha256(s.log.to_jsonl(g)) == GREEDY_LOG_DIGESTS[k, game]
 
 
 def test_criterion_7_report_digest():
