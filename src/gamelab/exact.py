@@ -10,15 +10,24 @@ reductions keep the tree tractable:
   lowest of them is tried; any two globally-fresh colors lead to positions
   that differ by a color permutation and therefore have the same value.
 * transposition table (``memoize=True``) -- positions are cached under a
-  color-permutation-invariant key, one int.  The solver keeps, for each
-  color, the bitmask of the edges carrying it, setting the bit when it
-  plays a coloring and clearing it when it takes the coloring back.
-  Classes of distinct colors are disjoint, so the sorted masks determine
-  the coloring up to a palette permutation, and with it how many colors
-  are unused.  They are packed in m-bit fields, and the turn phase (Breaker
-  colorings spent this turn, player to move) is folded in below them.  The
-  round number never affects what moves are legal, so it is deliberately
-  absent from the key.
+  key invariant under palette permutations and graph automorphisms, one
+  int.  For each color the solver keeps the bitmask of the edges carrying
+  it, moved by each edge permutation of ``Graph.edge_automorphisms``,
+  setting the bits when it plays a coloring and restoring the masks when it
+  takes the coloring back.  Classes of distinct colors are disjoint, so the
+  sorted masks of one permutation determine the moved coloring up to a
+  palette permutation; the least of these lists, packed in m-bit fields,
+  is the key, with the turn phase (Breaker colorings spent this turn,
+  player to move) folded in below it.  The key is sound for any set S of
+  automorphisms that holds the identity, the whole group or not: equal keys
+  mean s1 C1 = s2 C2 up to palette for some s1, s2 in S, so C1 is the image
+  of C2 under the automorphism s1^-1 s2 and has its value.  That is why
+  the enumeration may stop at its cap (``MAX_EDGE_AUTOMORPHISMS``, which
+  keeps the whole group of K_5) or at its step bound.  The permutations
+  are built once per graph, when a memoizing solve first expands its root,
+  so a solve settled at the root by a cut builds none.  The round number
+  never affects what moves are legal, so it is deliberately absent from
+  the key.
 * trivial-bound cuts -- the pass that counts each uncolored edge's
   available colors for the move order also settles two kinds of node
   without expanding them; the value goes into the table like any other.
@@ -33,8 +42,8 @@ reductions keep the tree tractable:
   uncolored neighbour f != e can take c; coloring f with c blocks e.
 
 ``memoize=False`` runs the same recursion, cuts included, without the
-table and without the color masks; agreement of the two modes is the
-standard self-check for the key.  ``verify_strategy`` has no cuts: on a
+table, the color masks or the automorphisms; agreement of the two modes is
+the standard self-check for the key.  ``verify_strategy`` has no cuts: on a
 safe board any legal Maker strategy wins, but the verifier also certifies
 that the strategy moves legally on every line, so it plays each line out.
 It has a memo instead, for a strategy whose class sets ``position_only``:
@@ -60,6 +69,7 @@ strategy's memory and its position on a shared draw tape (``DrawTape``).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from operator import or_
 from struct import Struct
 from typing import Iterable, Iterator
 
@@ -184,28 +194,49 @@ class _Solver:
     def __init__(self, state: GameState, memoize: bool, budget: int | None) -> None:
         self.budget = NodeBudget(budget, "solve")
         self.table: dict[int, bool] | None = {} if memoize else None
-        self.m = m = state.g.m
+        self.m = state.g.m
         self.deg = [len(inc) for inc in state.g.incident]
-        # classes[c]: bitmask of the edges colored c.  A fresh color is the
-        # lowest unused one, so only colors 1..min(k, m) ever appear;
-        # classes[0] stays 0.
-        self.classes = [0] * (min(state.cfg.k, m) + 1) if memoize else None
+        # classes[c - 1][i]: bitmask of the images, under the i-th symmetry
+        # of Graph.edge_automorphisms (the identity is i = 0), of the edges
+        # colored c; images[e][i]: the bit of e's image.  Both are loaded
+        # when a memoizing solve expands its root.
+        self.classes: list[list[int]] | None = None
+        self.images: list[list[int]] = []
+
+    def load(self, state: GameState) -> None:
+        """Build the class lists of ``state``'s coloring.  A fresh color is
+        the lowest unused one, so the search adds none above min(k, m)."""
+        perms = state.g.edge_automorphisms()
+        self.images = images = [[1 << p[e] for p in perms] for e in range(self.m)]
+        size = max(min(state.cfg.k, self.m), *state.color)
+        self.classes = classes = [[0] * len(perms) for _ in range(size)]
+        for e, c in enumerate(state.color):
+            if c:
+                classes[c - 1] = list(map(or_, classes[c - 1], images[e]))
+
+    def key(self, state: GameState) -> int:
+        """The table key: the least, over the symmetries, of the sorted
+        classes packed in m-bit fields, then the turn phase.  Only the
+        colors on the board are listed (an empty class would pack to a
+        leading zero); the lists then have one length and their fields fit
+        in m bits, so the least list packs to the least int."""
+        m = self.m
+        key = 0
+        on_board = [masks for masks in self.classes if masks[0]]
+        for mask in min(map(sorted, zip(*on_board)), default=()):
+            key = key << m | mask
+        return (key * state.cfg.b + state.breaker_moves_this_turn) * 2 + (
+            state.turn == BREAKER
+        )
 
     def maker_wins(self, state: GameState, used: int) -> bool:
         self.budget.tick()
         w = state.winner()
         if w != ONGOING:
             return w == MAKER_WON
-        m = self.m
-        classes = self.classes
-        if classes is not None:
-            # the sorted classes in m-bit fields, then the turn phase
-            key = 0
-            for mask in sorted(classes):
-                key = key << m | mask
-            key = (key * state.cfg.b + state.breaker_moves_this_turn) * 2 + (
-                state.turn == BREAKER
-            )
+        key = None
+        if self.classes is not None:
+            key = self.key(state)
             hit = self.table.get(key)
             if hit is not None:
                 return hit
@@ -218,7 +249,7 @@ class _Solver:
         full = state.full_mask
         order = []
         safe = True
-        for e in range(m):
+        for e in range(self.m):
             if color[e] == 0:
                 u, v = edges[e]
                 a = (full & ~(umask[u] | umask[v])).bit_count()
@@ -235,14 +266,19 @@ class _Solver:
             if not mover_value and _one_move_block(state, order):
                 val = False
             else:
+                if self.table is not None and self.classes is None:
+                    # the root: no descendant repeats it, so it needs no key
+                    self.load(state)
+                classes, images = self.classes, self.images
                 val = not mover_value
                 for e, bit in _moves(state, [e for _, e in order], used):
                     plies = _play(state, e, bit)
                     if classes is not None and e is not None:
-                        c = bit.bit_length()
-                        classes[c] |= 1 << e
+                        c = bit.bit_length() - 1
+                        old = classes[c]
+                        classes[c] = list(map(or_, old, images[e]))
                         won = self.maker_wins(state, used | bit)
-                        classes[c] ^= 1 << e
+                        classes[c] = old
                     else:
                         won = self.maker_wins(state, used | bit)
                     for _ in range(plies):
@@ -250,7 +286,7 @@ class _Solver:
                     if won == mover_value:
                         val = mover_value
                         break
-        if classes is not None:
+        if key is not None:
             self.table[key] = val
         return val
 
@@ -347,8 +383,9 @@ class _Verifier:
         position and memory).  At every opponent decision point each branch
         borrows the node's strategy, and the last inherits its ownership.
         A borrowed strategy is never moved, so each line sees the strategy
-        exactly as live play would.  No color-symmetry pruning here: a
-        concrete strategy need not be equivariant under palette renaming.
+        exactly as live play would.  No symmetry pruning here: a concrete
+        strategy need not be equivariant under palette renaming or graph
+        automorphisms.
         """
         plies = 0
         while True:

@@ -20,6 +20,15 @@ MAX_GENERATOR_PAIRS = 1_000_000
 # ``tree:ORDER:INDEX`` walks the trees of that order up to the index; order 16
 # has 19,320 of them, walked in about a second
 MAX_TREE_ORDER = 16
+# Bounds on ``Graph.edge_automorphisms``.  The solver keys its table on a
+# coloring up to the permutations listed, a key that is sound for any subset
+# of the automorphism group holding the identity, so a bound costs merges and
+# never a value.  The cap keeps the whole group of K_5 (120).  Trying a
+# candidate image costs one step plus one per adjacency it is checked
+# against, and each permutation found costs m more, so a graph with m edges
+# gets at most MAX_AUTOMORPHISM_STEPS / m of them.
+MAX_EDGE_AUTOMORPHISMS = 128
+MAX_AUTOMORPHISM_STEPS = 50_000
 
 
 class GraphError(ValueError):
@@ -37,7 +46,7 @@ def _check_size(n: int, pairs: int = 0) -> None:
 class Graph:
     """Immutable simple undirected graph on vertices ``0..n-1``."""
 
-    __slots__ = ("n", "edges", "adj", "incident", "_index_of", "_max_degree")
+    __slots__ = ("n", "edges", "adj", "incident", "_index_of", "_max_degree", "_automorphisms")
 
     def __init__(self, n: int, edges: Iterable[Sequence[int]]) -> None:
         if n < 0:
@@ -65,6 +74,7 @@ class Graph:
             self.incident[u].append(idx)
             self.incident[v].append(idx)
         self._max_degree = max((len(a) for a in self.adj), default=0)
+        self._automorphisms: tuple[tuple[int, ...], ...] | None = None
 
     # -- basic queries -------------------------------------------------
 
@@ -101,6 +111,18 @@ class Graph:
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={len(self.edges)})"
 
+    def edge_automorphisms(self) -> tuple[tuple[int, ...], ...]:
+        """Edge permutations induced by automorphisms, the identity first.
+
+        Each maps edge index e to the index of its image.  The list is
+        bounded by ``MAX_EDGE_AUTOMORPHISMS`` and ``MAX_AUTOMORPHISM_STEPS``
+        and holds the whole group when the search ends inside both.  It is
+        built on the first call and kept.
+        """
+        if self._automorphisms is None:
+            self._automorphisms = _edge_automorphisms(self)
+        return self._automorphisms
+
     # -- distances -----------------------------------------------------
 
     def vertex_distances(self, sources: int | Iterable[int]) -> list[float]:
@@ -120,6 +142,68 @@ class Graph:
                     dist[y] = dist[x] + 1
                     queue.append(y)
         return dist
+
+
+def _edge_automorphisms(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """Backtrack over the vertices with edges in BFS order.  A vertex may
+    map to an unused vertex of its degree that is adjacent to the images of
+    its neighbours placed before it, so past a component's first vertex only
+    neighbours of an image are tried.  A full map then sends the m edges to
+    m distinct edges, so onto them: it is an automorphism.  Isolated
+    vertices stay put: moving them moves no edge."""
+    adj = g.adj
+    nbrs = [set(a) for a in adj]
+    order: list[int] = []
+    pos = [-1] * g.n
+    for r in range(g.n):
+        if pos[r] < 0 and adj[r]:
+            head = pos[r] = len(order)
+            order.append(r)
+            while head < len(order):
+                for y in adj[order[head]]:
+                    if pos[y] < 0:
+                        pos[y] = len(order)
+                        order.append(y)
+                head += 1
+    # back[i]: the neighbours of order[i] placed before it
+    back = [[x for x in adj[v] if pos[x] < i] for i, v in enumerate(order)]
+    img = [-1] * g.n
+    used = [False] * g.n
+    steps = 0
+
+    def options(i: int) -> Iterator[int]:
+        nonlocal steps
+        bk = back[i]
+        d = len(adj[order[i]])
+        for w in adj[img[bk[0]]] if bk else order:
+            steps += 1 + len(bk)
+            if not used[w] and len(adj[w]) == d and all(img[x] in nbrs[w] for x in bk):
+                yield w
+
+    identity = tuple(range(g.m))
+    found = [identity]
+    seen = {identity}
+    stack = [options(0)] if order else []
+    while stack and steps < MAX_AUTOMORPHISM_STEPS:
+        v = order[len(stack) - 1]
+        if img[v] >= 0:
+            used[img[v]] = False
+        img[v] = w = next(stack[-1], -1)
+        if w < 0:
+            stack.pop()
+            continue
+        used[w] = True
+        if len(stack) < len(order):
+            stack.append(options(len(stack)))
+            continue
+        steps += g.m
+        perm = tuple(g.index_of(img[x], img[y]) for x, y in g.edges)
+        if perm not in seen:
+            seen.add(perm)
+            found.append(perm)
+            if len(found) == MAX_EDGE_AUTOMORPHISMS:
+                break
+    return tuple(found)
 
 
 # -- generators ----------------------------------------------------------

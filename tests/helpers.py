@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Sequence
+
+import networkx as nx
+from networkx.algorithms.isomorphism import GraphMatcher
 
 from gamelab._util import NodeBudget
 from gamelab.boxgame import ALICE, BOB, BOB_WON, BoxGameState, _children, bob_strategy
@@ -19,6 +23,21 @@ def edge_distance(g: Graph, e: int, f: int) -> float:
     fu, fv = g.endpoints(f)
     dist = g.vertex_distances((eu, ev))
     return min(dist[fu], dist[fv])
+
+
+@lru_cache(maxsize=None)
+def nx_edge_automorphisms(g: Graph) -> frozenset[tuple[int, ...]]:
+    """Every edge permutation induced by an automorphism of g, as tuples of
+    image indices, from networkx's VF2 matcher (independent of
+    ``Graph.edge_automorphisms``).  Several vertex maps may induce one edge
+    permutation (isolated vertices, single-edge components)."""
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges)
+    return frozenset(
+        tuple(g.index_of(f[u], f[v]) for u, v in g.edges)
+        for f in GraphMatcher(h, h).isomorphisms_iter()
+    )
 
 
 def verify_bob_strategy(

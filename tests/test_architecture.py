@@ -1,12 +1,16 @@
 """Module layering: the library never depends on the command line, and
 every strategy policy defines its own clone and states whether its move
 depends on the position alone; a randomized policy draws from a draw
-tape, so forking it copies no generator state."""
+tape, so forking it copies no generator state.  Exact solving does not
+import networkx."""
 
 from __future__ import annotations
 
 import ast
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import gamelab
@@ -102,3 +106,19 @@ def test_no_module_copies_a_generator_state():
         if isinstance(node, ast.Attribute) and node.attr in ("getstate", "setstate")
     ]
     assert calls == []
+
+
+def test_exact_solving_does_not_import_networkx():
+    # the symmetry search is the package's own, so a solve keeps networkx's
+    # import cost out of every run that never enumerates trees
+    code = (
+        "import sys\n"
+        "from gamelab.engine import GameConfig\n"
+        "from gamelab.exact import game_chromatic_index\n"
+        "from gamelab.graph import generate\n"
+        "res = game_chromatic_index(generate('complete_bipartite:3:3'), 1, GameConfig.skip_variant(k=1))\n"
+        "assert res.value == 4\n"
+        "assert 'networkx' not in sys.modules\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)

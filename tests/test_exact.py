@@ -5,8 +5,8 @@ over engine states: every legal move, every color, no symmetry reduction,
 no ordering, no table.  The solver (with and without memoization) must
 agree with it on every small instance.  Two more oracles check the
 transposition table: ``scratch_key`` rebuilds the solver's key from the
-coloring alone, and ``plain_key_winner`` memoizes on the raw position, so
-it shares no key code with the solver.
+coloring and the automorphisms networkx finds, and ``plain_key_winner``
+memoizes on the raw position, so it shares no key code with the solver.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import replace
+from operator import or_
 
 import pytest
 from hypothesis import given, settings
@@ -53,6 +54,7 @@ from gamelab.maker import DangerRedirectMaker, GreedyMaker, UniformRandomMaker
 from gamelab.match import mixed_corpus
 from gamelab.graph import Graph, complete, complete_bipartite, cycle, generate, gnp, path, star
 from gamelab._util import BudgetExceeded
+from helpers import nx_edge_automorphisms
 
 SKIP = GameConfig.skip_variant
 CLASSIC = GameConfig.classic
@@ -222,21 +224,27 @@ def _replay_prefix(g: Graph, cfg: GameConfig, seq, perm: dict[int, int]):
 def scratch_key(state: GameState) -> int:
     """The solver's transposition key, rebuilt from ``state.color``.
 
-    Each color's class is the bitmask of the edges that carry it.  The
-    classes, sorted, are packed in m-bit fields, and the turn phase is
-    folded in last.  The solver also packs the empty classes of its unused
-    colors, but those sort first and add nothing to the int, so only the
-    colors on the board are listed here.
+    Each color's class is the bitmask of the edges that carry it.  For
+    each edge automorphism of the graph (from networkx, not from
+    ``Graph.edge_automorphisms``) the classes of the moved coloring,
+    sorted, are packed in m-bit fields; the least of these ints is kept,
+    and the turn phase is folded in last.  Only the colors on the board
+    are listed: an empty class would sort first and add nothing.
     """
     m = state.g.m
-    classes: dict[int, int] = {}
-    for e, c in enumerate(state.color):
-        if c:
-            classes[c] = classes.get(c, 0) | 1 << e
-    key = 0
-    for mask in sorted(classes.values()):
-        key = key << m | mask
-    return (key * state.cfg.b + state.breaker_moves_this_turn) * 2 + (
+
+    def packed(perm: tuple[int, ...]) -> int:
+        classes: dict[int, int] = {}
+        for e, c in enumerate(state.color):
+            if c:
+                classes[c] = classes.get(c, 0) | 1 << perm[e]
+        key = 0
+        for mask in sorted(classes.values()):
+            key = key << m | mask
+        return key
+
+    best = min(map(packed, nx_edge_automorphisms(state.g)))
+    return (best * state.cfg.b + state.breaker_moves_this_turn) * 2 + (
         state.turn == BREAKER
     )
 
@@ -255,13 +263,33 @@ def coloring_orbit(state: GameState) -> frozenset:
     return frozenset(frozenset(edges) for edges in classes.values())
 
 
-def recolored(state: GameState, perm: dict[int, int]) -> GameState:
-    """A position with ``state``'s phase and its coloring renamed by ``perm``."""
+def symmetry_orbit(state: GameState) -> frozenset:
+    """The coloring up to a palette permutation and a graph automorphism,
+    by brute force: the coloring orbits of all its automorphic images."""
+    return frozenset(
+        frozenset(frozenset(perm[e] for e in edges) for edges in coloring_orbit(state))
+        for perm in nx_edge_automorphisms(state.g)
+    )
+
+
+def recolored(state: GameState, perm: dict[int, int], edge_perm=None) -> GameState:
+    """A position with ``state``'s phase and its coloring renamed by
+    ``perm`` and, if given, moved by ``edge_perm``."""
     s = GameState(state.g, state.cfg, log=False)
-    s.color = [perm[c] if c else 0 for c in state.color]
+    moved = edge_perm or range(state.g.m)
+    for e, c in enumerate(state.color):
+        s.color[moved[e]] = perm[c] if c else 0
     s.turn = state.turn
     s.breaker_moves_this_turn = state.breaker_moves_this_turn
     return s
+
+
+def loaded_key(state: GameState) -> int:
+    """The key of a fresh solver whose class lists are loaded from
+    ``state``'s coloring."""
+    solver = _Solver(state, True, None)
+    solver.load(state)
+    return solver.key(state)
 
 
 KEY_GRAPHS = [path(4), cycle(4), cycle(5), star(4), complete(4), complete_bipartite(2, 3)]
@@ -319,28 +347,24 @@ class TestCanonicalKey:
     )
     @settings(max_examples=80, deadline=None)
     def test_incremental_key_matches_scratch_key(self, g, extra, b, classic, seed):
-        """Random ``_play``/``undo`` lines, with the color classes kept the way
-        the solver keeps them: the packed key equals the from-scratch key, is
-        blind to palette renaming, and tells apart positions whose orbit or
-        phase differs."""
+        """Random ``_play``/``undo`` lines, with the class lists kept the way
+        the solver keeps them: the key equals the from-scratch key, is blind
+        to palette renaming, and tells apart positions whose symmetry orbit
+        or phase differs."""
         rng = random.Random(seed)
         k = max(1, g.m + extra)
         cfg = (CLASSIC if classic else SKIP)(k=k, b=b)
         state = GameState(g, cfg, log=False)
+        solver = _Solver(state, True, None)
+        solver.load(state)
+        classes, images = solver.classes, solver.images
         m = g.m
-        classes = [0] * (min(k, m) + 1)
-
-        def packed() -> int:
-            key = 0
-            for mask in sorted(classes):
-                key = key << m | mask
-            return (key * b + state.breaker_moves_this_turn) * 2 + (state.turn == BREAKER)
 
         seen: dict[int, tuple] = {}
-        line: list[tuple[int, int | None, int]] = []
+        line: list[tuple[int, int | None, int, list[int] | None]] = []
         for _ in range(6 * m):
             if not state.game_over():
-                key = packed()
+                key = solver.key(state)
                 assert key == scratch_key(state)
                 decoded = decode_key(key, b)
                 assert decoded[1:] == (state.breaker_moves_this_turn, state.turn == BREAKER)
@@ -348,7 +372,7 @@ class TestCanonicalKey:
                 perm = dict(zip(range(1, k + 1), shuffled))
                 assert scratch_key(recolored(state, perm)) == key
                 # equal keys exactly when orbit and phase are equal
-                pos = (coloring_orbit(state), state.turn, state.breaker_moves_this_turn)
+                pos = (symmetry_orbit(state), state.turn, state.breaker_moves_this_turn)
                 for other_key, other_pos in seen.items():
                     assert (other_key == key) == (other_pos == pos)
                 seen[key] = pos
@@ -356,9 +380,9 @@ class TestCanonicalKey:
             uncolored = [e for e in range(m) if state.color[e] == 0]
             moves = [] if state.game_over() else list(_moves(state, uncolored, used))
             if line and (not moves or rng.random() < 0.3):
-                plies, e, c = line.pop()
+                plies, e, c, old = line.pop()
                 if e is not None:
-                    classes[c] ^= 1 << e
+                    classes[c - 1] = old
                 for _ in range(plies):
                     state.undo()
                 continue
@@ -367,9 +391,38 @@ class TestCanonicalKey:
             e, bit = rng.choice(moves)
             plies = _play(state, e, bit)
             c = bit.bit_length()
+            old = None
             if e is not None:
-                classes[c] |= 1 << e
-            line.append((plies, e, c))
+                old = classes[c - 1]
+                classes[c - 1] = list(map(or_, old, images[e]))
+            line.append((plies, e, c, old))
+
+    @given(
+        g=st.sampled_from(KEY_GRAPHS + [cycle(7), complete_bipartite(3, 3)]),
+        b=st.sampled_from([1, 2]),
+        classic=st.booleans(),
+        seed=st.integers(0, 10**6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_key_is_the_symmetry_orbit(self, g, b, classic, seed):
+        """The key of a loaded solver does not change under any graph
+        automorphism times any palette permutation, and over positions
+        reached by search lines two keys are equal exactly when the
+        brute-force orbits (and phases) are."""
+        rng = random.Random(seed)
+        k = g.max_degree + rng.randrange(g.max_degree)
+        cfg = (CLASSIC if classic else SKIP)(k=k, b=b)
+        auts = sorted(nx_edge_automorphisms(g))
+        by_key: dict[int, tuple] = {}
+        for _ in range(12):
+            state = search_line(g, cfg, rng)
+            key = loaded_key(state)
+            palette = dict(zip(range(1, k + 1), rng.sample(range(1, k + 1), k)))
+            assert loaded_key(recolored(state, palette, rng.choice(auts))) == key
+            pos = (symmetry_orbit(state), state.turn, state.breaker_moves_this_turn)
+            assert by_key.setdefault(key, pos) == pos
+        positions = list(by_key.values())
+        assert len(set(positions)) == len(positions)
 
     @pytest.mark.parametrize(
         "spec, k, variant, b",
@@ -399,8 +452,26 @@ class TestCanonicalKey:
         solver.table = AuditedTable()
         win = solver.maker_wins(state, 0)
         assert (MAKER if win else BREAKER) == solve(g, k, variant(k=1, b=b)).winner
-        assert 0 < len(solver.table) <= lookups
-        assert not any(solver.classes) and not any(state.color) and not state.trail
+        assert len(solver.table) <= lookups
+        assert not any(state.color) and not state.trail
+        if solver.budget.nodes == 1:
+            # a root settled by a cut is never expanded, so the symmetries
+            # are not loaded and nothing is looked up
+            assert solver.classes is None and lookups == 0
+        else:
+            assert lookups > 0 and not any(map(any, solver.classes))
+
+    def test_plain_search_and_verifier_build_no_symmetry(self):
+        # memoize=False has no table to key, and a strategy need not be
+        # equivariant, so neither path asks the graph for its automorphisms
+        g = generate("complete_bipartite:3:3")
+        state = GameState(g, SKIP(k=4), log=False)
+        solver = _Solver(state, False, None)
+        assert solver.maker_wins(state, 0) and solver.budget.nodes > 1
+        assert verify_strategy(g, 4, SKIP(k=4), GreedyMaker(), MAKER).nodes > 1
+        assert solver.classes is None and g._automorphisms is None
+        solve(g, 4, SKIP(k=1))
+        assert g._automorphisms is not None
 
 
 class TestChiIndex:
@@ -550,15 +621,13 @@ def search_line(g: Graph, cfg: GameConfig, rng: random.Random) -> GameState:
 
 
 def solve_from(state: GameState, memoize: bool) -> tuple[bool, int]:
-    """(Maker wins, nodes) of ``_Solver`` started at ``state``, with the
-    color classes and used colors of the position."""
+    """(Maker wins, nodes) of ``_Solver`` started at ``state`` with the used
+    colors of the position; the solver loads its class lists itself."""
     solver = _Solver(state, memoize, None)
     used = 0
-    for e, c in enumerate(state.color):
+    for c in state.color:
         if c:
             used |= 1 << (c - 1)
-            if memoize:
-                solver.classes[c] |= 1 << e
     return solver.maker_wins(state, used), solver.budget.nodes
 
 
@@ -743,8 +812,8 @@ class TestMakeUnmake:
         "spec, variant, nodes",
         [
             ("cycle:11", SKIP, 21),
-            ("complete:5", SKIP, 19_416),
-            ("complete_bipartite:3:3", SKIP, 6_810),
+            ("complete:5", SKIP, 934),
+            ("complete_bipartite:3:3", SKIP, 354),
             ("cycle:11", CLASSIC, 13),
         ],
         ids=["C11-skip", "K5", "K33", "C11-classic"],

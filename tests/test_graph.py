@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 
 from gamelab import graph as G
 from gamelab.graph import Graph, GraphError
-from helpers import edge_distance
+from gamelab.match import mixed_corpus
+from helpers import edge_distance, nx_edge_automorphisms
 
 
 def allpairs_dist(g: Graph) -> list[list[float]]:
@@ -114,6 +116,82 @@ class TestEdgeDistance:
         assert edge_distance(g, e, f) == edge_distance(g, f, e)
         # crossing the middle edge can save at most one step
         assert edge_distance(g, e, h) <= edge_distance(g, e, f) + edge_distance(g, f, h) + 1
+
+
+def preserves_adjacency(g: Graph, perm: tuple[int, ...]) -> bool:
+    """Whether ``perm`` permutes the edges so that two edges share an
+    endpoint exactly when their images do."""
+    ends = [set(e) for e in g.edges]
+    return sorted(perm) == list(range(g.m)) and all(
+        bool(ends[e] & ends[f]) == bool(ends[perm[e]] & ends[perm[f]])
+        for e in range(g.m)
+        for f in range(e)
+    )
+
+
+AUTOMORPHISM_GRAPHS = [*mixed_corpus(), *(
+    (name, G.read_edge_list(text))
+    for name, text in [
+        ("isolated vertices", "9\n0 1\n1 2\n5 6\n"),
+        ("three single edges", "7\n0 1\n2 3\n5 6\n"),
+        ("two triangles", "6\n0 1\n1 2\n0 2\n3 4\n4 5\n3 5\n"),
+    ]
+)]
+
+
+class TestEdgeAutomorphisms:
+    """``Graph.edge_automorphisms`` against networkx's VF2 matcher."""
+
+    @pytest.mark.parametrize(
+        "name, g", AUTOMORPHISM_GRAPHS, ids=[name for name, _ in AUTOMORPHISM_GRAPHS]
+    )
+    def test_whole_group_below_the_cap(self, name, g):
+        perms = g.edge_automorphisms()
+        expect = nx_edge_automorphisms(g)
+        assert perms[0] == tuple(range(g.m))
+        assert len(set(perms)) == len(perms)
+        if len(expect) <= G.MAX_EDGE_AUTOMORPHISMS:
+            assert set(perms) == expect
+        else:  # star:6 (720)
+            assert len(perms) == G.MAX_EDGE_AUTOMORPHISMS and set(perms) <= expect
+
+    @given(n=st.integers(1, 7), p=st.sampled_from([0.2, 0.4, 0.6, 0.8]), seed=st.integers(0, 10**6))
+    @settings(max_examples=60, deadline=None)
+    def test_random_graphs_match_networkx(self, n, p, seed):
+        g = G.gnp(n, p, seed)
+        perms = g.edge_automorphisms()
+        expect = nx_edge_automorphisms(g)
+        assert perms[0] == tuple(range(g.m))
+        assert len(set(perms)) == len(perms) == min(len(expect), G.MAX_EDGE_AUTOMORPHISMS)
+        assert set(perms) <= expect
+
+    @pytest.mark.parametrize("spec", ["star:8", "star:12"])
+    def test_capped_groups_stop_at_the_cap(self, spec):
+        g = G.generate(spec)
+        perms = g.edge_automorphisms()
+        assert len(set(perms)) == len(perms) == G.MAX_EDGE_AUTOMORPHISMS
+        assert perms[0] == tuple(range(g.m))
+        assert all(preserves_adjacency(g, perm) for perm in perms)
+
+    @pytest.mark.parametrize(
+        "g",
+        [Graph(40, [(0, 1), (7, 30), (12, 39)]), G.complete_bipartite(40, 40)],
+        ids=["40 vertices, 3 edges", "K_40,40"],
+    )
+    def test_search_is_bounded(self, g):
+        # isolated vertices are left out of the search, and the step bound
+        # stops a huge group long before the cap
+        t0 = time.perf_counter()
+        perms = g.edge_automorphisms()
+        assert time.perf_counter() - t0 < 0.5
+        assert perms[0] == tuple(range(g.m)) and len(set(perms)) == len(perms)
+
+    def test_built_once_per_graph(self):
+        g = G.cycle(5)
+        assert g.edge_automorphisms() is g.edge_automorphisms()
+
+    def test_edgeless_graph(self):
+        assert Graph(3, []).edge_automorphisms() == ((),)
 
 
 class TestGenerators:
