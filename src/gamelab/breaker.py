@@ -184,12 +184,15 @@ class GreedyBlockingBreaker:
     of them, colored with the lowest such color.
 
     The instance keeps each edge's available colors and their count, read
-    from the state it last saw.  A colored edge has no colors and the count
-    k + 1, so the minimum count is one ``min``.  When that state has only
-    grown its trail since, only the edges at the endpoints of the newly
-    colored edges are read again; any other state, or an ``undo`` below the
-    last read, rebuilds both lists.  They are derived from the position, so
-    the move still depends on the position alone.
+    from the state it last saw, with the minimum count and the set of edges
+    that hold it.  A colored edge has no colors and the count k + 1.  When
+    that state has only grown its trail since, only the edges at the
+    endpoints of the newly colored edges are read again: counts only fall,
+    so an edge whose count drops below the minimum starts a new set, one
+    that reaches it joins, and only an emptied set is found by a scan.  Any
+    other state, or an ``undo`` below the last read, rebuilds everything.
+    All of it is derived from the position, so the move still depends on
+    the position alone.
     """
 
     position_only = True
@@ -200,9 +203,12 @@ class GreedyBlockingBreaker:
         self._top: tuple | None = None  # and the trail entry then on top
         self._avail: list[int] = []
         self._count: list[int] = []
+        self._min = 0  # the minimum of ``_count``
+        self._min_edges: set[int] = set()  # the edges whose count it is
 
     def _read(self, s: GameState) -> tuple[list[int], list[int]]:
-        """Bring ``_avail`` and ``_count`` up to date with s."""
+        """Bring ``_avail``, ``_count``, ``_min`` and ``_min_edges`` up to
+        date with s."""
         g, trail, depth = s.g, s.trail, self._depth
         full, umask, color = s.full_mask, s.umask, s.color
         colored = s.cfg.k + 1  # the count of a colored edge
@@ -211,6 +217,7 @@ class GreedyBlockingBreaker:
         grown = len(trail) >= depth and (not depth or trail[depth - 1] is self._top)
         if s is self._state and grown:
             avail, count = self._avail, self._count
+            low, mins = self._min, self._min_edges
             edges, incident = g.edges, g.incident
             for i in range(depth, len(trail)):
                 e = trail[i][0]
@@ -218,13 +225,19 @@ class GreedyBlockingBreaker:
                     continue
                 # coloring e with c took c from every edge at its endpoints
                 avail[e], count[e] = 0, colored
+                mins.discard(e)
                 bit = 1 << (color[e] - 1)
                 for w in edges[e]:
                     for f in incident[w]:
                         a = avail[f]
                         if a & bit:
                             avail[f] = a ^ bit
-                            count[f] -= 1
+                            n = count[f] = count[f] - 1
+                            if n < low:
+                                low, mins = n, {f}
+                            elif n == low:
+                                mins.add(f)
+            self._min, self._min_edges = low, mins
         else:
             free = [full & ~used for used in umask]
             avail = self._avail = [
@@ -232,42 +245,54 @@ class GreedyBlockingBreaker:
             ]
             count = self._count = [colored if c else a.bit_count() for c, a in zip(color, avail)]
             self._state = s
+            self._min_edges = set()
+        if not self._min_edges:
+            low = self._min = min(count, default=colored)
+            self._min_edges = set(compress(range(len(count)), map(low.__eq__, count)))
         self._depth = len(trail)
         self._top = trail[-1] if trail else None
         return avail, count
 
     def micro_move(self, s: GameState) -> tuple[int, int, dict | None] | None:
         avail, count = self._read(s)
-        m = min(count, default=s.cfg.k + 1)
+        m, min_edges = self._min, self._min_edges
         if m > s.cfg.k:  # every edge is colored
             return None
         g = s.g
         color, edges, incident = s.color, g.edges, g.incident
-        min_edges = [count.index(m)]
-        try:
-            while True:
-                min_edges.append(count.index(m, min_edges[-1] + 1))
-        except ValueError:  # no minimum edge above the last one
-            pass
-        # phase one: reduce the minimum; near[e] holds the colors e shares
-        # with the minimum edges around it
-        near: dict[int, int] = {}
-        for f in min_edges:
-            a = avail[f]
-            x, y = edges[f]
-            for e in incident[x] + incident[y]:
-                if e != f and not color[e]:
-                    near[e] = near.get(e, 0) | a
-        for e in sorted(near):
-            hit = avail[e] & near[e]
-            if hit:
-                return e, (hit & -hit).bit_length(), None
+        # phase one: reduce the minimum, by the lowest edge that shares a
+        # color with a minimum edge around it
+        if len(min_edges) == s.uncolored:
+            # every uncolored edge is a minimum edge (and a colored one has
+            # no colors), so walk the edges in order and stop at the first
+            for e in compress(range(g.m), avail):
+                x, y = edges[e]
+                mask = 0
+                for f in incident[x] + incident[y]:
+                    if f != e:
+                        mask |= avail[f]
+                hit = avail[e] & mask
+                if hit:
+                    return e, (hit & -hit).bit_length(), None
+        else:
+            # near[e] holds the colors e shares with the minimum edges around it
+            near: dict[int, int] = {}
+            for f in min_edges:
+                a = avail[f]
+                x, y = edges[f]
+                for e in incident[x] + incident[y]:
+                    if e != f and not color[e]:
+                        near[e] = near.get(e, 0) | a
+            for e in sorted(near):
+                hit = avail[e] & near[e]
+                if hit:
+                    return e, (hit & -hit).bit_length(), None
         # phase two: preserve the minimum; the two lowest legal edges decide
         legal = list(islice(compress(range(g.m), avail), 2))
         if not legal:
             return None
         e0 = legal[0]
-        if len(min_edges) > 1 or e0 != min_edges[0]:
+        if len(min_edges) > 1 or e0 not in min_edges:
             return e0, (avail[e0] & -avail[e0]).bit_length(), None
         # e0 is the unique minimum: only color it if that knocks a
         # second-lowest neighbor down to the old minimum (a colored

@@ -111,7 +111,11 @@ class MakerMemory:
 
 
 def record_crossings(
-    s: GameState, mem: MakerMemory, thresholds: tuple[int, int, int], r: int
+    s: GameState,
+    mem: MakerMemory,
+    thresholds: tuple[int, int, int],
+    r: int,
+    touched: list[int] | None = None,
 ) -> None:
     """Record the threshold crossings of round r and freeze new danger sets.
 
@@ -120,12 +124,19 @@ def record_crossings(
     T1 <= T2 <= T3.  Each vertex whose load meets T_j for the first time
     gets ``r`` in ``mem.t<j>_round``.  Once every crossing is recorded, D(v)
     is frozen from ``s`` for each vertex newly past T2, in vertex order.
+
+    Loads only grow, so a vertex whose load is unchanged since the last call
+    on ``mem`` has nothing new to cross: ``touched``, when given, lists in
+    ascending order the vertices whose load may have changed since then, and
+    only those are read.  Without it every vertex is.
     """
     t1, t2, t3 = thresholds
     t1_round, t2_round, t3_round = mem.t1_round, mem.t2_round, mem.t3_round
+    loads = s.load
     newly_t2 = []
-    for v, load in enumerate(s.load):
-        # loads only grow, so a vertex past T3 has every crossing recorded
+    for v in range(len(loads)) if touched is None else touched:
+        load = loads[v]
+        # a vertex past T3 has every crossing recorded
         if load < t1 or v in t3_round:
             continue
         if v not in t1_round:
@@ -158,9 +169,10 @@ def compute_danger_set(s: GameState, mem: MakerMemory, v: int) -> frozenset[int]
     k = s.cfg.k
     overlap_cap = 2 * g.max_degree - k
     t1_v = mem.t1_round[v]
+    color = s.color
     members = []
-    for u in s.uncolored_neighbors(v):
-        if g.degree(u) + g.degree(v) < k:
+    for u, e in zip(g.adj[v], g.incident[v]):
+        if color[e] or g.degree(u) + g.degree(v) < k:
             continue
         if (s.umask[u] & s.umask[v]).bit_count() > overlap_cap:
             continue
@@ -227,15 +239,19 @@ class DangerRedirectMaker:
         if s.turn != MAKER:
             raise StrategyError("not Maker's turn")
         self._bind(s)
-        # Maker moves first within a round, so the loads seen here are those
-        # at the end of round s.round - 1
-        record_crossings(s, self.memory, self._thresholds, s.round - 1)
         g, rng, mem = s.g, self.rng, self.memory
+        pool = last_breaker_turn(s.log)
+        # Maker moves first within a round, so the loads seen here are those
+        # at the end of round s.round - 1; since his previous move only the
+        # ends of that move's edge and of Breaker's last turn gained load
+        touched = None
+        if mem.f0 is not None:
+            touched = sorted({w for e in (mem.f0, *pool) for w in g.edges[e]})
+        record_crossings(s, mem, self._thresholds, s.round - 1, touched)
 
         # step 1: anchor edge
         if mem.f0 is None:
             mem.f0 = rng.randrange(g.m)
-        pool = last_breaker_turn(s.log)
         if not pool:
             uncolored = [e for e in range(g.m) if s.color[e] == 0]
             pool = [uncolored[rng.randrange(len(uncolored))]]
@@ -268,7 +284,8 @@ class DangerRedirectMaker:
 
         # step 4: color
         e = g.index_of(v, u)
-        avail = sorted(s.available_colors(e))
+        mask = s.avail_mask(e)
+        avail = [i + 1 for i in range(s.cfg.k) if mask >> i & 1]  # A(e), ascending
         ann: dict = {"f": f, "v": v, "u": u, "redirected": redirected}
         if avail:
             color = avail[rng.randrange(len(avail))]

@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -160,6 +161,7 @@ class _Tally:
         self.sum_rows: list[tuple[int, ...]] = [(0,) * n]
         self.mem = MakerMemory()
         self.events: list[tuple[int, GoodEdgeEvent]] = []
+        self.touched: set[int] = set()  # ends of the edges colored this round
 
     def count(self, i: int, rec: MoveRecord, state: GameState) -> None:
         """Count coloring record i of the log, just played on ``state``.
@@ -168,13 +170,14 @@ class _Tally:
         which must be an endpoint of its edge (else ValueError naming record
         i); v's load before the record is ``state.load[v]`` less that edge.
         """
+        ends = state.g.edges[rec.edge]
+        self.touched.update(ends)
         if rec.player != MAKER:
             return
         ann = rec.ann
         v = ann.get("v") if ann else None
         if type(v) is not int:
             raise ValueError(f"log record {i}: missing annotations")
-        ends = state.g.edges[rec.edge]
         if v not in ends:
             raise ValueError(f"log record {i}: annotated vertex {v} is not on edge {ends}")
         pre_load = state.load[v] - 1
@@ -184,10 +187,12 @@ class _Tally:
 
     def close_round(self, r: int, state: GameState, sums) -> None:
         """Append the end-of-round load and Gamma'-sum rows of the position
-        ``state``, then record the threshold crossings of round r."""
+        ``state``, then record the threshold crossings of round r; only the
+        ends of the edges counted since the last close gained load."""
         self.load_rows.append(tuple(state.load))
         self.sum_rows.append(tuple(sums))
-        record_crossings(state, self.mem, self.params.thresholds, r)
+        record_crossings(state, self.mem, self.params.thresholds, r, sorted(self.touched))
+        self.touched.clear()
 
 
 def _file_events(params: _Params, loads: list[int], events: list[GoodEdgeEvent]):
@@ -237,14 +242,11 @@ def _summarize(params: _Params, traces: list[VertexTrace]) -> dict:
     # nbr_sum >= spike * nbr_cnt in integers; the denominator is positive
     num, den = spike.numerator, spike.denominator
     for t in eligible:
-        for r in range(len(t.loads)):
-            if (
-                t.loads[r] < params.tc[2]
-                and t.nbr_cnt[r] > 0
-                and t.nbr_sum[r] * den >= num * t.nbr_cnt[r]
-            ):
-                violating.append(t)
-                break
+        # loads never fall, so the rounds below T2 are a prefix
+        below = bisect_left(t.loads, params.tc[2])
+        rows = zip(t.nbr_sum[:below], t.nbr_cnt)
+        if any(cnt > 0 and total * den >= num * cnt for total, cnt in rows):
+            violating.append(t)
     out["nbr_spike"] = _cell(len(eligible), len(violating))
     frozen = [t for t in traces if t.danger is not None]
     violating = [t for t in frozen if len(t.danger) > danger_cap]

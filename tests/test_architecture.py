@@ -2,7 +2,8 @@
 every strategy policy defines its own clone and states whether its move
 depends on the position alone; a randomized policy draws from a draw
 tape, so forking it copies no generator state.  Exact solving does not
-import networkx."""
+import networkx.  Threshold crossings and danger sets are written by one
+routine."""
 
 from __future__ import annotations
 
@@ -122,3 +123,85 @@ def test_exact_solving_does_not_import_networkx():
     )
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+CROSSING_FIELDS = {"t1_round", "t2_round", "t3_round", "danger"}
+MUTATORS = {"update", "setdefault", "pop", "popitem", "clear", "__setitem__", "__delitem__"}
+
+
+def crossing_writers(tree: ast.AST) -> set[str]:
+    """Functions of a module that write a ``MakerMemory`` crossing field:
+    assign or delete the attribute, store into it or call a mutating method
+    on it, directly or through a local name bound to it."""
+    writers = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        aliases = set()
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Assign):
+                pairs = [(t, node.value) for t in node.targets]
+                for t in node.targets:
+                    if isinstance(t, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                        pairs += zip(t.elts, node.value.elts)
+                for t, v in pairs:
+                    if isinstance(t, ast.Name) and isinstance(v, ast.Attribute):
+                        if v.attr in CROSSING_FIELDS:
+                            aliases.add(t.id)
+
+        def is_field(node: ast.AST) -> bool:
+            return (isinstance(node, ast.Attribute) and node.attr in CROSSING_FIELDS) or (
+                isinstance(node, ast.Name) and node.id in aliases
+            )
+
+        for node in ast.walk(fn):
+            targets = []
+            if isinstance(node, (ast.Assign, ast.Delete)):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            for t in targets:
+                for part in ast.walk(t):
+                    if isinstance(part, ast.Attribute) and part.attr in CROSSING_FIELDS:
+                        writers.add(fn.name)
+                    if isinstance(part, ast.Subscript) and is_field(part.value):
+                        writers.add(fn.name)
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in MUTATORS
+                and is_field(node.func.value)
+            ):
+                writers.add(fn.name)
+    return writers
+
+
+def test_one_routine_writes_threshold_crossings():
+    # the paper Maker and telemetry share record_crossings, which freezes
+    # danger sets through compute_danger_set; a second writer would let the
+    # two drift apart
+    writers = {
+        f"{p.stem}.{name}"
+        for p in sorted(PACKAGE.glob("*.py"))
+        for name in crossing_writers(ast.parse(p.read_text()))
+    }
+    assert writers == {"maker.record_crossings", "maker.compute_danger_set"}
+
+
+def test_crossing_detector_sees_every_write_form():
+    for src in (
+        "def f(mem):\n    mem.t1_round[v] = r\n",
+        "def f(mem):\n    mem.danger = {}\n",
+        "def f(mem):\n    t1, t2 = mem.t1_round, mem.t2_round\n    t2[v] = r\n",
+        "def f(mem):\n    d = mem.danger\n    del d[v]\n",
+        "def f(mem):\n    mem.t3_round.update(x)\n",
+        "def f(mem):\n    d = mem.danger\n    d.setdefault(v, s)\n",
+        "def f(self):\n    self.memory.t2_round[v] += 1\n",
+    ):
+        assert crossing_writers(ast.parse(src)) == {"f"}, src
+    for src in (
+        "def f(mem):\n    return mem.t1_round.get(v)\n",
+        "def f(mem):\n    t1 = mem.t1_round\n    x[v] = t1[v]\n",
+        "def f(mem):\n    return v in mem.danger\n",
+    ):
+        assert crossing_writers(ast.parse(src)) == set(), src

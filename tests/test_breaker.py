@@ -405,6 +405,14 @@ FUZZ_GRAPHS = [
 ]
 
 
+def assert_kept_minimum(br: GreedyBlockingBreaker) -> None:
+    """The greedy Breaker's kept minimum and minimum-edge set equal a scan
+    of its counts."""
+    low = min(br._count)
+    assert br._min == low
+    assert br._min_edges == {e for e, cnt in enumerate(br._count) if cnt == low}
+
+
 class TestGreedyOracle:
     """The greedy Breaker looks only around the minimum edges; the oracle
     scans every uncolored edge.  They must make the same move."""
@@ -424,9 +432,11 @@ class TestGreedyOracle:
         s = new_game(g, cfg)
         # the opening: every edge is a minimum edge
         assert br.micro_move(s) == greedy_oracle(s)[0]
+        assert_kept_minimum(br)
         while not s.game_over():
             if s.turn == BREAKER and s.breaker_moves_this_turn < cfg.b:
                 assert br.micro_move(s) == greedy_oracle(s)[0]
+                assert_kept_minimum(br)
             random_transition(s, rng)
 
     @given(data=st.data())
@@ -448,6 +458,7 @@ class TestGreedyOracle:
         def check(s: GameState) -> None:
             if not s.game_over() and s.turn == BREAKER and s.breaker_moves_this_turn < cfg.b:
                 assert br.micro_move(s) == greedy_oracle(s)[0]
+                assert_kept_minimum(br)
 
         first = new_game(g, cfg)
         for _ in range(data.draw(st.integers(0, g.m), label="shared opening")):
@@ -466,6 +477,23 @@ class TestGreedyOracle:
             elif not s.game_over():
                 random_transition(s, rng)
             check(s)
+
+    def test_opening_on_the_benchmark_graph(self):
+        # at the skip variant's opening every edge holds the minimum, so
+        # phase one walks the edges in order instead of gathering them
+        g = G.generate("random_regular:64:16:1")
+        s = new_game(g, GameConfig.skip_variant(k=32, mode=MODIFIED))
+        br = GreedyBlockingBreaker()
+        assert br.micro_move(s) == greedy_oracle(s)[0]
+        assert len(br._min_edges) == s.uncolored == g.m
+        assert_kept_minimum(br)
+        mk = GreedyMaker()
+        for _ in range(3):
+            s.apply_move(BREAKER, *br.micro_move(s)[:2])
+            s.end_breaker_turn()
+            s.apply_move(MAKER, *mk.move(s)[:2])
+            assert br.micro_move(s) == greedy_oracle(s)[0]
+            assert_kept_minimum(br)
 
     def test_seeded_positions_reach_every_case(self):
         # the same comparison on seeded playouts, which must reach every case

@@ -22,6 +22,7 @@ from gamelab.engine import (
     BREAKER,
     MAKER,
     MODIFIED,
+    STRICT,
     GameConfig,
     GameState,
     new_game,
@@ -34,6 +35,7 @@ from gamelab.maker import (
     UniformRandomMaker,
     compute_danger_set,
     last_breaker_turn,
+    record_crossings,
 )
 
 
@@ -351,6 +353,58 @@ class TestCrossingBookkeeping:
         s.apply_move(BREAKER, 0, 1)
         s.apply_move(BREAKER, 1, 2)
         assert s.game_over()  # strategies are never consulted after this
+
+
+# the engine tests' fuzz graphs
+FUZZ_GRAPHS = [
+    G.path(4),
+    G.cycle(5),
+    G.star(4),
+    G.complete(4),
+    G.complete_bipartite(2, 3),
+]
+
+
+class TestTouchedCrossings:
+    """The paper Maker reads only the loads that changed since its previous
+    move; a shadow memory fed by the full scan must stay equal to its own."""
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_memory_equals_a_full_scan(self, data):
+        g = data.draw(st.sampled_from(FUZZ_GRAPHS), label="graph")
+        variant = data.draw(st.sampled_from([GameConfig.skip_variant, GameConfig.classic]))
+        cfg = variant(
+            k=data.draw(st.integers(1, 2 * g.max_degree + 1), label="k"),
+            b=data.draw(st.integers(1, 3), label="b"),
+            mode=data.draw(st.sampled_from([STRICT, MODIFIED]), label="mode"),
+        )
+        lams = [Fraction(1, 10), Fraction(1, 3), Fraction(4, 5)]
+        lam = data.draw(st.sampled_from(lams), label="lam")
+        mcfg = MakerConfig(lam=lam, c=lam / 6)
+        thresholds = tuple(mcfg.threshold_ceil(j, g.max_degree, cfg.b) for j in (1, 2, 3))
+        seed = data.draw(st.integers(0, 2**32), label="seed")
+        fork_at = data.draw(st.integers(0, g.m), label="fork at Maker move")
+
+        def play_on(s, mk, shadow, rng, forks):
+            moves = 0
+            while not s.game_over():
+                if s.turn != MAKER:
+                    run_breaker_turn_random(s, rng)
+                    continue
+                e, c, ann = mk.move(s)
+                record_crossings(s, shadow, thresholds, s.round - 1)
+                for name in ("t1_round", "t2_round", "t3_round", "danger"):
+                    assert getattr(mk.memory, name) == getattr(shadow, name), name
+                s.apply_move(MAKER, e, c, ann)
+                moves += 1
+                if forks and moves == fork_at:
+                    # the verifier's fork: a clone of the strategy and its
+                    # memory plays on from a copy of the position
+                    play_on(s.clone(), mk.clone(), shadow.copy(), random.Random(seed + 1), False)
+
+        mk = DangerRedirectMaker(mcfg, seed=seed)
+        play_on(new_game(g, cfg), mk, MakerMemory(), random.Random(seed), True)
 
 
 class TestCloneDeterminism:

@@ -522,6 +522,29 @@ class TestSummary:
         assert recount == [traces[0].v]
         assert cell == {"eligible": len(traces), "violating": 1, "fraction": 1 / len(traces)}
 
+    @pytest.mark.parametrize("offset, counted", [(-1, True), (0, False)], ids=["below", "at"])
+    def test_spike_cell_reads_only_the_rounds_below_t2(self, offset, counted):
+        # one trace reaches T2 at round 3 and has one spike, in the last
+        # round below T2 or in the round it reaches T2; every other row is
+        # quiet
+        g, cfg, rep = self._report()
+        tc2 = thresholds(MCFG, g.max_degree, cfg.b)[2]
+        rounds = len(rep.traces[0].loads)
+        assert rounds > 4
+        traces = [
+            dataclasses.replace(
+                t, loads=[0] * rounds, nbr_sum=[0] * rounds, nbr_cnt=[1] * rounds
+            )
+            for t in rep.traces
+        ]
+        hot = traces[0]
+        hot.loads = [0, 0, tc2 - 1] + [tc2] * (rounds - 3)
+        spike = 9 * MCFG.lam * g.max_degree
+        hot.nbr_sum[3 + offset] = math.ceil(spike)
+        cell = telemetry._summarize(telemetry._Params(g, cfg, MCFG), traces)["nbr_spike"]
+        assert cell["eligible"] == len(traces)
+        assert cell["violating"] == int(counted)
+
     def test_danger_and_heavy_cells_recomputed(self):
         g, cfg, rep = self._report(seed=2)
         cap = MCFG.c * Fraction(1, cfg.b**2) * g.max_degree
