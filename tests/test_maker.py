@@ -399,9 +399,13 @@ class TestTouchedCrossings:
                 s.apply_move(MAKER, e, c, ann)
                 moves += 1
                 if forks and moves == fork_at:
-                    # the verifier's fork: a clone of the strategy and its
-                    # memory plays on from a copy of the position
-                    play_on(s.clone(), mk.clone(), shadow.copy(), random.Random(seed + 1), False)
+                    # the verifier's fork: a clone of the strategy plays
+                    # another line on the same state, which is taken back
+                    # before the original plays on
+                    depth = len(s.trail)
+                    play_on(s, mk.clone(), shadow.copy(), random.Random(seed + 1), False)
+                    while len(s.trail) > depth:
+                        s.undo()
 
         mk = DangerRedirectMaker(mcfg, seed=seed)
         play_on(new_game(g, cfg), mk, MakerMemory(), random.Random(seed), True)
