@@ -11,23 +11,26 @@ reductions keep the tree tractable:
   that differ by a color permutation and therefore have the same value.
 * transposition table (``memoize=True``) -- positions are cached under a
   key invariant under palette permutations and graph automorphisms, one
-  int.  For each color the solver keeps the bitmask of the edges carrying
-  it, moved by each edge permutation of ``Graph.edge_automorphisms``,
-  setting the bits when it plays a coloring and restoring the masks when it
-  takes the coloring back.  Classes of distinct colors are disjoint, so the
-  sorted masks of one permutation determine the moved coloring up to a
-  palette permutation; the least of these lists, packed in m-bit fields,
-  is the key, with the turn phase (Breaker colorings spent this turn,
-  player to move) folded in below it.  The key is sound for any set S of
-  automorphisms that holds the identity, the whole group or not: equal keys
-  mean s1 C1 = s2 C2 up to palette for some s1, s2 in S, so C1 is the image
-  of C2 under the automorphism s1^-1 s2 and has its value.  That is why
-  the enumeration may stop at its cap (``MAX_EDGE_AUTOMORPHISMS``, which
-  keeps the whole group of K_5) or at its step bound.  The permutations
-  are built once per graph, when a memoizing solve first expands its root,
-  so a solve settled at the root by a cut builds none.  The round number
-  never affects what moves are legal, so it is deliberately absent from
-  the key.
+  int.  For each color, and for the union of the colored edges, the solver
+  keeps the bitmask moved by each edge permutation of
+  ``Graph.edge_automorphisms``, setting the bits when it plays a coloring
+  and restoring the masks when it takes the coloring back.  Classes of
+  distinct colors are disjoint, so the sorted masks of one permutation
+  determine the moved coloring up to a palette permutation.  The key is
+  the least pair (union, sorted masks) over the permutations, so only
+  those with the least union, a coset of the colored set's stabilizer,
+  are sorted; the list is packed in m-bit fields, with the turn phase
+  (Breaker colorings spent this turn, player to move) folded in below it.
+  The union is blind to palette renaming, so over the whole group the key
+  is constant on an orbit and determines it.  It is sound for any set S
+  of automorphisms that holds the identity: equal keys mean s1 C1 = s2 C2
+  up to palette for some s1, s2 in S, so C1 is the image of C2 under the
+  automorphism s1^-1 s2 and has its value.  That is why the
+  enumeration may stop at its cap (``MAX_EDGE_AUTOMORPHISMS``, which keeps
+  the whole group of K_5) or at its step bound.  The permutations are
+  built once per graph, when a memoizing solve first expands its root, so
+  a solve settled at the root by a cut builds none.  The round number
+  never affects what moves are legal, so it is absent from the key.
 * trivial-bound cuts -- the pass that counts each uncolored edge's
   available colors for the move order also settles two kinds of node
   without expanding them; the value goes into the table like any other.
@@ -198,32 +201,48 @@ class _Solver:
         self.deg = [len(inc) for inc in state.g.incident]
         # classes[c - 1][i]: bitmask of the images, under the i-th symmetry
         # of Graph.edge_automorphisms (the identity is i = 0), of the edges
-        # colored c; images[e][i]: the bit of e's image.  Both are loaded
-        # when a memoizing solve expands its root.
+        # colored c; union[i]: the same for all colored edges; images[e][i]:
+        # the bit of e's image.  All are loaded when a memoizing solve
+        # expands its root.
         self.classes: list[list[int]] | None = None
+        self.union: list[int] = []
         self.images: list[list[int]] = []
 
     def load(self, state: GameState) -> None:
         """Build the class lists of ``state``'s coloring.  A fresh color is
         the lowest unused one, so the search adds none above min(k, m)."""
         perms = state.g.edge_automorphisms()
-        self.images = images = [[1 << p[e] for p in perms] for e in range(self.m)]
+        self.images = [[1 << p[e] for p in perms] for e in range(self.m)]
         size = max(min(state.cfg.k, self.m), *state.color)
-        self.classes = classes = [[0] * len(perms) for _ in range(size)]
+        self.classes = [[0] * len(perms) for _ in range(size)]
+        self.union = [0] * len(perms)
         for e, c in enumerate(state.color):
             if c:
-                classes[c - 1] = list(map(or_, classes[c - 1], images[e]))
+                self.paint(e, c - 1)
+
+    def paint(self, e: int, c: int) -> tuple[list[int], list[int]]:
+        """Add edge e to color c + 1's class list and to the union; returns
+        the old pair, which ``classes[c], union = old`` puts back."""
+        classes, image = self.classes, self.images[e]
+        old = classes[c], self.union
+        classes[c] = list(map(or_, old[0], image))
+        self.union = list(map(or_, old[1], image))
+        return old
 
     def key(self, state: GameState) -> int:
-        """The table key: the least, over the symmetries, of the sorted
-        classes packed in m-bit fields, then the turn phase.  Only the
-        colors on the board are listed (an empty class would pack to a
-        leading zero); the lists then have one length and their fields fit
-        in m bits, so the least list packs to the least int."""
-        m = self.m
+        """The table key: over the symmetries with the least union, the
+        least sorted class list packed in m-bit fields, then the turn
+        phase.  An empty class packs to a leading zero, and every symmetry
+        has as many, so the least list packs to the least int."""
+        union, classes, m = self.union, self.classes, self.m
+        low = min(union)
+        i = union.index(low)
+        best = sorted([masks[i] for masks in classes])
+        for _ in range(union.count(low) - 1):
+            i = union.index(low, i + 1)
+            best = min(best, sorted([masks[i] for masks in classes]))
         key = 0
-        on_board = [masks for masks in self.classes if masks[0]]
-        for mask in min(map(sorted, zip(*on_board)), default=()):
+        for mask in best:
             key = key << m | mask
         return (key * state.cfg.b + state.breaker_moves_this_turn) * 2 + (
             state.turn == BREAKER
@@ -269,16 +288,15 @@ class _Solver:
                 if self.table is not None and self.classes is None:
                     # the root: no descendant repeats it, so it needs no key
                     self.load(state)
-                classes, images = self.classes, self.images
+                classes = self.classes
                 val = not mover_value
                 for e, bit in _moves(state, [e for _, e in order], used):
                     plies = _play(state, e, bit)
                     if classes is not None and e is not None:
                         c = bit.bit_length() - 1
-                        old = classes[c]
-                        classes[c] = list(map(or_, old, images[e]))
+                        old = self.paint(e, c)
                         won = self.maker_wins(state, used | bit)
-                        classes[c] = old
+                        classes[c], self.union = old
                     else:
                         won = self.maker_wins(state, used | bit)
                     for _ in range(plies):

@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import replace
+from functools import reduce
 from operator import or_
 
 import pytest
@@ -52,7 +53,17 @@ from gamelab.breaker import (
 )
 from gamelab.maker import DangerRedirectMaker, GreedyMaker, UniformRandomMaker
 from gamelab.match import mixed_corpus
-from gamelab.graph import Graph, complete, complete_bipartite, cycle, generate, gnp, path, star
+from gamelab.graph import (
+    MAX_EDGE_AUTOMORPHISMS,
+    Graph,
+    complete,
+    complete_bipartite,
+    cycle,
+    generate,
+    gnp,
+    path,
+    star,
+)
 from gamelab._util import BudgetExceeded
 from helpers import nx_edge_automorphisms
 
@@ -224,27 +235,27 @@ def _replay_prefix(g: Graph, cfg: GameConfig, seq, perm: dict[int, int]):
 def scratch_key(state: GameState) -> int:
     """The solver's transposition key, rebuilt from ``state.color``.
 
-    Each color's class is the bitmask of the edges that carry it.  For
-    each edge automorphism of the graph (from networkx, not from
-    ``Graph.edge_automorphisms``) the classes of the moved coloring,
-    sorted, are packed in m-bit fields; the least of these ints is kept,
-    and the turn phase is folded in last.  Only the colors on the board
-    are listed: an empty class would sort first and add nothing.
+    Each color's class is the bitmask of the edges that carry it.  Each
+    edge automorphism of the graph (from networkx, not from
+    ``Graph.edge_automorphisms``) gives a pair: the moved set of all
+    colored edges, and the sorted classes of the moved coloring.  The
+    classes of the least pair are packed in m-bit fields, and the turn
+    phase is folded in last.  Only the colors on the board are listed: an
+    empty class would sort first and add nothing.
     """
     m = state.g.m
 
-    def packed(perm: tuple[int, ...]) -> int:
+    def moved(perm: tuple[int, ...]) -> tuple[int, list[int]]:
         classes: dict[int, int] = {}
         for e, c in enumerate(state.color):
             if c:
                 classes[c] = classes.get(c, 0) | 1 << perm[e]
-        key = 0
-        for mask in sorted(classes.values()):
-            key = key << m | mask
-        return key
+        return reduce(or_, classes.values(), 0), sorted(classes.values())
 
-    best = min(map(packed, nx_edge_automorphisms(state.g)))
-    return (best * state.cfg.b + state.breaker_moves_this_turn) * 2 + (
+    key = 0
+    for mask in min(map(moved, nx_edge_automorphisms(state.g)))[1]:
+        key = key << m | mask
+    return (key * state.cfg.b + state.breaker_moves_this_turn) * 2 + (
         state.turn == BREAKER
     )
 
@@ -347,9 +358,11 @@ class TestCanonicalKey:
     )
     @settings(max_examples=80, deadline=None)
     def test_incremental_key_matches_scratch_key(self, g, extra, b, classic, seed):
-        """Random ``_play``/``undo`` lines, with the class lists kept the way
-        the solver keeps them: the key equals the from-scratch key, is blind
-        to palette renaming, and tells apart positions whose symmetry orbit
+        """Random ``_play``/``undo`` lines, with the class lists and the
+        union kept by the solver's own ``paint`` and restored the way the
+        search restores them: after every step they equal a fresh
+        ``load``, and the key equals the from-scratch key, is blind to
+        palette renaming, and tells apart positions whose symmetry orbit
         or phase differs."""
         rng = random.Random(seed)
         k = max(1, g.m + extra)
@@ -357,12 +370,14 @@ class TestCanonicalKey:
         state = GameState(g, cfg, log=False)
         solver = _Solver(state, True, None)
         solver.load(state)
-        classes, images = solver.classes, solver.images
         m = g.m
 
         seen: dict[int, tuple] = {}
-        line: list[tuple[int, int | None, int, list[int] | None]] = []
+        line: list[tuple[int, int | None, int, tuple | None]] = []
         for _ in range(6 * m):
+            fresh = _Solver(state, True, None)
+            fresh.load(state)
+            assert (solver.classes, solver.union) == (fresh.classes, fresh.union)
             if not state.game_over():
                 key = solver.key(state)
                 assert key == scratch_key(state)
@@ -382,7 +397,7 @@ class TestCanonicalKey:
             if line and (not moves or rng.random() < 0.3):
                 plies, e, c, old = line.pop()
                 if e is not None:
-                    classes[c - 1] = old
+                    solver.classes[c - 1], solver.union = old
                 for _ in range(plies):
                     state.undo()
                 continue
@@ -391,10 +406,7 @@ class TestCanonicalKey:
             e, bit = rng.choice(moves)
             plies = _play(state, e, bit)
             c = bit.bit_length()
-            old = None
-            if e is not None:
-                old = classes[c - 1]
-                classes[c - 1] = list(map(or_, old, images[e]))
+            old = None if e is None else solver.paint(e, c - 1)
             line.append((plies, e, c, old))
 
     @given(
@@ -472,6 +484,40 @@ class TestCanonicalKey:
         assert solver.classes is None and g._automorphisms is None
         solve(g, 4, SKIP(k=1))
         assert g._automorphisms is not None
+
+
+CAPPED_CASES = [("complete_bipartite:4:4", 4), ("complete:6", 5)]
+
+
+class TestCappedGroup:
+    """Graphs whose group is larger than ``MAX_EDGE_AUTOMORPHISMS``: the
+    solver keys on a subset of the group, which may merge fewer positions
+    than the group would, but never two that are not automorphic."""
+
+    @pytest.mark.parametrize("spec, k", CAPPED_CASES)
+    def test_winner_matches_plain_search(self, spec, k):
+        g = generate(spec)
+        res = solve(g, k, SKIP(k=1))
+        assert len(g.edge_automorphisms()) == MAX_EDGE_AUTOMORPHISMS
+        assert len(nx_edge_automorphisms(g)) > MAX_EDGE_AUTOMORPHISMS
+        assert res.winner == solve(g, k, SKIP(k=1), memoize=False).winner
+
+    @pytest.mark.parametrize("variant, b", [(SKIP, 1), (CLASSIC, 2)])
+    def test_equal_keys_are_automorphic(self, variant, b):
+        """Over positions reached by search lines on K_6, equal keys mean
+        equal brute-force orbits and phases, and some key stands for
+        colorings that differ by more than a palette permutation."""
+        g = generate("complete:6")
+        rng = random.Random(0)
+        by_key: dict[int, tuple] = {}
+        colorings: dict[int, set] = {}
+        for _ in range(60):
+            state = search_line(g, variant(k=5, b=b), rng)
+            key = loaded_key(state)
+            pos = (symmetry_orbit(state), state.turn, state.breaker_moves_this_turn)
+            assert by_key.setdefault(key, pos) == pos
+            colorings.setdefault(key, set()).add(coloring_orbit(state))
+        assert max(map(len, colorings.values())) > 1
 
 
 class TestChiIndex:
