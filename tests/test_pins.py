@@ -77,6 +77,32 @@ def test_verify_strategy_nodes_and_counterexample():
     )
 
 
+def test_verify_paper_maker_nodes():
+    # the benchmark's first certify rung: every draw and move of the paper
+    # Maker on 104,570 verifier nodes
+    maker = DangerRedirectMaker(seed=derive_seed(0, "certify", "paper", 0))
+    res = verify_strategy(generate("cycle:8"), 3, GameConfig.skip_variant(k=3), maker, MAKER)
+    assert (res.sound, res.nodes) == (True, 104570)
+
+
+@pytest.mark.parametrize(
+    "spec, nodes, digest",
+    [
+        ("complete:4", 210, "53342cea0da5099faf909b54396bbf667ae79bc2e5f361c6bd8ef077ee97cecf"),
+        (
+            "complete_bipartite:3:3",
+            338,
+            "b0606dc72f65f42dbffc1061db4dbd5396634b4580c8348afc4fb3ef7c0e29b6",
+        ),
+    ],
+)
+def test_verify_paper_maker_counterexample(spec, nodes, digest):
+    g = generate(spec)
+    res = verify_strategy(g, 4, GameConfig.skip_variant(k=4), DangerRedirectMaker(seed=3), MAKER)
+    assert (res.sound, res.nodes) == (False, nodes)
+    assert sha256(res.counterexample.to_jsonl(g)) == digest
+
+
 MATCH_DIGESTS = {
     ("paper", "box"): "c1859158b19cd43be8fb14b7365a7e137013d32e879c061932254263819ecbdb",
     ("paper", "random"): "007271a2ec5715d7ce9cceef6cec6124f5d0172564b16f77aa6b3fe9eeb3f712",
