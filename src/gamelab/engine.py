@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from gamelab.graph import MAX_EDGE_LIST_VERTICES, Graph
 
@@ -69,10 +69,10 @@ class GameConfig:
         return cls(k, b, "classic", mode)
 
 
-@dataclass(frozen=True)
-class MoveRecord:
+class MoveRecord(NamedTuple):
     """One half-move.  ``skip=True`` marks the end of a Breaker turn
-    (a pure sit-out is an end-of-turn with no preceding colorings)."""
+    (a pure sit-out is an end-of-turn with no preceding colorings).  A named
+    tuple, half a frozen dataclass's cost to build: verifier nodes make one."""
 
     round: int
     player: str
@@ -87,9 +87,6 @@ class MoveLog:
 
     def __init__(self, records: list[MoveRecord] | None = None) -> None:
         self.records: list[MoveRecord] = records if records is not None else []
-
-    def append(self, rec: MoveRecord) -> None:
-        self.records.append(rec)
 
     def __iter__(self) -> Iterator[MoveRecord]:
         return iter(self.records)
@@ -238,9 +235,9 @@ class GameState:
 
     def uncolored_neighbors(self, v: int) -> list[int]:
         """Neighbors joined to v by a still-uncolored edge, ascending."""
-        g = self.g
+        g, color = self.g, self.color
         # adj[v] and incident[v] are built in step, so they pair up
-        return sorted(u for u, e in zip(g.adj[v], g.incident[v]) if not self.color[e])
+        return sorted([u for u, e in zip(g.adj[v], g.incident[v]) if not color[e]])
 
     def winner(self) -> str:
         if self.blocked_seen:
@@ -252,7 +249,7 @@ class GameState:
     def game_over(self) -> bool:
         if self.cfg.mode == MODIFIED:
             return self.uncolored == 0
-        return self.winner() != ONGOING
+        return self.blocked_seen or self.uncolored == 0
 
     def breaker_has_legal_move(self) -> bool:
         return any(
@@ -276,7 +273,7 @@ class GameState:
             raise IllegalMove("game is over")
         if player != self.turn:
             raise IllegalMove(f"not {player}'s turn")
-        if not 0 <= e < self.g.m:
+        if not 0 <= e < len(self.color):
             raise IllegalMove(f"no edge with index {e}")
         if self.color[e] != 0:
             raise IllegalMove(f"edge {e} is already colored")
@@ -321,7 +318,7 @@ class GameState:
             self.breaker_moves_this_turn = 0
 
         if self.log is not None:
-            self.log.append(MoveRecord(self.round, player, e, c, False, ann))
+            self.log.records.append(MoveRecord(self.round, player, e, c, False, ann))
 
         # only edges at the two endpoints can have lost their last color
         if not self.blocked_seen:
@@ -356,7 +353,7 @@ class GameState:
         """
         self.trail.append((None, self.breaker_moves_this_turn, self.round))
         if self.log is not None:
-            self.log.append(MoveRecord(self.round, BREAKER, None, None, True, None))
+            self.log.records.append(MoveRecord(self.round, BREAKER, None, None, True, None))
         self.turn = MAKER
         self.round += 1
         self.breaker_moves_this_turn = 0

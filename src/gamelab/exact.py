@@ -376,7 +376,7 @@ def game_chromatic_index(
 class _Verifier:
     def __init__(self, side: str, budget: int | None, m: int, position_only: bool) -> None:
         self.side = side
-        self.want = MAKER_WON if side == MAKER else BREAKER_WON
+        self.wants_block = side == BREAKER  # a strict game's winner, as blocked_seen
         self.budget = NodeBudget(budget, "verify_strategy")
         # keys of opponent decision points proven sound, for a strategy
         # whose move depends on the position alone
@@ -408,8 +408,9 @@ class _Verifier:
         plies = 0
         while True:
             self.budget.tick()
-            if state.game_over():
-                bad = None if state.winner() == self.want else state.log.copy()
+            # verify_strategy refuses modified mode, so the game is strict
+            if state.blocked_seen or not state.uncolored:
+                bad = None if state.blocked_seen == self.wants_block else state.log.copy()
                 break
             if state.turn != self.side:
                 bad = self._branch(state, strategy, owned)

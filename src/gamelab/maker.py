@@ -40,6 +40,8 @@ def _as_fraction(x: object, name: str) -> Fraction:
             return Fraction(x)
         except ZeroDivisionError:
             raise ValueError(f"{name} {x!r} has a zero denominator") from None
+        except ValueError:
+            raise ValueError(f"{name} {x!r} is not a fraction") from None
     raise TypeError(f"cannot interpret {x!r} as an exact fraction")
 
 
@@ -101,13 +103,8 @@ class MakerMemory:
     danger: dict[int, frozenset[int]] = field(default_factory=dict)
 
     def copy(self) -> "MakerMemory":
-        return MakerMemory(
-            f0=self.f0,
-            t1_round=dict(self.t1_round),
-            t2_round=dict(self.t2_round),
-            t3_round=dict(self.t3_round),
-            danger=dict(self.danger),
-        )
+        t1, t2, t3 = self.t1_round.copy(), self.t2_round.copy(), self.t3_round.copy()
+        return MakerMemory(self.f0, t1, t2, t3, self.danger.copy())
 
 
 def record_crossings(
@@ -168,15 +165,16 @@ def compute_danger_set(s: GameState, mem: MakerMemory, v: int) -> frozenset[int]
     g = s.g
     k = s.cfg.k
     overlap_cap = 2 * g.max_degree - k
-    t1_v = mem.t1_round[v]
-    color = s.color
+    t1_round, color, adj, umask = mem.t1_round, s.color, g.adj, s.umask
+    t1_v, used_v = t1_round[v], umask[v]
+    least_deg_u = k - len(adj[v])  # deg(u) + deg(v) >= k
     members = []
-    for u, e in zip(g.adj[v], g.incident[v]):
-        if color[e] or g.degree(u) + g.degree(v) < k:
+    for u, e in zip(adj[v], g.incident[v]):
+        if color[e] or len(adj[u]) < least_deg_u:
             continue
-        if (s.umask[u] & s.umask[v]).bit_count() > overlap_cap:
+        if (umask[u] & used_v).bit_count() > overlap_cap:
             continue
-        if mem.t1_round.get(u, _INF) <= t1_v:
+        if t1_round.get(u, _INF) <= t1_v:
             members.append(u)
     result = frozenset(members)
     mem.danger[v] = result
@@ -219,10 +217,15 @@ class DangerRedirectMaker:
         self.rng = DrawTape(seed)
         self.memory = MakerMemory()
         self._bound: tuple[int, int, int] | None = None  # (delta, b, k)
+        self._bound_to = (None, None)  # the (graph, config) last checked
         self._thresholds = (0, 0, 0)
         self._q = 0.0  # float(cfg.q), the redirect coin's bias
 
     def _bind(self, s: GameState) -> None:
+        g, cfg = self._bound_to
+        if s.g is g and s.cfg is cfg:
+            return
+        self._bound_to = s.g, s.cfg
         key = (s.g.max_degree, s.cfg.b, s.cfg.k)
         if self._bound is None:
             self._bound = key
@@ -264,20 +267,22 @@ class DangerRedirectMaker:
         x, y = g.edges[f]
         v = (x, y)[rng.randrange(2)]
         # Gamma'(w) is empty exactly when every edge at w is colored
-        if s.load[v] == g.degree(v):
+        load, adj = s.load, g.adj
+        if load[v] == len(adj[v]):
             other = y if v == x else x
-            if s.load[other] < g.degree(other):
+            if load[other] < len(adj[other]):
                 v = other
             else:
-                alive = [w for w in range(g.n) if s.load[w] < g.degree(w)]
+                alive = [w for w in range(g.n) if load[w] < len(adj[w])]
                 v = alive[rng.randrange(len(alive))]
 
         # step 3: neighbor, with the danger redirect
         nbrs = s.uncolored_neighbors(v)
         u = nbrs[rng.randrange(len(nbrs))]
         redirected = False
-        if s.load[v] >= self._thresholds[1] and v in mem.danger:
-            targets = [w for w in sorted(mem.danger[v]) if w in nbrs]
+        if load[v] >= self._thresholds[1] and v in mem.danger:
+            danger = mem.danger[v]
+            targets = [w for w in nbrs if w in danger]  # ascending, as nbrs
             if targets and rng.random() < self._q:
                 u = targets[rng.randrange(len(targets))]
                 redirected = True
@@ -285,7 +290,7 @@ class DangerRedirectMaker:
         # step 4: color
         e = g.index_of(v, u)
         mask = s.avail_mask(e)
-        avail = [i + 1 for i in range(s.cfg.k) if mask >> i & 1]  # A(e), ascending
+        avail = [i + 1 for i in range(mask.bit_length()) if mask >> i & 1]  # A(e), ascending
         ann: dict = {"f": f, "v": v, "u": u, "redirected": redirected}
         if avail:
             color = avail[rng.randrange(len(avail))]
@@ -300,7 +305,8 @@ class DangerRedirectMaker:
     def clone(self) -> "DangerRedirectMaker":
         """Own tape position and memory; constants and bound game shared."""
         dup = object.__new__(type(self))
-        dup.__dict__ = {**self.__dict__, "rng": self.rng.fork(), "memory": self.memory.copy()}
+        dup.__dict__ = fields = self.__dict__.copy()
+        fields["rng"], fields["memory"] = self.rng.fork(), self.memory.copy()
         return dup
 
 

@@ -167,8 +167,9 @@ class _Tally:
         """Count coloring record i of the log, just played on ``state``.
 
         A Maker record is a good event of the vertex v its annotation names,
-        which must be an endpoint of its edge (else ValueError naming record
-        i); v's load before the record is ``state.load[v]`` less that edge.
+        which must be an endpoint of its edge, with flags that are absent or
+        booleans (else ValueError naming record i); v's load before the
+        record is ``state.load[v]`` less that edge.
         """
         ends = state.g.edges[rec.edge]
         self.touched.update(ends)
@@ -180,9 +181,12 @@ class _Tally:
             raise ValueError(f"log record {i}: missing annotations")
         if v not in ends:
             raise ValueError(f"log record {i}: annotated vertex {v} is not on edge {ends}")
+        flags = ann.get("redirected", False), ann.get("forced_nonproper", False)
+        for name, flag in zip(("redirected", "forced_nonproper"), flags):
+            if type(flag) is not bool:
+                raise ValueError(f"log record {i}: {name!r} must be a boolean, got {flag!r}")
         pre_load = state.load[v] - 1
-        redirected, forced = bool(ann.get("redirected")), bool(ann.get("forced_nonproper"))
-        ev = GoodEdgeEvent(rec.round, rec.edge, rec.color, pre_load, redirected, forced)
+        ev = GoodEdgeEvent(rec.round, rec.edge, rec.color, pre_load, *flags)
         self.events.append((v, ev))
 
     def close_round(self, r: int, state: GameState, sums) -> None:

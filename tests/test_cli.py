@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import json
 
 import pytest
@@ -273,7 +272,7 @@ class TestBadInput:
         rec = s.log[2]
         assert (g.edges[rec.edge], rec.ann["v"]) == ((0, 7), 0)
         records = list(s.log)
-        records[2] = dataclasses.replace(rec, ann={**rec.ann, "v": 1})
+        records[2] = rec._replace(ann={**rec.ann, "v": 1})
         log = tmp_path / "moved.jsonl"
         log.write_text(MoveLog(records).to_jsonl(g))
         rc = main(["telemetry", "--log", str(log), "--graph", "cycle:8", "--k", "3"])
@@ -281,6 +280,22 @@ class TestBadInput:
         assert capsys.readouterr().err == (
             "error: log record 2: annotated vertex 1 is not on edge (0, 7)\n"
         )
+
+    @pytest.mark.parametrize(
+        "ann, err",
+        [
+            ('{"v":0,"redirected":"false"}', "'redirected' must be a boolean, got 'false'"),
+            ('{"v":0,"redirected":1}', "'redirected' must be a boolean, got 1"),
+            ('{"v":0,"forced_nonproper":null}', "'forced_nonproper' must be a boolean, got None"),
+        ],
+        ids=["string", "integer", "null"],
+    )
+    def test_maker_record_with_non_boolean_flag(self, tmp_path, capsys, ann, err):
+        log = tmp_path / "bad.jsonl"
+        log.write_text(self.GOOD + '{"r":2,"p":"M","e":[0,1],"c":1,"ann":%s}\n' % ann)
+        rc = main(["telemetry", "--log", str(log), "--graph", "cycle:5", "--k", "3"])
+        assert rc == 2
+        assert capsys.readouterr() == ("", f"error: log record 1: {err}\n")
 
     @pytest.mark.parametrize("which", ["missing log", "log is a directory", "graph is a directory"])
     def test_unreadable_file(self, tmp_path, capsys, which):
@@ -302,7 +317,7 @@ class TestBadInput:
         g = cycle(8)
         cfg = GameConfig.skip_variant(k=3, mode=MODIFIED)
         s = play_game(g, cfg, make_maker("paper", 0), make_breaker("greedy", 0))
-        shifted = MoveLog([dataclasses.replace(rec, round=rec.round + 7) for rec in s.log])
+        shifted = MoveLog([rec._replace(round=rec.round + 7) for rec in s.log])
         log = tmp_path / "shifted.jsonl"
         log.write_text(shifted.to_jsonl(g))
         rc = main(["telemetry", "--log", str(log), "--graph", "cycle:8", "--k", "3"])
@@ -367,6 +382,23 @@ class TestBadInput:
         rc = main(argv + ["--graph", "cycle:5", "--k", "3"])
         assert rc == 2
         assert capsys.readouterr().err == f"error: {err} has a zero denominator\n"
+
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (["play", "--maker", "paper", "--lambda", "x"], "lambda 'x'"),
+            (["play", "--maker", "paper", "--c", "1/x"], "c '1/x'"),
+            (["telemetry", "--log", "LOG", "--lambda", "x"], "lambda 'x'"),
+            (["telemetry", "--log", "LOG", "--c", ""], "c ''"),
+        ],
+        ids=["play-lambda", "play-c", "telemetry-lambda", "telemetry-c"],
+    )
+    def test_fraction_names_its_argument(self, tmp_path, capsys, argv, err):
+        log = tmp_path / "ok.jsonl"
+        log.write_text(self.GOOD)
+        argv = [str(log) if a == "LOG" else a for a in argv]
+        assert main(argv + ["--graph", "cycle:5", "--k", "3"]) == 2
+        assert capsys.readouterr() == ("", f"error: {err} is not a fraction\n")
 
     @pytest.mark.parametrize("b", ["0", "-4"])
     def test_goodset_bias_below_one(self, capsys, b):

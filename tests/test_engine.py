@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gamelab import graph as G
+from gamelab.breaker import GreedyBlockingBreaker
 from gamelab.engine import (
     BREAKER,
     BREAKER_WON,
@@ -22,9 +23,12 @@ from gamelab.engine import (
     GameState,
     IllegalMove,
     MoveLog,
+    MoveRecord,
     new_game,
     replay,
 )
+from gamelab.maker import DangerRedirectMaker
+from gamelab.match import play_game
 
 
 def used_colors(s: GameState, v: int) -> set[int]:
@@ -193,6 +197,18 @@ class TestBasics:
                 GameConfig(k=k)
 
 
+class TestMoveRecord:
+    def test_fields_cannot_be_assigned(self):
+        rec = MoveRecord(1, MAKER, 0, 2)
+        assert (rec.skip, rec.ann) == (False, None)
+        for field in ("round", "player", "edge", "color", "skip", "ann"):
+            with pytest.raises(AttributeError):
+                setattr(rec, field, None)
+        with pytest.raises(AttributeError):
+            rec.note = "x"
+        assert rec == MoveRecord(1, MAKER, 0, 2, False, None)
+
+
 class TestRuleErrors:
     def test_wrong_turn(self):
         s = new_game(G.path(3), GameConfig.skip_variant(k=2))
@@ -334,6 +350,19 @@ class TestFuzzInvariants:
                     r = replay(g, cfg, s.log)
                     assert snapshot(r) == snapshot(s)
                     assert r.log == s.log
+
+    def test_annotated_jsonl_round_trip(self):
+        # the paper Maker's annotations (forced colorings included) and
+        # Breaker's end-of-turn records come back as equal records
+        g = G.cycle(8)
+        s = play_game(
+            g, GameConfig.skip_variant(k=2, mode=MODIFIED),
+            DangerRedirectMaker(seed=0), GreedyBlockingBreaker(),
+        )
+        recs = s.log.records
+        assert any(r.skip for r in recs)
+        assert any(r.ann and r.ann.get("forced_nonproper") for r in recs)
+        assert MoveLog.from_jsonl(s.log.to_jsonl(g), g) == s.log
 
     def test_jsonl_round_trip(self):
         g = G.cycle(5)

@@ -29,6 +29,7 @@ from gamelab.engine import (
     ONGOING,
     GameConfig,
     GameState,
+    IllegalMove,
     apply_record,
     new_game,
     replay,
@@ -820,6 +821,23 @@ class TestVerifyStrategy:
         assert first.sound == second.sound
         if first.counterexample is not None:
             assert first.counterexample == second.counterexample
+
+    @pytest.mark.parametrize(
+        "move, err",
+        [((0, 1), "edge 0 is already colored"), ((1, 4), "color 4 outside palette 1..3")],
+        ids=["colored-edge", "off-palette"],
+    )
+    def test_illegal_strategy_move_raises(self, move, err):
+        # the verifier plays a strategy's moves through the checked apply_move
+        class FixedMaker:
+            def move(self, s):
+                return (*move, None)
+
+            def clone(self):
+                return self
+
+        with pytest.raises(IllegalMove, match=err):
+            verify_strategy(cycle(5), 3, SKIP(k=1), FixedMaker(), MAKER)
 
     def test_bad_side_rejected(self):
         with pytest.raises(ValueError):

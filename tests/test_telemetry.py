@@ -374,7 +374,7 @@ class TestErrors:
             g, cfg, DangerRedirectMaker(MCFG, seed=0), GreedyBlockingBreaker(), MCFG
         )
         assert analyze(s.log, g, cfg, MCFG) == live
-        shifted = MoveLog([dataclasses.replace(rec, round=rec.round + 7) for rec in s.log])
+        shifted = MoveLog([rec._replace(round=rec.round + 7) for rec in s.log])
         with pytest.raises(ValueError, match="log record 0: expected round 1, record says 8"):
             analyze(shifted, g, cfg, MCFG)
 
@@ -389,9 +389,28 @@ class TestErrors:
         rec = s.log[2]
         assert (rec.player, g.edges[rec.edge], rec.ann["v"]) == (MAKER, (0, 7), 0)
         bad = MoveLog(list(s.log))
-        bad.records[2] = dataclasses.replace(rec, ann={**rec.ann, "v": 1})
+        bad.records[2] = rec._replace(ann={**rec.ann, "v": 1})
         with pytest.raises(
             ValueError, match=r"^log record 2: annotated vertex 1 is not on edge \(0, 7\)$"
+        ):
+            analyze(bad, g, cfg, MCFG)
+
+    @pytest.mark.parametrize(
+        "flag, value", [("redirected", "false"), ("redirected", 0), ("forced_nonproper", None)]
+    )
+    def test_non_boolean_flag_rejected(self, flag, value):
+        # bool() of the string "false" is True: a flag must be a boolean
+        g = cycle(8)
+        cfg = GameConfig.skip_variant(k=3, mode=MODIFIED)
+        s, _ = play_instrumented(
+            g, cfg, DangerRedirectMaker(MCFG, seed=0), GreedyBlockingBreaker(), MCFG
+        )
+        rec = s.log[2]
+        assert rec.player == MAKER
+        bad = MoveLog(list(s.log))
+        bad.records[2] = rec._replace(ann={**rec.ann, flag: value})
+        with pytest.raises(
+            ValueError, match=rf"^log record 2: '{flag}' must be a boolean, got {value!r}$"
         ):
             analyze(bad, g, cfg, MCFG)
 
