@@ -45,22 +45,11 @@ class BoxReductionMemory:
 
     @classmethod
     def for_game(cls, g: Graph, cert: GoodSetCertificate, b: int) -> "BoxReductionMemory":
-        """Reduction data for the good set ``cert.edges``, reusing the
-        certificate's distances from each member."""
-        F = cert.edges
-        if not F:
+        """Reduction data for the good set ``cert.edges``, read from the
+        certificate."""
+        if not cert.edges:
             raise StrategyError("box reduction needs a non-empty good set")
-        gamma = []
-        for f in F:
-            u, v = g.edges[f]
-            nbrs = sorted((set(g.incident[u]) | set(g.incident[v])) - {f})
-            gamma.append(tuple(nbrs))
-        dists = cert.distances
-        # min keeps the first of equal keys, so ties go to the lowest index
-        box_of_edge = tuple(
-            min(range(len(F)), key=lambda j: min(dists[j][x], dists[j][y])) for x, y in g.edges
-        )
-        return cls(F=F, gamma=tuple(gamma), box_of_edge=box_of_edge, b=b)
+        return cls(F=cert.edges, gamma=cert.gamma, box_of_edge=cert.nearest, b=b)
 
     def snapshot(self, s: GameState) -> boxgame.BoxGameState:
         """Rebuild the embedded box game from the engine state and its log.

@@ -156,7 +156,9 @@ def _parse_record(line: str, g: Graph) -> MoveRecord:
         raise ValueError(f"'c' must be null or an integer, got {c!r}")
     if ann is not None and not isinstance(ann, dict):
         raise ValueError(f"'ann' must be null or an object, got {ann!r}")
-    skip = bool(obj.get("skip", False))
+    skip = obj.get("skip", False)
+    if type(skip) is not bool:
+        raise ValueError(f"'skip' must be a boolean, got {skip!r}")
     if not skip and (e is None or c is None):
         raise ValueError("a coloring record needs both 'e' and 'c'")
     return MoveRecord(rnd, MAKER if p == "M" else BREAKER, e, c, skip, ann)

@@ -29,13 +29,15 @@ class GreedyStep:
 
 @dataclass(frozen=True)
 class GoodSetCertificate:
-    """A good set together with the facts that certify it."""
+    """A good set, the facts that certify it, and the box reduction's data."""
 
     edges: tuple[int, ...]
     endpoint_degrees: tuple[tuple[int, int], ...]
     pair_distances: tuple[tuple[int, int, float], ...]  # (edge, edge, distance)
     steps: tuple[GreedyStep, ...]
     distances: tuple[tuple[float, ...], ...]  # per edge: BFS distance to each vertex
+    gamma: tuple[tuple[int, ...], ...]  # per member: the edges sharing an endpoint with it
+    nearest: tuple[int, ...]  # per edge: its nearest member's index, lowest on ties; () if none
 
     def __len__(self) -> int:
         return len(self.edges)
@@ -51,7 +53,11 @@ def find_good_set(g: Graph) -> GoodSetCertificate:
     distance exactly 3 has an endpoint whose neighbor toward the chosen edge
     sits at distance 2, so one of that endpoint's edges was removed and the
     endpoint lost full degree.
+
+    The certificate depends only on g: it is built on the first call and kept.
     """
+    if g._good_set is not None:
+        return g._good_set
     delta = g.max_degree
     alive = [True] * g.m
     deg_alive = [g.degree(v) for v in range(g.n)]
@@ -100,7 +106,9 @@ def find_good_set(g: Graph) -> GoodSetCertificate:
         for f in chosen[i + 1 :]:
             x, y = g.edges[f]
             pairs.append((e, f, min(dists[i][x], dists[i][y])))
-    return GoodSetCertificate(
+    # per vertex (distance, index) of its nearest member; the lower index wins ties
+    near = [min(zip(col, range(len(chosen)))) for col in zip(*dists)]
+    g._good_set = GoodSetCertificate(
         edges=tuple(chosen),
         endpoint_degrees=tuple(
             (g.degree(g.edges[e][0]), g.degree(g.edges[e][1])) for e in chosen
@@ -108,7 +116,12 @@ def find_good_set(g: Graph) -> GoodSetCertificate:
         pair_distances=tuple(pairs),
         steps=tuple(steps),
         distances=tuple(dists),
+        gamma=tuple(
+            tuple(sorted(f for w in g.edges[e] for f in g.incident[w] if f != e)) for e in chosen
+        ),
+        nearest=tuple(min(near[x], near[y])[1] for x, y in g.edges) if chosen else (),
     )
+    return g._good_set
 
 
 def condition_values(g: Graph, edges: Sequence[int], b: int) -> tuple[Fraction, Fraction]:

@@ -46,7 +46,9 @@ def _check_size(n: int, pairs: int = 0) -> None:
 class Graph:
     """Immutable simple undirected graph on vertices ``0..n-1``."""
 
-    __slots__ = ("n", "edges", "adj", "incident", "_index_of", "_max_degree", "_automorphisms")
+    __slots__ = (
+        "n", "edges", "adj", "incident", "_index_of", "_max_degree", "_automorphisms", "_good_set"
+    )
 
     def __init__(self, n: int, edges: Iterable[Sequence[int]]) -> None:
         if n < 0:
@@ -75,6 +77,7 @@ class Graph:
             self.incident[v].append(idx)
         self._max_degree = max((len(a) for a in self.adj), default=0)
         self._automorphisms: tuple[tuple[int, ...], ...] | None = None
+        self._good_set = None  # built and kept by ``goodset.find_good_set``
 
     # -- basic queries -------------------------------------------------
 

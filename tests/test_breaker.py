@@ -31,6 +31,7 @@ from gamelab.engine import (
 )
 from gamelab.goodset import find_good_set
 from gamelab.maker import GreedyMaker, UniformRandomMaker
+from gamelab.match import ExperimentSpec, run_match
 from helpers import edge_distance
 
 
@@ -169,12 +170,47 @@ class TestMapping:
             assert not (set(gam) & seen)
             seen |= set(gam)
 
-    def test_empty_good_set_rejected(self):
-        g = G.star(5)  # no good set exists
-        br = BoxReductionBreaker()
-        s = new_game(g, GameConfig.skip_variant(k=5, b=2))
-        with pytest.raises(StrategyError):
-            br.micro_move(s)
+    @given(
+        st.lists(
+            st.one_of(
+                st.integers(3, 14).map(G.cycle),
+                st.integers(2, 14).map(G.path),
+                st.builds(
+                    G.gnp, st.integers(4, 12), st.sampled_from([0.2, 0.4]), st.integers(0, 2**16)
+                ),
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_certificate_matches_oracles(self, parts):
+        # a disjoint union, so members and edges may lie in different components
+        edges, n = [], 0
+        for h in parts:
+            edges += [(u + n, v + n) for u, v in h.edges]
+            n += h.n
+        g = G.Graph(n, edges)
+        cert = find_good_set(g)
+        F = cert.edges
+        if not F:
+            assert cert.nearest == cert.gamma == ()
+            return
+        assert cert.nearest == tuple(map_edge_to_box(g, F, e) for e in range(g.m))
+        assert cert.gamma == tuple(
+            tuple(e for e in range(g.m) if e != f and set(g.edges[e]) & set(g.edges[f])) for f in F
+        )
+
+    @pytest.mark.parametrize("spec", ["star:5", "gnp:30:0.2:3"])
+    def test_empty_good_set_rejected(self, spec):
+        # graphs with edges but no good set; the second Breaker reads the
+        # certificate the first one left on the graph
+        g = G.generate(spec)
+        assert g.m > 0 and not find_good_set(g).edges
+        for br in (BoxReductionBreaker(), BoxReductionBreaker()):
+            s = new_game(g, GameConfig.skip_variant(k=5, b=2))
+            with pytest.raises(StrategyError, match="non-empty good set"):
+                br.micro_move(s)
 
 
 class TestBoxBreakerEndgames:
@@ -297,6 +333,23 @@ class TestBoxBreakerEndgames:
         mv = br.micro_move(new_game(g, GameConfig.skip_variant(k=2, b=2)))
         assert mv is not None
         assert len(br.memory.F) == 5
+        assert len(calls) == 5
+
+    def test_match_runs_one_bfs_per_member(self, monkeypatch):
+        # every trial builds its own Breaker, and each reads the one
+        # certificate kept on the match's graph
+        calls = []
+        bfs = G.Graph.vertex_distances
+
+        def counted(self, sources):
+            calls.append(sources)
+            return bfs(self, sources)
+
+        monkeypatch.setattr(G.Graph, "vertex_distances", counted)
+        spec = ExperimentSpec(
+            graph="cycle:25", maker="random", breaker="box", k=2, b=2, trials=50, seed=1
+        )
+        assert run_match(spec).breaker_wins == 50
         assert len(calls) == 5
 
 

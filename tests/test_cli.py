@@ -297,6 +297,17 @@ class TestBadInput:
         assert rc == 2
         assert capsys.readouterr() == ("", f"error: log record 1: {err}\n")
 
+    @pytest.mark.parametrize(
+        "skip, shown", [('"false"', "'false'"), ("1", "1")], ids=["string", "integer"]
+    )
+    def test_breaker_record_with_non_boolean_skip(self, tmp_path, capsys, skip, shown):
+        log = tmp_path / "bad.jsonl"
+        log.write_text(self.GOOD + '{"r":1,"p":"B","e":[0,1],"c":1,"skip":%s}\n' % skip)
+        rc = main(["telemetry", "--log", str(log), "--graph", "cycle:5", "--k", "3"])
+        assert rc == 2
+        err = f"error: log line 2: 'skip' must be a boolean, got {shown}\n"
+        assert capsys.readouterr() == ("", err)
+
     @pytest.mark.parametrize("which", ["missing log", "log is a directory", "graph is a directory"])
     def test_unreadable_file(self, tmp_path, capsys, which):
         log = tmp_path / "ok.jsonl"

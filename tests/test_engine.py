@@ -375,6 +375,31 @@ class TestFuzzInvariants:
         # serialization is stable byte-for-byte
         assert back.to_jsonl(g) == text
 
+    @pytest.mark.parametrize(
+        "skip, shown",
+        [('"false"', "'false'"), ("1", "1"), ("null", "None")],
+        ids=["string", "integer", "null"],
+    )
+    def test_non_boolean_skip_rejected(self, skip, shown):
+        # bool() would read each of these as an end of turn and drop the coloring
+        line = '{"r":1,"p":"B","e":[0,1],"c":1,"skip":%s}' % skip
+        with pytest.raises(ValueError) as exc:
+            MoveLog.from_jsonl(line, G.cycle(5))
+        assert str(exc.value) == f"log line 1: 'skip' must be a boolean, got {shown}"
+
+    def test_boolean_or_absent_skip_accepted(self):
+        g = G.cycle(5)
+        lines = [
+            '{"r":1,"p":"B","e":null,"c":null,"skip":true}',
+            '{"r":1,"p":"M","e":[0,1],"c":1,"skip":false}',
+            '{"r":2,"p":"M","e":[1,2],"c":2}',
+        ]
+        assert MoveLog.from_jsonl("\n".join(lines), g).records == [
+            MoveRecord(1, BREAKER, None, None, True),
+            MoveRecord(1, MAKER, 0, 1),
+            MoveRecord(2, MAKER, 1, 2),
+        ]
+
 
 class TestReplayValidation:
     def test_replay_rejects_corrupt_round(self):

@@ -151,6 +151,13 @@ class TestGreedy:
         assert len(brute_force_good_sets(G.cycle(10), 2)) > 0
         assert len(find_good_set(G.cycle(10)).edges) == 2
 
+    def test_certificate_is_kept_per_graph(self):
+        g = G.cycle(25)
+        assert find_good_set(g) is find_good_set(g)
+        twin = G.cycle(25)
+        assert find_good_set(twin) == find_good_set(g)
+        assert find_good_set(twin) is not find_good_set(g)
+
     def test_shrinkage_bound_on_regular_graphs(self):
         for g in [G.cycle(20), G.random_regular(24, 3, seed=4), G.complete(6)]:
             delta = g.max_degree
