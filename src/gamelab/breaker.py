@@ -18,7 +18,6 @@ Annotations written into the move log:
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
 from itertools import compress, islice
 from typing import Sequence
 
@@ -27,56 +26,6 @@ from ._util import DrawTape, StrategyError
 from .engine import BREAKER, MAKER, GameState, uniform_legal_move
 from .goodset import GoodSetCertificate, find_good_set
 from .graph import Graph
-
-
-@dataclass
-class BoxReductionMemory:
-    """Static reduction data plus the per-call box-game snapshot inputs.
-
-    ``gamma[i]`` holds the edges sharing an endpoint with f_i; for a good set
-    these are pairwise disjoint across boxes.  ``box_of_edge[e]`` is the index
-    of the member of F nearest to edge e (lowest index on ties).
-    """
-
-    F: tuple[int, ...]
-    gamma: tuple[tuple[int, ...], ...]
-    box_of_edge: tuple[int, ...]
-    b: int
-
-    @classmethod
-    def for_game(cls, g: Graph, cert: GoodSetCertificate, b: int) -> "BoxReductionMemory":
-        """Reduction data for the good set ``cert.edges``, read from the
-        certificate."""
-        if not cert.edges:
-            raise StrategyError("box reduction needs a non-empty good set")
-        return cls(F=cert.edges, gamma=cert.gamma, box_of_edge=cert.nearest, b=b)
-
-    def snapshot(self, s: GameState) -> boxgame.BoxGameState:
-        """Rebuild the embedded box game from the engine state and its log.
-
-        remaining[i] counts the colors still available on f_i; touched[i] is
-        set by any Maker move mapped to box i (and for a colored f_i, which
-        can no longer be destroyed).
-        """
-        remaining = []
-        touched = [False] * len(self.F)
-        for i, f in enumerate(self.F):
-            if s.color[f] != 0:
-                remaining.append(0)
-                touched[i] = True
-            else:
-                remaining.append(s.avail_mask(f).bit_count())
-        for rec in s.log:
-            if rec.player == MAKER and rec.edge is not None:
-                touched[self.box_of_edge[rec.edge]] = True
-        claims_left = max(0, self.b - s.breaker_moves_this_turn)
-        return boxgame.BoxGameState(
-            remaining=remaining,
-            touched=touched,
-            b=self.b,
-            turn=boxgame.BOB,
-            claims_left=claims_left,
-        )
 
 
 class BoxReductionBreaker:
@@ -95,15 +44,43 @@ class BoxReductionBreaker:
     position_only = False  # reads which edges Maker colored from the log
 
     def __init__(self) -> None:
-        self.memory: BoxReductionMemory | None = None
-        self._graph: Graph | None = None  # the graph ``memory`` was built for
+        self.cert: GoodSetCertificate | None = None
+        self.b = 0
+        self._graph: Graph | None = None  # the graph ``cert`` was found on
 
-    def _bind(self, s: GameState) -> BoxReductionMemory:
-        mem = self.memory
-        if self._graph is not s.g or mem.b != s.cfg.b:
-            mem = self.memory = BoxReductionMemory.for_game(s.g, find_good_set(s.g), s.cfg.b)
-            self._graph = s.g
-        return mem
+    def for_game(self, s: GameState) -> None:
+        """Bind the good set of s's graph and the bias of its game."""
+        cert = find_good_set(s.g)
+        if not cert.edges:
+            raise StrategyError("box reduction needs a non-empty good set")
+        self.cert, self.b, self._graph = cert, s.cfg.b, s.g
+
+    def snapshot(self, s: GameState) -> boxgame.BoxGameState:
+        """Rebuild the embedded box game from the engine state and its log.
+
+        remaining[i] counts the colors still available on f_i; touched[i] is
+        set by any Maker move mapped to box i, the box of its nearest member
+        of F (and for a colored f_i, which can no longer be destroyed).
+        """
+        F, nearest = self.cert.edges, self.cert.nearest
+        remaining = []
+        touched = [False] * len(F)
+        for i, f in enumerate(F):
+            if s.color[f] != 0:
+                remaining.append(0)
+                touched[i] = True
+            else:
+                remaining.append(s.avail_mask(f).bit_count())
+        for rec in s.log:
+            if rec.player == MAKER and rec.edge is not None:
+                touched[nearest[rec.edge]] = True
+        return boxgame.BoxGameState(
+            remaining=remaining,
+            touched=touched,
+            b=self.b,
+            turn=boxgame.BOB,
+            claims_left=max(0, self.b - s.breaker_moves_this_turn),
+        )
 
     def _any_legal(self, s: GameState, edges: Sequence[int]) -> tuple[int, int] | None:
         for e in sorted(edges):
@@ -117,30 +94,32 @@ class BoxReductionBreaker:
     def micro_move(self, s: GameState) -> tuple[int, int, dict] | None:
         if s.turn != BREAKER:
             raise StrategyError("not Breaker's turn")
-        mem = self._bind(s)
-        target = boxgame.bob_strategy(mem.snapshot(s))
+        if self._graph is not s.g or self.b != s.cfg.b:
+            self.for_game(s)
+        cert = self.cert
+        target = boxgame.bob_strategy(self.snapshot(s))
         near: Sequence[int] = ()
         if target is None:
             # every box is touched: the reduction has nothing left to say
             ann = {"box_game_over": True}
         else:
             # realize the claim: lowest edge around f_target with a color free on f_target
-            fresh = s.avail_mask(mem.F[target])
-            for e in mem.gamma[target]:
+            fresh = s.avail_mask(cert.edges[target])
+            for e in cert.gamma[target]:
                 if s.color[e] != 0:
                     continue
                 mask = s.avail_mask(e) & fresh
                 if mask:
                     return e, (mask & -mask).bit_length(), {"box": target}
             ann = {"reduction_break": True, "box": target}
-            near = [e for gam in mem.gamma for e in gam]
+            near = [e for gam in cert.gamma for e in gam]
         fallback = self._any_legal(s, near)
         if fallback is None and s.cfg.variant == "classic":
             fallback = self._any_legal(s, range(s.g.m))
         return None if fallback is None else (fallback[0], fallback[1], ann)
 
     def clone(self) -> "BoxReductionBreaker":
-        return self  # bound data is static; ``_bind`` rebinds on another game
+        return self  # bound data is static; ``for_game`` rebinds on another game
 
 
 class UniformRandomBreaker:

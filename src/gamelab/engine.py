@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from gamelab.graph import MAX_EDGE_LIST_VERTICES, Graph
 
@@ -82,32 +82,15 @@ class MoveRecord(NamedTuple):
     ann: dict | None = None
 
 
-class MoveLog:
-    """Ordered list of MoveRecords with JSON-lines (de)serialization."""
-
-    def __init__(self, records: list[MoveRecord] | None = None) -> None:
-        self.records: list[MoveRecord] = records if records is not None else []
-
-    def __iter__(self) -> Iterator[MoveRecord]:
-        return iter(self.records)
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def __getitem__(self, i):
-        return self.records[i]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MoveLog):
-            return NotImplemented
-        return self.records == other.records
+class MoveLog(list):
+    """A list of MoveRecords with JSON-lines (de)serialization."""
 
     def copy(self) -> MoveLog:
-        return MoveLog(list(self.records))
+        return MoveLog(self)
 
     def to_jsonl(self, g: Graph) -> str:
         lines = []
-        for rec in self.records:
+        for rec in self:
             obj: dict = {
                 "r": rec.round,
                 "p": "M" if rec.player == MAKER else "B",
@@ -159,7 +142,10 @@ def _parse_record(line: str, g: Graph) -> MoveRecord:
     skip = obj.get("skip", False)
     if type(skip) is not bool:
         raise ValueError(f"'skip' must be a boolean, got {skip!r}")
-    if not skip and (e is None or c is None):
+    if skip:
+        if e is not None or c is not None:
+            raise ValueError("an end-of-turn record must have null 'e' and 'c'")
+    elif e is None or c is None:
         raise ValueError("a coloring record needs both 'e' and 'c'")
     return MoveRecord(rnd, MAKER if p == "M" else BREAKER, e, c, skip, ann)
 
@@ -320,7 +306,7 @@ class GameState:
             self.breaker_moves_this_turn = 0
 
         if self.log is not None:
-            self.log.records.append(MoveRecord(self.round, player, e, c, False, ann))
+            self.log.append(MoveRecord(self.round, player, e, c, False, ann))
 
         # only edges at the two endpoints can have lost their last color
         if not self.blocked_seen:
@@ -355,7 +341,7 @@ class GameState:
         """
         self.trail.append((None, self.breaker_moves_this_turn, self.round))
         if self.log is not None:
-            self.log.records.append(MoveRecord(self.round, BREAKER, None, None, True, None))
+            self.log.append(MoveRecord(self.round, BREAKER, None, None, True, None))
         self.turn = MAKER
         self.round += 1
         self.breaker_moves_this_turn = 0
@@ -364,7 +350,7 @@ class GameState:
         """Take back the last ``apply_move`` or ``end_breaker_turn``."""
         rec = self.trail.pop()
         if self.log is not None:
-            self.log.records.pop()
+            self.log.pop()
         e = rec[0]
         if e is None:
             self.turn = BREAKER
@@ -453,6 +439,8 @@ def apply_record(s: GameState, rec: MoveRecord) -> None:
     if rec.skip:
         if rec.player != BREAKER:
             raise IllegalMove("skip recorded for maker")
+        if rec.edge is not None or rec.color is not None:
+            raise IllegalMove("end-of-turn record carries an edge or a color")
         s.end_breaker_turn()
     else:
         if rec.edge is None or rec.color is None:

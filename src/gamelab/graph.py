@@ -336,6 +336,33 @@ def _tree_graph(t) -> Graph:
     return Graph(t.number_of_nodes(), sorted(tuple(sorted(e)) for e in t.edges()))
 
 
+def _tree(order: int, index: int) -> Graph:
+    """The index-th tree of the given order, in networkx's enumeration."""
+    if order > MAX_TREE_ORDER:
+        raise GraphError(f"tree order {order} exceeds {MAX_TREE_ORDER}")
+    if index < 0:
+        raise GraphError(f"tree index {index} is negative")
+    import networkx as nx
+
+    for i, t in enumerate(nx.nonisomorphic_trees(order)):
+        if i == index:
+            return _tree_graph(t)
+    raise GraphError(f"tree index {index} out of range for order {order}")
+
+
+# per family: its builder, then the type of each field its spec takes
+_FAMILIES = {
+    "star": (star, int),
+    "cycle": (cycle, int),
+    "path": (path, int),
+    "complete": (complete, int),
+    "complete_bipartite": (complete_bipartite, int, int),
+    "tree": (_tree, int, int),
+    "gnp": (gnp, int, float, int),
+    "random_regular": (random_regular, int, int, int),
+}
+
+
 def generate(spec: str) -> Graph:
     """Build a graph from a colon-separated family spec.
 
@@ -343,40 +370,21 @@ def generate(spec: str) -> Graph:
     ``complete_bipartite:2:3``, ``random_regular:64:16:1``,
     ``gnp:10:0.3:7``, ``tree:8:3`` (3rd tree of order 8).
     """
-    parts = spec.split(":")
-    kind, args = parts[0], parts[1:]
+    kind, *fields = spec.split(":")
+    if kind not in _FAMILIES:
+        raise GraphError(f"unknown family {kind!r}")
+    build, *types = _FAMILIES[kind]
+    if len(fields) != len(types):
+        noun = "field" if len(types) == 1 else "fields"
+        raise GraphError(
+            f"bad generator spec {spec!r}: {kind} takes {len(types)} {noun}, got {len(fields)}"
+        )
     try:
-        if kind == "star":
-            return star(int(args[0]))
-        if kind == "cycle":
-            return cycle(int(args[0]))
-        if kind == "path":
-            return path(int(args[0]))
-        if kind == "complete":
-            return complete(int(args[0]))
-        if kind == "complete_bipartite":
-            return complete_bipartite(int(args[0]), int(args[1]))
-        if kind == "random_regular":
-            return random_regular(int(args[0]), int(args[1]), int(args[2]))
-        if kind == "gnp":
-            return gnp(int(args[0]), float(args[1]), int(args[2]))
-        if kind == "tree":
-            order, index = int(args[0]), int(args[1])
-            if order > MAX_TREE_ORDER:
-                raise GraphError(f"tree order {order} exceeds {MAX_TREE_ORDER}")
-            if index < 0:
-                raise GraphError(f"tree index {index} is negative")
-            import networkx as nx
-
-            for i, t in enumerate(nx.nonisomorphic_trees(order)):
-                if i == index:
-                    return _tree_graph(t)
-            raise GraphError(f"tree index {index} out of range for order {order}")
-    except (IndexError, ValueError) as exc:
-        if isinstance(exc, GraphError):
-            raise
+        return build(*(typ(x) for typ, x in zip(types, fields)))
+    except GraphError:
+        raise
+    except ValueError as exc:
         raise GraphError(f"bad generator spec {spec!r}: {exc}") from exc
-    raise GraphError(f"unknown family {kind!r}")
 
 
 # -- edge-list text format -------------------------------------------------

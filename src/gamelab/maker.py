@@ -184,13 +184,12 @@ def compute_danger_set(s: GameState, mem: MakerMemory, v: int) -> frozenset[int]
 def last_breaker_turn(log: MoveLog) -> list[int]:
     """Edges Breaker colored in the turn whose end-of-turn record ends the
     log, in play order (empty if the log ends otherwise); reads that turn only."""
-    records = log.records
-    if not records or not records[-1].skip:
+    if not log or not log[-1].skip:
         return []
-    i = len(records) - 1
-    while i > 0 and records[i - 1].player == BREAKER and not records[i - 1].skip:
+    i = len(log) - 1
+    while i > 0 and log[i - 1].player == BREAKER and not log[i - 1].skip:
         i -= 1
-    return [rec.edge for rec in records[i:-1]]
+    return [rec.edge for rec in log[i:-1]]
 
 
 class DangerRedirectMaker:

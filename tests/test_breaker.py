@@ -13,7 +13,6 @@ from gamelab import graph as G
 from gamelab._util import StrategyError
 from gamelab.breaker import (
     BoxReductionBreaker,
-    BoxReductionMemory,
     GreedyBlockingBreaker,
     SkipBreaker,
     UniformRandomBreaker,
@@ -152,20 +151,17 @@ class TestMapping:
         g = G.star(3)
         assert map_edge_to_box(g, [0, 1], 2) == 0  # distance 0 to both
 
-    def test_memory_mapping_totality(self):
+    def test_nearest_mapping_totality(self):
         g = G.cycle(25)
         cert = find_good_set(g)
-        F = cert.edges
-        mem = BoxReductionMemory.for_game(g, cert, b=2)
-        assert len(mem.box_of_edge) == g.m
+        assert len(cert.nearest) == g.m
         for e in range(g.m):
-            assert mem.box_of_edge[e] == map_edge_to_box(g, F, e)
+            assert cert.nearest[e] == map_edge_to_box(g, cert.edges, e)
 
     def test_gamma_disjoint_and_sized(self):
         g = G.cycle(25)
-        mem = BoxReductionMemory.for_game(g, find_good_set(g), b=2)
         seen: set[int] = set()
-        for gam in mem.gamma:
+        for gam in find_good_set(g).gamma:
             assert len(gam) == 2 * g.max_degree - 2
             assert not (set(gam) & seen)
             seen |= set(gam)
@@ -246,17 +242,16 @@ class TestBoxBreakerEndgames:
             assert s.winner() == BREAKER_WON
             # the killed box was never touched by Maker
             killed = [r.ann["box"] for r in s.log if r.ann and "box" in r.ann][-1]
-            mem = BoxReductionMemory.for_game(g, find_good_set(g), 2)
+            nearest = find_good_set(g).nearest
             for rec in s.log:
                 if rec.player == MAKER and rec.edge is not None:
-                    assert mem.box_of_edge[rec.edge] != killed
+                    assert nearest[rec.edge] != killed
 
     def test_freshness_invariant_from_logs(self):
         g = G.cycle(25)
         cert = find_good_set(g)
         F = cert.edges
-        mem = BoxReductionMemory.for_game(g, cert, b=2)
-        gamma_of = {e: i for i, gam in enumerate(mem.gamma) for e in gam}
+        gamma_of = {e: i for i, gam in enumerate(cert.gamma) for e in gam}
         for seed in range(20):
             s = play(
                 g,
@@ -270,7 +265,7 @@ class TestBoxBreakerEndgames:
                 if rec.edge is None:
                     continue
                 if rec.player == MAKER:
-                    touched[mem.box_of_edge[rec.edge]] = True
+                    touched[cert.nearest[rec.edge]] = True
                 i = gamma_of.get(rec.edge)
                 if i is None:
                     continue
@@ -287,7 +282,6 @@ class TestBoxBreakerEndgames:
         cfg = GameConfig.classic(k=2, b=2)
         maker = UniformRandomMaker(seed=11)
         s = new_game(g, cfg)
-        mem = BoxReductionMemory.for_game(g, cert, 2)
         claims = [0] * len(F)
         while not s.game_over():
             if s.turn == MAKER:
@@ -306,7 +300,7 @@ class TestBoxBreakerEndgames:
                     s.apply_move(BREAKER, e, c, ann)
                     if ann and "box" in ann and not ann.get("reduction_break"):
                         claims[ann["box"]] += 1
-                    snap = mem.snapshot(s)
+                    snap = br.snapshot(s)
                     for i in range(len(F)):
                         if not snap.touched[i]:
                             assert snap.remaining[i] == cfg.k - claims[i]
@@ -316,7 +310,7 @@ class TestBoxBreakerEndgames:
         br = BoxReductionBreaker()
         s = play(g, GameConfig.skip_variant(k=2, b=3), UniformRandomMaker(seed=2), br)
         assert s.winner() == BREAKER_WON
-        assert br.memory is not None and br.memory.F == (0, 5)
+        assert br.cert is not None and br.cert.edges == (0, 5)
 
     def test_binding_runs_one_bfs_per_member(self, monkeypatch):
         # the good set's own distances serve the box mapping: no second BFS
@@ -332,7 +326,7 @@ class TestBoxBreakerEndgames:
         br = BoxReductionBreaker()
         mv = br.micro_move(new_game(g, GameConfig.skip_variant(k=2, b=2)))
         assert mv is not None
-        assert len(br.memory.F) == 5
+        assert len(br.cert.edges) == 5
         assert len(calls) == 5
 
     def test_match_runs_one_bfs_per_member(self, monkeypatch):
@@ -374,7 +368,7 @@ class TestBinding:
         br = BoxReductionBreaker()
         br.micro_move(new_game(g, GameConfig.skip_variant(k=2, b=2)))
         br.micro_move(new_game(g, GameConfig.skip_variant(k=2, b=3)))
-        assert br.memory.b == 3
+        assert br.b == 3
 
 
 class TestReductionBreak:

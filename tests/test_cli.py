@@ -337,6 +337,27 @@ class TestBadInput:
             "error: log record 0: expected round 1, record says 8\n"
         )
 
+    def test_end_of_turn_record_with_a_coloring(self, tmp_path, capsys):
+        # read as an end of turn, edge 0 would never be colored in the report
+        log = tmp_path / "bad.jsonl"
+        log.write_text('{"r":1,"p":"B","e":[0,1],"c":1,"skip":true}\n')
+        rc = main(["telemetry", "--log", str(log), "--graph", "cycle:5", "--k", "3"])
+        assert rc == 2
+        err = "error: log line 1: an end-of-turn record must have null 'e' and 'c'\n"
+        assert capsys.readouterr() == ("", err)
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("cycle:5:7", "cycle takes 1 field, got 2"),
+            ("random_regular:64:16:1:9", "random_regular takes 3 fields, got 4"),
+            ("gnp:10:0.3", "gnp takes 3 fields, got 2"),
+        ],
+    )
+    def test_generator_spec_with_wrong_field_count(self, capsys, spec, message):
+        assert main(["gen", spec]) == 2
+        assert capsys.readouterr() == ("", f"error: bad generator spec {spec!r}: {message}\n")
+
     @pytest.mark.parametrize("only", ["12", "0", "1,12"])
     def test_unknown_acceptance_criterion(self, capsys, only):
         rc = main(["accept", "--only", only])

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gamelab import graph as G
-from gamelab.breaker import GreedyBlockingBreaker
+from gamelab.breaker import GreedyBlockingBreaker, SkipBreaker
 from gamelab.engine import (
     BREAKER,
     BREAKER_WON,
@@ -24,9 +24,11 @@ from gamelab.engine import (
     IllegalMove,
     MoveLog,
     MoveRecord,
+    apply_record,
     new_game,
     replay,
 )
+from gamelab.exact import verify_strategy
 from gamelab.maker import DangerRedirectMaker
 from gamelab.match import play_game
 
@@ -359,9 +361,8 @@ class TestFuzzInvariants:
             g, GameConfig.skip_variant(k=2, mode=MODIFIED),
             DangerRedirectMaker(seed=0), GreedyBlockingBreaker(),
         )
-        recs = s.log.records
-        assert any(r.skip for r in recs)
-        assert any(r.ann and r.ann.get("forced_nonproper") for r in recs)
+        assert any(r.skip for r in s.log)
+        assert any(r.ann and r.ann.get("forced_nonproper") for r in s.log)
         assert MoveLog.from_jsonl(s.log.to_jsonl(g), g) == s.log
 
     def test_jsonl_round_trip(self):
@@ -370,10 +371,22 @@ class TestFuzzInvariants:
         s = random_playout(g, cfg, seed=42)
         text = s.log.to_jsonl(g)
         back = MoveLog.from_jsonl(text, g)
-        assert back == s.log
+        assert back == s.log == list(s.log)
         assert snapshot(replay(g, cfg, back)) == snapshot(s)
         # serialization is stable byte-for-byte
         assert back.to_jsonl(g) == text
+        # copies stay logs, and a copy's edits leave the original alone
+        c4 = G.cycle(4)
+        refuted = verify_strategy(c4, 2, GameConfig.skip_variant(k=1), SkipBreaker(), BREAKER)
+        for log, h in ((back.copy(), g), (s.clone().log, g), (refuted.counterexample, c4)):
+            assert type(log) is MoveLog and MoveLog.from_jsonl(log.to_jsonl(h), h) == log
+        dup = back.copy()
+        dup[0] = dup[0]._replace(round=9)
+        dup.pop()
+        later = s.clone()
+        later.undo()
+        assert dup != back and len(later.log) == len(s.log) - 1
+        assert back.to_jsonl(g) == s.log.to_jsonl(g) == text
 
     @pytest.mark.parametrize(
         "skip, shown",
@@ -387,6 +400,14 @@ class TestFuzzInvariants:
             MoveLog.from_jsonl(line, G.cycle(5))
         assert str(exc.value) == f"log line 1: 'skip' must be a boolean, got {shown}"
 
+    @pytest.mark.parametrize("e, c", [("[0,1]", "1"), ("[0,1]", "null"), ("null", "1")])
+    def test_end_of_turn_with_a_coloring_rejected(self, e, c):
+        # read as an end of turn, the coloring would be dropped unseen
+        line = '{"r":1,"p":"B","e":%s,"c":%s,"skip":true}' % (e, c)
+        with pytest.raises(ValueError) as exc:
+            MoveLog.from_jsonl(line, G.cycle(5))
+        assert str(exc.value) == "log line 1: an end-of-turn record must have null 'e' and 'c'"
+
     def test_boolean_or_absent_skip_accepted(self):
         g = G.cycle(5)
         lines = [
@@ -394,7 +415,7 @@ class TestFuzzInvariants:
             '{"r":1,"p":"M","e":[0,1],"c":1,"skip":false}',
             '{"r":2,"p":"M","e":[1,2],"c":2}',
         ]
-        assert MoveLog.from_jsonl("\n".join(lines), g).records == [
+        assert MoveLog.from_jsonl("\n".join(lines), g) == [
             MoveRecord(1, BREAKER, None, None, True),
             MoveRecord(1, MAKER, 0, 1),
             MoveRecord(2, MAKER, 1, 2),
@@ -406,11 +427,18 @@ class TestReplayValidation:
         g = G.path(3)
         cfg = GameConfig.classic(k=3)
         s = random_playout(g, cfg, seed=3)
-        bad = MoveLog([rec for rec in s.log])
-        first = bad.records[0]
-        bad.records[0] = type(first)(first.round + 5, first.player, first.edge, first.color, first.skip, first.ann)
+        bad = MoveLog(s.log)
+        first = bad[0]
+        bad[0] = type(first)(first.round + 5, first.player, first.edge, first.color, first.skip, first.ann)
         with pytest.raises(IllegalMove):
             replay(g, cfg, bad)
+
+    @pytest.mark.parametrize("edge, color", [(0, 1), (0, None), (None, 1)])
+    def test_end_of_turn_with_a_coloring_rejected(self, edge, color):
+        s = new_game(G.cycle(5), GameConfig.skip_variant(k=3))
+        with pytest.raises(IllegalMove, match="^end-of-turn record carries an edge or a color$"):
+            apply_record(s, MoveRecord(1, BREAKER, edge, color, True))
+        assert s.turn == BREAKER and not s.trail and not s.log
 
     def test_replay_rejects_wrong_player(self):
         g = G.path(4)
@@ -419,8 +447,8 @@ class TestReplayValidation:
         s.end_breaker_turn()
         s.apply_move(MAKER, 0, 1)
         log = s.log.copy()
-        rec = log.records[-1]
-        log.records[-1] = type(rec)(rec.round, BREAKER, rec.edge, rec.color, rec.skip, rec.ann)
+        rec = log[-1]
+        log[-1] = type(rec)(rec.round, BREAKER, rec.edge, rec.color, rec.skip, rec.ann)
         with pytest.raises(IllegalMove):
             replay(g, cfg, log)
 

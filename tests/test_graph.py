@@ -255,6 +255,25 @@ class TestGenerators:
         with pytest.raises(GraphError):
             G.generate("star:x")
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("cycle:5:7", "cycle takes 1 field, got 2"),
+            ("random_regular:64:16:1:9", "random_regular takes 3 fields, got 4"),
+            ("star", "star takes 1 field, got 0"),
+            ("path:4:", "path takes 1 field, got 2"),
+            ("complete:4:4", "complete takes 1 field, got 2"),
+            ("complete_bipartite:2", "complete_bipartite takes 2 fields, got 1"),
+            ("tree:5:0:1", "tree takes 2 fields, got 3"),
+            ("gnp:10:0.3", "gnp takes 3 fields, got 2"),
+        ],
+    )
+    def test_spec_takes_exactly_its_fields(self, spec, message):
+        # an extra field used to be dropped, so a seed could go unused
+        with pytest.raises(GraphError) as exc:
+            G.generate(spec)
+        assert str(exc.value) == f"bad generator spec {spec!r}: {message}"
+
     def test_size_caps_accept_the_limit(self):
         assert G.generate(f"cycle:{G.MAX_EDGE_LIST_VERTICES}").m == G.MAX_EDGE_LIST_VERTICES
         assert G.generate("gnp:1414:0.0:1").n == 1414  # 998,991 pairs

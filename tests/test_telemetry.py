@@ -388,8 +388,8 @@ class TestErrors:
         )
         rec = s.log[2]
         assert (rec.player, g.edges[rec.edge], rec.ann["v"]) == (MAKER, (0, 7), 0)
-        bad = MoveLog(list(s.log))
-        bad.records[2] = rec._replace(ann={**rec.ann, "v": 1})
+        bad = s.log.copy()
+        bad[2] = rec._replace(ann={**rec.ann, "v": 1})
         with pytest.raises(
             ValueError, match=r"^log record 2: annotated vertex 1 is not on edge \(0, 7\)$"
         ):
@@ -407,8 +407,8 @@ class TestErrors:
         )
         rec = s.log[2]
         assert rec.player == MAKER
-        bad = MoveLog(list(s.log))
-        bad.records[2] = rec._replace(ann={**rec.ann, flag: value})
+        bad = s.log.copy()
+        bad[2] = rec._replace(ann={**rec.ann, flag: value})
         with pytest.raises(
             ValueError, match=rf"^log record 2: '{flag}' must be a boolean, got {value!r}$"
         ):
