@@ -215,25 +215,20 @@ class DangerRedirectMaker:
         self.cfg = cfg or MakerConfig()
         self.rng = DrawTape(seed)
         self.memory = MakerMemory()
-        self._bound: tuple[int, int, int] | None = None  # (delta, b, k)
-        self._bound_to = (None, None)  # the (graph, config) last checked
+        self._state: GameState | None = None  # the one game this instance plays
         self._thresholds = (0, 0, 0)
         self._q = 0.0  # float(cfg.q), the redirect coin's bias
 
     def _bind(self, s: GameState) -> None:
-        g, cfg = self._bound_to
-        if s.g is g and s.cfg is cfg:
+        if s is self._state:
             return
-        self._bound_to = s.g, s.cfg
-        key = (s.g.max_degree, s.cfg.b, s.cfg.k)
-        if self._bound is None:
-            self._bound = key
-            self._thresholds = tuple(
-                self.cfg.threshold_ceil(j, key[0], key[1]) for j in (1, 2, 3)
-            )
-            self._q = float(self.cfg.q)
-        elif self._bound != key:
+        if self._state is not None:
             raise StrategyError("one strategy instance may not switch games")
+        self._state = s
+        self._thresholds = tuple(
+            self.cfg.threshold_ceil(j, s.g.max_degree, s.cfg.b) for j in (1, 2, 3)
+        )
+        self._q = float(self.cfg.q)
 
     def move(self, s: GameState) -> tuple[int, int, dict]:
         if s.uncolored == 0:

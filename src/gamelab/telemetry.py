@@ -26,17 +26,15 @@ report transposes the rows into per-vertex traces.  For each vertex v:
   uncolored neighborhood Gamma'_r(v); every colored v-edge leaves
   Gamma'(v), so ``nbr_cnt[r]`` is derived as ``degree - loads[r]``.
 
-Two front ends feed one shared tally: after every coloring they pass it
-the record and the position, and at every round boundary the position and
-the Gamma' sums.  ``TraceCollector`` runs beside a live game: it must be fed
-after every single engine transition, keeps the Gamma' sums up to date
-move by move, and ``finish`` refuses a log with records it was never shown.
-``analyze`` works from the recorded log alone: it replays the records
-through a fresh engine state, checking each as ``engine.replay`` does, and
-at every round boundary brute-forces the Gamma' sums of all vertices in one
-pass over the uncolored edges of the coloring.  So the two differ only in
-where the Gamma' sums come from and in live against replayed engine state;
-their agreement is a tested invariant, not an assumption.
+One routine builds every report: ``TraceCollector``, fed the position
+after every single engine transition.  It keeps the Gamma' sums up to date
+move by move, closes a row at every end-of-turn record, and ``finish``
+refuses a log with records it was never shown.  A live game feeds it as it
+is played; ``analyze`` works from the recorded log alone, replaying the
+records through a fresh engine state, checking each as ``engine.replay``
+does, and feeding the collector the same way.  So live and replayed reports
+differ only in live against replayed engine state.  The independent check
+of the rows is a test-side recount straight from the log records.
 
 The summary reports, per inequality the analysis tracks at scale
 (lam, c, b, delta), how many vertices violate it.  These are descriptive
@@ -130,79 +128,10 @@ class TelemetryReport:
     summary: dict
 
 
-class _Params:
-    """Threshold constants shared by the live and the batch path."""
-
-    def __init__(self, g: Graph, game_cfg: GameConfig, maker_cfg: MakerConfig):
-        self.g = g
-        self.game_cfg = game_cfg
-        self.maker_cfg = maker_cfg
-        self.delta = g.max_degree
-        self.b = game_cfg.b
-        # tc[j] = smallest integer load meeting T_j; tc[0] = 0.
-        self.tc = [0] + [
-            maker_cfg.threshold_ceil(j, self.delta, self.b) for j in (1, 2, 3)
-        ]
-        self.thresholds = tuple(self.tc[1:])
-        self.i_prime_cap = math.floor(
-            Fraction(1, 5 * self.b * self.b) * maker_cfg.lam * self.delta
-        )
-
-
-class _Tally:
-    """Everything both front ends share: per-round rows, threshold crossings
-    and danger sets (in ``mem``), and the Maker records' good events, which
-    ``_build_report`` files once every round is closed."""
-
-    def __init__(self, params: _Params) -> None:
-        self.params = params
-        n = params.g.n
-        self.load_rows: list[tuple[int, ...]] = [(0,) * n]
-        self.sum_rows: list[tuple[int, ...]] = [(0,) * n]
-        self.mem = MakerMemory()
-        self.events: list[tuple[int, GoodEdgeEvent]] = []
-        self.touched: set[int] = set()  # ends of the edges colored this round
-
-    def count(self, i: int, rec: MoveRecord, state: GameState) -> None:
-        """Count coloring record i of the log, just played on ``state``.
-
-        A Maker record is a good event of the vertex v its annotation names,
-        which must be an endpoint of its edge, with flags that are absent or
-        booleans (else ValueError naming record i); v's load before the
-        record is ``state.load[v]`` less that edge.
-        """
-        ends = state.g.edges[rec.edge]
-        self.touched.update(ends)
-        if rec.player != MAKER:
-            return
-        ann = rec.ann
-        v = ann.get("v") if ann else None
-        if type(v) is not int:
-            raise ValueError(f"log record {i}: missing annotations")
-        if v not in ends:
-            raise ValueError(f"log record {i}: annotated vertex {v} is not on edge {ends}")
-        flags = ann.get("redirected", False), ann.get("forced_nonproper", False)
-        for name, flag in zip(("redirected", "forced_nonproper"), flags):
-            if type(flag) is not bool:
-                raise ValueError(f"log record {i}: {name!r} must be a boolean, got {flag!r}")
-        pre_load = state.load[v] - 1
-        ev = GoodEdgeEvent(rec.round, rec.edge, rec.color, pre_load, *flags)
-        self.events.append((v, ev))
-
-    def close_round(self, r: int, state: GameState, sums) -> None:
-        """Append the end-of-round load and Gamma'-sum rows of the position
-        ``state``, then record the threshold crossings of round r; only the
-        ends of the edges counted since the last close gained load."""
-        self.load_rows.append(tuple(state.load))
-        self.sum_rows.append(tuple(sums))
-        record_crossings(state, self.mem, self.params.thresholds, r, sorted(self.touched))
-        self.touched.clear()
-
-
-def _file_events(params: _Params, loads: list[int], events: list[GoodEdgeEvent]):
+def _file_events(col: TraceCollector, loads: list[int], events: list[GoodEdgeEvent]):
     """Window counts, I' and I_mid of one vertex from its per-round loads
     and its good events, in play order; each event's round is closed."""
-    tc = params.tc
+    tc = col.tc
     counts = [0, 0, 0]
     i_prime: list[int] = []
     i_mid: set[int] = set()
@@ -211,7 +140,7 @@ def _file_events(params: _Params, loads: list[int], events: list[GoodEdgeEvent])
         for j in (1, 2, 3):
             if prev_load >= tc[j - 1] and round_load < tc[j]:
                 counts[j - 1] += 1
-                if j == 1 and ev.color not in i_prime and len(i_prime) < params.i_prime_cap:
+                if j == 1 and ev.color not in i_prime and len(i_prime) < col.i_prime_cap:
                     i_prime.append(ev.color)
                 if j == 2:
                     i_mid.add(ev.color)
@@ -225,9 +154,9 @@ def _danger_prime(g: Graph, t1: dict[int, int], v: int) -> frozenset[int] | None
     return frozenset(u for u in g.adj[v] if t1.get(u, _INF) <= t1[v])
 
 
-def _summarize(params: _Params, traces: list[VertexTrace]) -> dict:
-    lam, c = params.maker_cfg.lam, params.maker_cfg.c
-    delta, b = params.delta, params.b
+def _summarize(col: TraceCollector, traces: list[VertexTrace]) -> dict:
+    lam, c = col.maker_cfg.lam, col.maker_cfg.c
+    delta, b = col.delta, col.b
     shortfall = Fraction(1, 5 * b * b) * lam * delta
     spike = 9 * lam * delta
     spike_degree = (1 - c * Fraction(1, b**4)) * delta
@@ -235,7 +164,7 @@ def _summarize(params: _Params, traces: list[VertexTrace]) -> dict:
     heavy_mult = Fraction(1, 4 * b**4) * c * lam * delta
     out: dict = {"good_windows": {}}
     for j in (1, 2, 3):
-        eligible = [t for t in traces if t.degree >= params.tc[j]]
+        eligible = [t for t in traces if t.degree >= col.tc[j]]
         completed = [t for t in eligible if (t.t1, t.t2, t.t3)[j - 1] is not None]
         violating = [t for t in completed if t.window_counts[j - 1] < shortfall]
         out["good_windows"][str(j)] = _cell(
@@ -247,7 +176,7 @@ def _summarize(params: _Params, traces: list[VertexTrace]) -> dict:
     num, den = spike.numerator, spike.denominator
     for t in eligible:
         # loads never fall, so the rounds below T2 are a prefix
-        below = bisect_left(t.loads, params.tc[2])
+        below = bisect_left(t.loads, col.tc[2])
         rows = zip(t.nbr_sum[:below], t.nbr_cnt)
         if any(cnt > 0 and total * den >= num * cnt for total, cnt in rows):
             violating.append(t)
@@ -258,7 +187,7 @@ def _summarize(params: _Params, traces: list[VertexTrace]) -> dict:
     mult: dict[int, dict[int, int]] = {}
     for t in traces:
         for color in t.i_prime:
-            for u in params.g.adj[t.v]:
+            for u in col.g.adj[t.v]:
                 mult.setdefault(u, {})
                 mult[u][color] = mult[u].get(color, 0) + 1
     violating = []
@@ -285,22 +214,36 @@ def _cell(eligible: int, violating: int, completed: int | None = None) -> dict:
 
 
 class TraceCollector:
-    """Incremental trace bookkeeping for a live game.
+    """The one telemetry routine: per-round rows, threshold crossings and
+    good events of a game, fed one engine transition at a time.
 
     ``observe(state)`` must be called after *every* engine transition
-    (``apply_move`` or ``end_breaker_turn``), so that exactly one new log
-    record is visible per call; loads and danger sets are read from the live
-    state, and only the Gamma' sums are kept here, updated move by move.
-    ``finish(state)`` raises ValueError unless every record of ``state.log``
-    was observed, then closes a trailing partial round and builds the report.
+    (``apply_move``, ``end_breaker_turn`` or ``apply_record``), so that
+    exactly one new log record is visible per call; loads and danger sets
+    are read from the state, and only the Gamma' sums are kept here,
+    updated move by move.  ``finish(state)`` raises ValueError unless every
+    record of ``state.log`` was observed, then closes a trailing partial
+    round and builds the report.
     """
 
     def __init__(
         self, g: Graph, game_cfg: GameConfig, maker_cfg: MakerConfig | None = None
     ) -> None:
-        self.params = _Params(g, game_cfg, maker_cfg or MakerConfig())
+        self.g = g
+        self.game_cfg = game_cfg
+        self.maker_cfg = maker_cfg = maker_cfg or MakerConfig()
+        self.delta = g.max_degree
+        self.b = game_cfg.b
+        # tc[j] = smallest integer load meeting T_j; tc[0] = 0.
+        self.tc = [0] + [maker_cfg.threshold_ceil(j, self.delta, self.b) for j in (1, 2, 3)]
+        self.thresholds = tuple(self.tc[1:])
+        self.i_prime_cap = math.floor(Fraction(1, 5 * self.b * self.b) * maker_cfg.lam * self.delta)
+        self.load_rows: list[tuple[int, ...]] = [(0,) * g.n]
+        self.sum_rows: list[tuple[int, ...]] = [(0,) * g.n]
+        self.mem = MakerMemory()
+        self.events: list[tuple[int, GoodEdgeEvent]] = []
+        self._touched: set[int] = set()  # ends of the edges colored this round
         self._cur_sum = [0] * g.n
-        self._tally = _Tally(self.params)
         self._cursor = 0
         self._finished = False
 
@@ -319,7 +262,7 @@ class TraceCollector:
         if rec.skip:
             self._close_round(rec.round, state)
             return
-        self._tally.count(i, rec, state)
+        self._count(i, rec, state)
         g, color, load, sums = state.g, state.color, state.load, self._cur_sum
         x, y = g.edges[rec.edge]
         # the edge is colored now: x and y leave each other's Gamma', and
@@ -332,10 +275,42 @@ class TraceCollector:
         sums[x] -= load[y] - 1
         sums[y] -= load[x] - 1
 
+    def _count(self, i: int, rec: MoveRecord, state: GameState) -> None:
+        """Count coloring record i of the log, just played on ``state``.
+
+        A Maker record is a good event of the vertex v its annotation names,
+        which must be an endpoint of its edge, with flags that are absent or
+        booleans (else ValueError naming record i); v's load before the
+        record is ``state.load[v]`` less that edge.
+        """
+        ends = state.g.edges[rec.edge]
+        self._touched.update(ends)
+        if rec.player != MAKER:
+            return
+        ann = rec.ann
+        v = ann.get("v") if ann else None
+        if type(v) is not int:
+            raise ValueError(f"log record {i}: missing annotations")
+        if v not in ends:
+            raise ValueError(f"log record {i}: annotated vertex {v} is not on edge {ends}")
+        flags = ann.get("redirected", False), ann.get("forced_nonproper", False)
+        for name, flag in zip(("redirected", "forced_nonproper"), flags):
+            if type(flag) is not bool:
+                raise ValueError(f"log record {i}: {name!r} must be a boolean, got {flag!r}")
+        pre_load = state.load[v] - 1
+        ev = GoodEdgeEvent(rec.round, rec.edge, rec.color, pre_load, *flags)
+        self.events.append((v, ev))
+
     def _close_round(self, r: int, state: GameState) -> None:
-        if len(self._tally.load_rows) != r:
+        """Append the end-of-round load and Gamma'-sum rows of the position
+        ``state``, then record the threshold crossings of round r; only the
+        ends of the edges counted since the last close gained load."""
+        if len(self.load_rows) != r:
             raise ValueError(f"round {r} closed out of order")
-        self._tally.close_round(r, state, self._cur_sum)
+        self.load_rows.append(tuple(state.load))
+        self.sum_rows.append(tuple(self._cur_sum))
+        record_crossings(state, self.mem, self.thresholds, r, sorted(self._touched))
+        self._touched.clear()
 
     def finish(self, state: GameState) -> TelemetryReport:
         if self._finished:
@@ -347,27 +322,26 @@ class TraceCollector:
         if len(log) and not log[-1].skip:
             self._close_round(log[-1].round, state)
         self._finished = True
-        return _build_report(self._tally)
+        return _build_report(self)
 
 
-def _build_report(tally: _Tally) -> TelemetryReport:
-    params = tally.params
-    g = params.g
-    mem = tally.mem
-    rounds = len(tally.load_rows) - 1
-    colored = sum(tally.load_rows[-1]) // 2  # an edge loads both endpoints
+def _build_report(col: TraceCollector) -> TelemetryReport:
+    g = col.g
+    mem = col.mem
+    rounds = len(col.load_rows) - 1
+    colored = sum(col.load_rows[-1]) // 2  # an edge loads both endpoints
     # transpose into per-vertex lists, dropping each row set once copied
-    loads = [list(col) for col in zip(*tally.load_rows)]
-    tally.load_rows.clear()
-    sums = [list(col) for col in zip(*tally.sum_rows)]
-    tally.sum_rows.clear()
+    loads = [list(row) for row in zip(*col.load_rows)]
+    col.load_rows.clear()
+    sums = [list(row) for row in zip(*col.sum_rows)]
+    col.sum_rows.clear()
     good_events: list[list[GoodEdgeEvent]] = [[] for _ in range(g.n)]
-    for v, ev in tally.events:
+    for v, ev in col.events:
         good_events[v].append(ev)
     traces = []
     for v in range(g.n):
         degree = g.degree(v)
-        window_counts, i_prime, i_mid = _file_events(params, loads[v], good_events[v])
+        window_counts, i_prime, i_mid = _file_events(col, loads[v], good_events[v])
         traces.append(
             VertexTrace(
                 v=v,
@@ -386,22 +360,22 @@ def _build_report(tally: _Tally) -> TelemetryReport:
                 danger_prime=_danger_prime(g, mem.t1_round, v),
             )
         )
-    events = [ev for _, ev in tally.events]
+    events = [ev for _, ev in col.events]
     return TelemetryReport(
         n=g.n,
         m=g.m,
-        delta=params.delta,
-        k=params.game_cfg.k,
-        b=params.b,
-        lam=params.maker_cfg.lam,
-        c=params.maker_cfg.c,
+        delta=col.delta,
+        k=col.game_cfg.k,
+        b=col.b,
+        lam=col.maker_cfg.lam,
+        c=col.maker_cfg.c,
         rounds=rounds,
         maker_moves=len(events),
         breaker_moves=colored - len(events),
         forced_nonproper=sum(ev.forced for ev in events),
         redirected_moves=sum(ev.redirected for ev in events),
         traces=traces,
-        summary=_summarize(params, traces),
+        summary=_summarize(col, traces),
     )
 
 
@@ -410,38 +384,21 @@ def analyze(
 ) -> TelemetryReport:
     """Recompute the full report from a recorded log, from scratch.
 
-    The records are replayed through a fresh engine state, and per-round
-    neighborhood sums are brute-forced from that state at every round
-    boundary rather than maintained incrementally.  Raises ValueError naming
-    the record that breaks the rules (as ``engine.replay`` does) or, once
-    played, is a Maker record not annotated with an endpoint of its edge.
+    The records are replayed through a fresh engine state, and the position
+    after each one is fed to a fresh ``TraceCollector``, exactly as a live
+    game feeds it.  Raises ValueError naming the record that breaks the
+    rules (as ``engine.replay`` does) or, once played, is a Maker record not
+    annotated with an endpoint of its edge.
     """
-    params = _Params(g, game_cfg, maker_cfg or MakerConfig())
-    tally = _Tally(params)
+    col = TraceCollector(g, game_cfg, maker_cfg)
     state = new_game(g, game_cfg)
-
-    def close_round(r: int) -> None:
-        load = state.load
-        sums = [0] * g.n
-        for (x, y), c in zip(g.edges, state.color):
-            if c == 0:
-                sums[x] += load[y]
-                sums[y] += load[x]
-        tally.close_round(r, state, sums)
-
     for i, rec in enumerate(log):
         try:
             apply_record(state, rec)
         except IllegalMove as exc:
             raise IllegalMove(f"log record {i}: {exc}") from None
-        if rec.skip:
-            close_round(rec.round)
-        else:
-            tally.count(i, rec, state)
-    # a game that ends mid-round contributes a final partial row
-    if len(log) and not log[-1].skip:
-        close_round(state.round)
-    return _build_report(tally)
+        col.observe(state)
+    return col.finish(state)
 
 
 def to_csv(report: TelemetryReport) -> str:

@@ -3,7 +3,7 @@ every strategy policy defines its own clone and states whether its move
 depends on the position alone; a randomized policy draws from a draw
 tape, so forking it copies no generator state.  Exact solving does not
 import networkx.  Threshold crossings and danger sets are written by one
-routine."""
+routine, and so are the per-round telemetry rows."""
 
 from __future__ import annotations
 
@@ -129,6 +129,22 @@ CROSSING_FIELDS = {"t1_round", "t2_round", "t3_round", "danger"}
 MUTATORS = {"update", "setdefault", "pop", "popitem", "clear", "__setitem__", "__delitem__"}
 
 
+def attribute_aliases(nodes, fields: set[str]) -> set[str]:
+    """Local names that ``nodes`` bind to an attribute named in ``fields``,
+    directly or by unpacking a tuple."""
+    aliases = set()
+    for node in nodes:
+        if isinstance(node, ast.Assign):
+            pairs = [(t, node.value) for t in node.targets]
+            for t in node.targets:
+                if isinstance(t, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                    pairs += zip(t.elts, node.value.elts)
+            for t, v in pairs:
+                if isinstance(t, ast.Name) and isinstance(v, ast.Attribute) and v.attr in fields:
+                    aliases.add(t.id)
+    return aliases
+
+
 def crossing_writers(tree: ast.AST) -> set[str]:
     """Functions of a module that write a ``MakerMemory`` crossing field:
     assign or delete the attribute, store into it or call a mutating method
@@ -137,17 +153,7 @@ def crossing_writers(tree: ast.AST) -> set[str]:
     for fn in ast.walk(tree):
         if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
-        aliases = set()
-        for node in ast.walk(fn):
-            if isinstance(node, ast.Assign):
-                pairs = [(t, node.value) for t in node.targets]
-                for t in node.targets:
-                    if isinstance(t, ast.Tuple) and isinstance(node.value, ast.Tuple):
-                        pairs += zip(t.elts, node.value.elts)
-                for t, v in pairs:
-                    if isinstance(t, ast.Name) and isinstance(v, ast.Attribute):
-                        if v.attr in CROSSING_FIELDS:
-                            aliases.add(t.id)
+        aliases = attribute_aliases(ast.walk(fn), CROSSING_FIELDS)
 
         def is_field(node: ast.AST) -> bool:
             return (isinstance(node, ast.Attribute) and node.attr in CROSSING_FIELDS) or (
@@ -205,3 +211,114 @@ def test_crossing_detector_sees_every_write_form():
         "def f(mem):\n    return v in mem.danger\n",
     ):
         assert crossing_writers(ast.parse(src)) == set(), src
+
+
+ROW_FIELDS = {"load_rows", "sum_rows"}
+GROWERS = {"append", "extend", "insert", "__setitem__"}
+
+
+def functions(tree: ast.AST, prefix: str = ""):
+    """(qualified name, node) of every function: a method as
+    ``Class.method``, a nested function as ``outer.inner``."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = prefix + node.name
+            if not isinstance(node, ast.ClassDef):
+                yield name, node
+            yield from functions(node, name + ".")
+        else:
+            yield from functions(node, prefix)
+
+
+def own_nodes(fn: ast.AST):
+    """Every node of a function's body, but not of the functions or
+    classes defined inside it."""
+    stack = list(ast.iter_child_nodes(fn))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def row_writers(tree: ast.AST) -> set[str]:
+    """Functions of a module that build per-round telemetry rows: add to or
+    store into ``load_rows``/``sum_rows`` (directly or through a local name
+    bound to one), or store into an index a value that reads a load (an
+    attribute ``load`` or a local name bound to one), as a Gamma' sum does."""
+    writers = set()
+    for name, fn in functions(tree):
+        nodes = list(own_nodes(fn))
+        row_names = attribute_aliases(nodes, ROW_FIELDS)
+        load_names = attribute_aliases(nodes, {"load"})
+
+        def is_rows(node: ast.AST) -> bool:
+            return (isinstance(node, ast.Attribute) and node.attr in ROW_FIELDS) or (
+                isinstance(node, ast.Name) and node.id in row_names
+            )
+
+        def reads_load(node: ast.AST) -> bool:
+            return any(
+                (isinstance(part, ast.Attribute) and part.attr == "load")
+                or (isinstance(part, ast.Name) and part.id in load_names)
+                for part in ast.walk(node)
+            )
+
+        for node in nodes:
+            targets = []
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            for t in targets:
+                for part in ast.walk(t):
+                    if isinstance(part, ast.Attribute) and part.attr in ROW_FIELDS:
+                        writers.add(name)
+                    if isinstance(part, ast.Subscript) and (
+                        is_rows(part.value) or (node.value is not None and reads_load(node.value))
+                    ):
+                        writers.add(name)
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in GROWERS
+                and is_rows(node.func.value)
+            ):
+                writers.add(name)
+    return writers
+
+
+def test_one_routine_builds_the_telemetry_rows():
+    # analyze replays a log through TraceCollector; a second routine that
+    # added rows or summed Gamma' loads would be a second telemetry path,
+    # checked only against the first
+    writers = {
+        f"{p.stem}.{name}"
+        for p in sorted(PACKAGE.glob("*.py"))
+        for name in row_writers(ast.parse(p.read_text()))
+    }
+    assert writers == {f"telemetry.TraceCollector.{m}" for m in ("__init__", "observe", "_close_round")}
+
+
+def test_row_detector_sees_every_write_form():
+    for src in (
+        "def f(self):\n    self.load_rows.append(row)\n",
+        "def f(col):\n    rows = col.sum_rows\n    rows.append(row)\n",
+        "def f(col):\n    col.sum_rows += [row]\n",
+        "def f(col):\n    col.load_rows[-1] = row\n",
+        "def f(col):\n    col.sum_rows.extend(rows)\n",
+        "def f(s):\n    sums[x] += s.load[y]\n",
+        "def f(s):\n    g, load = s.g, s.load\n    sums[v] = sum(load[u] for u in g.adj[v])\n",
+    ):
+        assert row_writers(ast.parse(src)) == {"f"}, src
+    nested = "def g(s):\n    def f():\n        load = s.load\n        sums[x] -= load[y] - 1\n"
+    assert row_writers(ast.parse(nested)) == {"g.f"}
+    method = "class C:\n    def f(self, s):\n        self.sums[x] += s.load[y]\n"
+    assert row_writers(ast.parse(method)) == {"C.f"}
+    for src in (
+        "def f(col):\n    return col.load_rows[-1]\n",
+        "def f(col):\n    loads = [list(r) for r in zip(*col.load_rows)]\n",
+        "def f(s):\n    counts[j] += 1\n    pre = s.load[v] - 1\n",
+        "def f(s):\n    load = s.load\n    mult[u] = mult.get(u, 0) + 1\n",
+    ):
+        assert row_writers(ast.parse(src)) == set(), src

@@ -443,6 +443,37 @@ class TestCloneDeterminism:
         assert s1.log == s2.log  # same moves, annotations included
 
 
+
+class TestOneGamePerInstance:
+    # a reused instance used to start its next game with the previous
+    # game's anchor f0, crossing rounds and danger sets, and was accepted
+    # on any graph with the same (Delta, b, k)
+    @pytest.mark.parametrize("n", [8, 9], ids=["same graph", "same delta b k"])
+    def test_second_game_rejected(self, n):
+        g = G.cycle(8)
+        cfg = GameConfig.skip_variant(k=3, mode=MODIFIED)
+        maker = DangerRedirectMaker(seed=0)
+        play_full_game(g, cfg, maker, seed=0)
+        second = new_game(g if n == 8 else G.cycle(n), cfg)
+        second.end_breaker_turn()
+        with pytest.raises(StrategyError, match="may not switch games"):
+            maker.move(second)
+
+    def test_clones_share_the_game(self):
+        g = G.cycle(8)
+        s = new_game(g, GameConfig.skip_variant(k=3, mode=MODIFIED))
+        s.end_breaker_turn()
+        maker = DangerRedirectMaker(seed=0)
+        e, c, ann = maker.move(s)
+        s.apply_move(MAKER, e, c, ann)
+        s.end_breaker_turn()
+        dup = maker.clone()
+        assert dup.move(s) == maker.move(s)
+        other = new_game(g, s.cfg)
+        other.end_breaker_turn()
+        with pytest.raises(StrategyError, match="may not switch games"):
+            dup.move(other)
+
 TAPE_RANGES = (1, 2, 3, 2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**40, 10**11)
 
 

@@ -1,8 +1,11 @@
 """Telemetry tests.
 
-The oracle for the per-round traces is a test-local recomputation straight
-from the raw log records (no engine, no collector); the live collector and
-the batch analyzer must both agree with it and with each other.
+The live collector and the batch analyzer run the same routine (``analyze``
+replays the log through a ``TraceCollector``), so their agreement checks
+only live against replayed engine state.  The one independent path is
+``brute_rows``/``brute_events``: a test-local recount straight from the raw
+log records, with no engine and no collector, which every report's rows,
+move counts and good events must equal.
 """
 
 from __future__ import annotations
@@ -32,7 +35,10 @@ from gamelab.breaker import (
 )
 from gamelab.graph import Graph, cycle, gnp, path, random_regular, star
 from gamelab.maker import DangerRedirectMaker, MakerConfig, UniformRandomMaker
+from gamelab.match import play_game
 from gamelab import telemetry
+from gamelab._util import derive_seed
+from gamelab.acceptance import ACCEPT_SEED
 from gamelab.telemetry import (
     TraceCollector,
     analyze,
@@ -43,26 +49,8 @@ from gamelab.telemetry import (
 
 def play_instrumented(g, cfg, maker, breaker, mcfg=None):
     """Run one game, feeding a collector after every engine transition."""
-    s = new_game(g, cfg)
     col = TraceCollector(g, cfg, mcfg)
-    while not s.game_over():
-        if s.turn == MAKER:
-            e, c, ann = maker.move(s)
-            s.apply_move(MAKER, e, c, ann)
-            col.observe(s)
-            continue
-        if s.breaker_moves_this_turn >= cfg.b:
-            s.end_breaker_turn()
-            col.observe(s)
-            continue
-        mv = breaker.micro_move(s)
-        if mv is None:
-            s.end_breaker_turn()
-            col.observe(s)
-        else:
-            e, c, ann = mv
-            s.apply_move(BREAKER, e, c, ann)
-            col.observe(s)
+    s = play_game(g, cfg, maker, breaker, col)
     return s, col.finish(s)
 
 
@@ -343,26 +331,22 @@ class TestLiveEqualsBatch:
         assert games >= 1000
 
 
+    @pytest.mark.parametrize("i", [0, 1])
+    def test_criterion_nine_games_match_the_oracle(self, i):
+        # live and replayed reports share every line of Gamma' code, so at
+        # the benchmark's scale only the raw-record oracle checks the rows
+        g = random_regular(64, 16, seed=1)
+        cfg = GameConfig.skip_variant(k=32, mode=MODIFIED)
+        maker = DangerRedirectMaker(MCFG, seed=derive_seed(ACCEPT_SEED, "c9", i))
+        s, live = play_instrumented(g, cfg, maker, GreedyBlockingBreaker(), MCFG)
+        assert s.game_over()
+        assert_rows_match_oracle(g, cfg, s.log, live)
+
 class TestErrors:
     def test_unannotated_log_rejected(self):
         g = path(4)
         cfg = GameConfig.skip_variant(k=3)
-        s, _ = None, None
-        state = new_game(g, cfg)
-        maker = UniformRandomMaker(seed=0)
-        breaker = UniformRandomBreaker(seed=1)
-        while not state.game_over():
-            if state.turn == MAKER:
-                e, c, ann = maker.move(state)
-                state.apply_move(MAKER, e, c, ann)
-            elif state.breaker_moves_this_turn >= cfg.b:
-                state.end_breaker_turn()
-            else:
-                mv = breaker.micro_move(state)
-                if mv is None:
-                    state.end_breaker_turn()
-                else:
-                    state.apply_move(BREAKER, *mv)
+        state = play_game(g, cfg, UniformRandomMaker(seed=0), UniformRandomBreaker(seed=1))
         with pytest.raises(ValueError, match="missing annotations"):
             analyze(state.log, g, cfg, MCFG)
 
@@ -527,7 +511,7 @@ class TestSummary:
         for t, below in ((traces[0], 0), (traces[1], 1)):
             t.nbr_cnt[1] = 2 * spike.denominator
             t.nbr_sum[1] = 2 * spike.numerator - below
-        params = telemetry._Params(g, cfg, mcfg)
+        params = telemetry.TraceCollector(g, cfg, mcfg)
         cell = telemetry._summarize(params, traces)["nbr_spike"]
         tc2 = mcfg.threshold_ceil(2, g.max_degree, cfg.b)
         recount = [
@@ -560,7 +544,7 @@ class TestSummary:
         hot.loads = [0, 0, tc2 - 1] + [tc2] * (rounds - 3)
         spike = 9 * MCFG.lam * g.max_degree
         hot.nbr_sum[3 + offset] = math.ceil(spike)
-        cell = telemetry._summarize(telemetry._Params(g, cfg, MCFG), traces)["nbr_spike"]
+        cell = telemetry._summarize(telemetry.TraceCollector(g, cfg, MCFG), traces)["nbr_spike"]
         assert cell["eligible"] == len(traces)
         assert cell["violating"] == int(counted)
 
