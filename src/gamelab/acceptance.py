@@ -208,6 +208,36 @@ def _check_pigeonhole_corpus() -> tuple[bool, str]:
     return ok, f"{breaker_wins} breaker wins in {games} games over {len(mixed_corpus())} graphs"
 
 
+def _recount_rows(g, log) -> tuple[list[list[int]], list[list[int]]]:
+    """Per-vertex end-of-round loads and Gamma' sums straight from the
+    records, without the engine or the collector: a row at every
+    end-of-turn record and, if the log ends mid-round, one at its end."""
+    load = [0] * g.n
+    gamma = [set(nbrs) for nbrs in g.adj]  # Gamma'(v): joined by an uncolored edge
+    loads, sums = [], []
+
+    def take_row() -> None:
+        loads.append(list(load))
+        sums.append([sum(map(load.__getitem__, nbrs)) for nbrs in gamma])
+
+    take_row()
+    dirty = False
+    for rec in log:
+        if rec.skip:
+            take_row()
+            dirty = False
+            continue
+        x, y = g.edges[rec.edge]
+        load[x] += 1
+        load[y] += 1
+        gamma[x].discard(y)
+        gamma[y].discard(x)
+        dirty = True
+    if dirty:
+        take_row()
+    return [list(col) for col in zip(*loads)], [list(col) for col in zip(*sums)]
+
+
 def _paper_maker_report() -> str:
     g = random_regular(64, 16, seed=1)
     k = math.ceil(1.95 * 16)
@@ -225,7 +255,13 @@ def _paper_maker_report() -> str:
         live = col.finish(s)
         if not s.game_over():
             unfinished += 1
-        if live != analyze(s.log, g, cfg, mcfg):
+        # the replay runs the collector again; the recount checks its rows
+        loads, sums = _recount_rows(g, s.log)
+        if (
+            live != analyze(s.log, g, cfg, mcfg)
+            or [t.loads for t in live.traces] != loads
+            or [t.nbr_sum for t in live.traces] != sums
+        ):
             mismatches += 1
         if s.winner() == MAKER_WON:
             maker_wins += 1
@@ -253,7 +289,8 @@ def _paper_maker_report() -> str:
 
 
 def _check_paper_maker_integrity() -> tuple[bool, str]:
-    """100 instrumented games: termination, live == replayed telemetry."""
+    """100 instrumented games: termination, live == replayed telemetry,
+    and the live rows equal a recount from the records."""
     doc = json.loads(_paper_maker_report())
     res = doc["results"]
     if not res["all_terminated"]:

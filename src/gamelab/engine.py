@@ -183,6 +183,7 @@ class GameState:
         "load",
         "umask",
         "full_mask",
+        "screen",
         "blocked_seen",
         "forced_count",
         "log",
@@ -200,6 +201,9 @@ class GameState:
         self.load: list[int] = [0] * g.n
         self.umask: list[int] = [0] * g.n
         self.full_mask = (1 << cfg.k) - 1
+        # an uncolored edge wx gets at most Delta - 1 colors from x, so no
+        # edge at a vertex w with at most k - Delta colors can be blocked
+        self.screen = cfg.k - g.max_degree
         self.blocked_seen = False
         self.forced_count = 0
         self.log: MoveLog | None = MoveLog() if log else None
@@ -312,6 +316,8 @@ class GameState:
         if not self.blocked_seen:
             full, color, edges = self.full_mask, self.color, self.g.edges
             for w in (u, v):
+                if umask[w].bit_count() <= self.screen:
+                    continue
                 for f in self.g.incident[w]:
                     if color[f] == 0:
                         a, bb = edges[f]
@@ -381,6 +387,7 @@ class GameState:
         s.load = list(self.load)
         s.umask = list(self.umask)
         s.full_mask = self.full_mask
+        s.screen = self.screen
         s.blocked_seen = self.blocked_seen
         s.forced_count = self.forced_count
         s.log = None if self.log is None else self.log.copy()

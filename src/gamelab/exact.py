@@ -2,7 +2,7 @@
 
 ``solve`` runs a boolean minimax over full positions: Maker wins a position
 iff some move of his wins, Breaker's turn is expanded into at most ``b``
-sequential micro-moves plus (where the rules allow it) a pass.  Three
+sequential micro-moves plus (where the rules allow it) a pass.  Four
 reductions keep the tree tractable:
 
 * color symmetry -- palette colors are interchangeable, so whenever several
@@ -43,12 +43,25 @@ reductions keep the tree tractable:
   Breaker win: it is his turn (with bias left, since ``_play`` closes a
   spent turn), some uncolored e has exactly one available color c, and an
   uncolored neighbour f != e can take c; coloring f with c blocks e.
+* orbit pruning (``memoize=True``) -- a node that is expanded tries only
+  the first uncolored edge, in the move order, of each orbit of its
+  coloring's stabilizer (McKay and Piperno's pruning of symmetric
+  children).  The key's scan already finds the symmetries s that send the
+  coloring C to the packed one; for two of them s2^-1 s1 is an
+  automorphism that maps C to itself up to a palette permutation pi, so
+  the child (e, c) has the value of (s2^-1 s1 e, pi c).  The colors tried
+  on an edge are its available colors on the board plus the lowest fresh
+  one, and pi maps the first set of e onto that of its image, so the
+  children of the first edge of an orbit stand for those of the rest.
+  Each merge rests on two real automorphisms, so the cap leaves it sound;
+  under the cap the orbits may be split finer than the group's.
 
 ``memoize=False`` runs the same recursion, cuts included, without the
-table, the color masks or the automorphisms; agreement of the two modes is
-the standard self-check for the key.  ``verify_strategy`` has no cuts: on a
-safe board any legal Maker strategy wins, but the verifier also certifies
-that the strategy moves legally on every line, so it plays each line out.
+table, the color masks, the automorphisms or the orbit pruning; agreement
+of the two modes is the standard self-check for the key and the orbits.
+``verify_strategy`` has no cuts: on a safe board any legal Maker strategy
+wins, but the verifier also certifies that the strategy moves legally on
+every line, so it plays each line out.
 It has a memo instead, for a strategy whose class sets ``position_only``:
 its move is a function of the position, so it plays the same subtree from
 the same position, and an opponent decision point proven sound once is
@@ -203,10 +216,12 @@ class _Solver:
         # of Graph.edge_automorphisms (the identity is i = 0), of the edges
         # colored c; union[i]: the same for all colored edges; images[e][i]:
         # the bit of e's image.  All are loaded when a memoizing solve
-        # expands its root.
+        # expands its root.  coset: the symmetries whose image of the
+        # coloring is the one ``key`` last packed.
         self.classes: list[list[int]] | None = None
         self.union: list[int] = []
         self.images: list[list[int]] = []
+        self.coset: list[int] = []
 
     def load(self, state: GameState) -> None:
         """Build the class lists of ``state``'s coloring.  A fresh color is
@@ -233,20 +248,46 @@ class _Solver:
         """The table key: over the symmetries with the least union, the
         least sorted class list packed in m-bit fields, then the turn
         phase.  An empty class packs to a leading zero, and every symmetry
-        has as many, so the least list packs to the least int."""
+        has as many, so the least list packs to the least int.  The
+        symmetries that reach the least list are kept in ``coset``."""
         union, classes, m = self.union, self.classes, self.m
         low = min(union)
         i = union.index(low)
         best = sorted([masks[i] for masks in classes])
+        coset = [i]
         for _ in range(union.count(low) - 1):
             i = union.index(low, i + 1)
-            best = min(best, sorted([masks[i] for masks in classes]))
+            moved = sorted([masks[i] for masks in classes])
+            if moved < best:
+                best, coset = moved, [i]
+            elif moved == best:
+                coset.append(i)
+        self.coset = coset
         key = 0
         for mask in best:
             key = key << m | mask
         return (key * state.cfg.b + state.breaker_moves_this_turn) * 2 + (
             state.turn == BREAKER
         )
+
+    def orbit_reps(self, edges: list[int]) -> list[int]:
+        """The first of ``edges`` in each orbit of the last keyed coloring's
+        stabilizer.  Two edges are merged when some s1, s2 of ``coset`` send
+        them to one edge: s2^-1 s1 is an automorphism that maps the coloring
+        to itself up to a palette permutation and the one edge to the
+        other.  When ``coset`` is a whole coset of the stabilizer, the
+        least image names the orbit."""
+        coset = self.coset
+        if len(coset) == 1:
+            return edges
+        images, seen, reps = self.images, set(), []
+        for e in edges:
+            image = images[e]
+            label = min([image[i] for i in coset])
+            if label not in seen:
+                seen.add(label)
+                reps.append(e)
+        return reps
 
     def maker_wins(self, state: GameState, used: int) -> bool:
         self.budget.tick()
@@ -285,12 +326,17 @@ class _Solver:
             if not mover_value and _one_move_block(state, order):
                 val = False
             else:
-                if self.table is not None and self.classes is None:
-                    # the root: no descendant repeats it, so it needs no key
-                    self.load(state)
+                edges = [e for _, e in order]
+                if self.table is not None:
+                    if self.classes is None:
+                        # the root: no descendant repeats it, so it is
+                        # keyed only to find its coset
+                        self.load(state)
+                        self.key(state)
+                    edges = self.orbit_reps(edges)
                 classes = self.classes
                 val = not mover_value
-                for e, bit in _moves(state, [e for _, e in order], used):
+                for e, bit in _moves(state, edges, used):
                     plies = _play(state, e, bit)
                     if classes is not None and e is not None:
                         c = bit.bit_length() - 1

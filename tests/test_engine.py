@@ -89,9 +89,17 @@ def assert_tables_consistent(s: GameState):
             assert s.available_colors(e) == expect
 
 
+def has_blocked_edge(s: GameState) -> bool:
+    """Oracle: a scan of every uncolored edge for an empty palette."""
+    return any(s.color[e] == 0 and s.avail_mask(e) == 0 for e in range(s.g.m))
+
+
 def random_playout(g: G.Graph, cfg: GameConfig, seed: int, check_every_move: bool = False) -> GameState:
+    """A random legal game; with ``check_every_move`` the tables and
+    ``blocked_seen`` are checked against a scan after every transition."""
     rng = random.Random(seed)
     s = new_game(g, cfg)
+    blocked = False
     while not s.game_over():
         if s.turn == MAKER:
             pairs = [
@@ -126,6 +134,9 @@ def random_playout(g: G.Graph, cfg: GameConfig, seed: int, check_every_move: boo
                 s.apply_move(BREAKER, e, c)
         if check_every_move:
             assert_tables_consistent(s)
+            # modified play goes on past a block, so the flag is sticky
+            blocked = blocked or has_blocked_edge(s)
+            assert s.blocked_seen == blocked
     return s
 
 
@@ -318,6 +329,29 @@ class TestFuzzInvariants:
                 for trial in range(8):
                     random_playout(g, cfg, seed=1000 * gi + 100 * ci + trial, check_every_move=True)
 
+    @pytest.mark.parametrize("mode", [STRICT, MODIFIED])
+    def test_blocked_seen_where_the_screen_skips_scans(self, mode):
+        """Palettes with Delta < k <= 2*Delta - 1, where ``_commit`` skips the
+        scan at an endpoint with at most k - Delta colors.  Some game blocks
+        an edge at a vertex with one color more than that, so a screen one
+        color looser would miss a block."""
+        tight = 0
+        for gi, g in enumerate([G.complete(5), G.star(5), G.complete_bipartite(3, 3), G.cycle(6)]):
+            delta = g.max_degree
+            for k in range(delta + 1, 2 * delta):
+                for trial in range(12):
+                    cfg = GameConfig(k, 1 + trial % 2, VARIANTS[trial % 3 % 2], mode)
+                    s = random_playout(g, cfg, seed=500 * gi + 20 * k + trial, check_every_move=True)
+                    r = new_game(g, cfg)
+                    for rec in s.log:
+                        apply_record(r, rec)
+                        tight += any(
+                            r.umask[w].bit_count() == k - delta + 1
+                            and any(r.color[f] == 0 and r.avail_mask(f) == 0 for f in g.incident[w])
+                            for w in range(g.n)
+                        )
+        assert tight > 0
+
     def test_bookkeeping_at_game_end_bulk(self):
         # ten thousand random legal games, final-state recomputation each time
         count = 0
@@ -328,9 +362,7 @@ class TestFuzzInvariants:
                     assert_tables_consistent(s)
                     w = s.winner()
                     if s.cfg.mode == STRICT and w == BREAKER_WON:
-                        assert any(
-                            s.color[e] == 0 and s.avail_mask(e) == 0 for e in range(g.m)
-                        )
+                        assert has_blocked_edge(s)
                     if w == MAKER_WON:
                         assert s.uncolored == 0 and s.forced_count == 0
                     count += 1

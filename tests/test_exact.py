@@ -17,6 +17,7 @@ from dataclasses import replace
 from functools import reduce
 from operator import or_
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -556,7 +557,8 @@ class TestChiIndex:
         assert (res.winner, res.nodes) == (MAKER, 1)
 
     def test_partial_map_on_tiny_budget(self):
-        res = game_chromatic_index(cycle(5), 1, SKIP(k=1), budget=5)
+        # k = 2 takes 5 nodes, so a budget of 4 ends inside the first solve
+        res = game_chromatic_index(cycle(5), 1, SKIP(k=1), budget=4)
         assert res.partial
         assert res.value is None
         assert res.winners == {}
@@ -648,6 +650,22 @@ class TestPlainKeyOracle:
         assert not res.partial
         assert res.winners == plain
 
+    @pytest.mark.parametrize("variant", [SKIP, CLASSIC])
+    def test_five_vertex_census_matches_plain_key(self, variant):
+        """Every connected graph on five vertices, b = 1.  Winner maps of
+        small named graphs let an unsound symmetry cut through, so the
+        census is the oracle's widest sweep."""
+        for i, h in enumerate(nx.graph_atlas_g()):
+            if h.number_of_nodes() != 5 or not nx.is_connected(h):
+                continue
+            g = Graph(5, h.edges())
+            res = game_chromatic_index(g, 1, variant(k=1))
+            plain = {
+                k: plain_key_winner(g, k, variant(k=1))
+                for k in range(g.max_degree, 2 * g.max_degree)
+            }
+            assert res.winners == plain, f"atlas {i}"
+
 
 def search_line(g: Graph, cfg: GameConfig, rng: random.Random) -> GameState:
     """The position after a random line of search moves (``_moves`` and
@@ -729,6 +747,81 @@ class TestTrivialBoundCuts:
             for memoize in (True, False):
                 res = solve(g, k, variant(k=1), memoize=memoize)
                 assert (res.winner, res.nodes) == (MAKER, 1), name
+
+
+def stabilizer_orbits(state: GameState, edges: list[int]) -> list[list[int]]:
+    """``edges`` grouped by orbit of the stabilizer of ``state``'s coloring
+    up to palette, over the automorphisms networkx finds; each orbit keeps
+    the order of ``edges``, and the orbits are in the order of their first
+    edges."""
+    classes = coloring_orbit(state)
+    stabilizer = [
+        p
+        for p in nx_edge_automorphisms(state.g)
+        if frozenset(frozenset(p[e] for e in cls) for cls in classes) == classes
+    ]
+    orbits: dict[frozenset, list[int]] = {}
+    for e in edges:
+        orbits.setdefault(frozenset(p[e] for p in stabilizer), []).append(e)
+    return list(orbits.values())
+
+
+def child_keys(solver: _Solver, state: GameState, e: int, used: int) -> set[int]:
+    """The table keys of the children the search plays on edge e."""
+    keys = set()
+    for _, bit in _moves(state, [e], used):
+        if bit:
+            plies = _play(state, e, bit)
+            c = bit.bit_length() - 1
+            old = solver.paint(e, c)
+            keys.add(solver.key(state))
+            solver.classes[c], solver.union = old
+            for _ in range(plies):
+                state.undo()
+    return keys
+
+
+ORBIT_CASES = [
+    ("complete:5", 4), ("complete:5", 5), ("complete:5", 6),
+    ("complete_bipartite:3:3", 3), ("complete_bipartite:3:3", 4),
+    ("cycle:11", 2),
+]
+
+
+class TestOrbitPruning:
+    """The solver expands one edge per orbit of the coloring's stabilizer."""
+
+    @pytest.mark.parametrize("variant", [SKIP, CLASSIC])
+    @pytest.mark.parametrize("spec, k", ORBIT_CASES)
+    def test_pruned_edges_repeat_their_representatives_children(self, spec, k, variant):
+        """On positions reached by search lines, every edge the solver
+        drops has the child keys of the first edge of its orbit, which the
+        solver keeps; and, these groups being under the cap, the solver
+        keeps exactly the first edge of each orbit."""
+        g = generate(spec)
+        rng = random.Random(k)
+        bad = pruned = 0
+        for _ in range(25):
+            state = search_line(g, variant(k=k), rng)
+            used = reduce(or_, (1 << (c - 1) for c in state.color if c), 0)
+            solver = _Solver(state, True, None)
+            solver.load(state)
+            solver.key(state)
+            order = sorted(
+                (state.avail_mask(e).bit_count(), e) for e in range(g.m) if state.color[e] == 0
+            )
+            edges = [e for _, e in order]
+            reps = solver.orbit_reps(edges)
+            orbits = stabilizer_orbits(state, edges)
+            for orbit in orbits:
+                expect = child_keys(solver, state, orbit[0], used)
+                for e in orbit:
+                    if e not in reps:
+                        pruned += 1
+                        bad += orbit[0] not in reps or child_keys(solver, state, e, used) != expect
+            assert not bad, f"{bad} bad merges"
+            assert reps == [orbit[0] for orbit in orbits]
+        assert pruned > 0
 
 
 class TestBudget:
@@ -875,10 +968,10 @@ class TestMakeUnmake:
     @pytest.mark.parametrize(
         "spec, variant, nodes",
         [
-            ("cycle:11", SKIP, 21),
-            ("complete:5", SKIP, 934),
-            ("complete_bipartite:3:3", SKIP, 354),
-            ("cycle:11", CLASSIC, 13),
+            ("cycle:11", SKIP, 12),
+            ("complete:5", SKIP, 634),
+            ("complete_bipartite:3:3", SKIP, 257),
+            ("cycle:11", CLASSIC, 3),
         ],
         ids=["C11-skip", "K5", "K33", "C11-classic"],
     )
