@@ -15,7 +15,7 @@ import itertools
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from ._util import BudgetExceeded, derive_seed, wilson_interval
@@ -47,13 +47,7 @@ class CriterionResult:
         )
 
     def as_dict(self) -> dict:
-        return {
-            "number": self.number,
-            "name": self.name,
-            "status": self.status,
-            "detail": self.detail,
-            "seconds": round(self.seconds, 3),
-        }
+        return {**asdict(self), "seconds": round(self.seconds, 3)}
 
 
 def _check_stars() -> tuple[bool, str]:

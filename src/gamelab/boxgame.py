@@ -18,7 +18,7 @@ solver used to validate it, and Bob's explicit strategy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -166,13 +166,7 @@ class BoxGameState:
         self.claims_left = 0
 
     def clone(self) -> "BoxGameState":
-        return BoxGameState(
-            remaining=list(self.remaining),
-            touched=list(self.touched),
-            b=self.b,
-            turn=self.turn,
-            claims_left=self.claims_left,
-        )
+        return replace(self, remaining=list(self.remaining), touched=list(self.touched))
 
 
 def _children(state: BoxGameState) -> Iterator[BoxGameState]:

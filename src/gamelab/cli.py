@@ -219,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="write output to this file instead of stdout")
 
     p = sub.add_parser("gen", help="emit a generated graph as an edge list")
-    p.add_argument("spec", help="family spec, e.g. cycle:7 or random_regular:64:16:1")
+    p.add_argument("spec", help="family spec, e.g. cycle:7, random_regular:64:16:1 or petersen")
     add_out(p)
     p.set_defaults(fn=cmd_gen)
 

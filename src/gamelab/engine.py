@@ -15,6 +15,7 @@ stuck.  Maker wins a modified game only if he was never forced.
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -94,7 +95,7 @@ class MoveLog(list):
             obj: dict = {
                 "r": rec.round,
                 "p": "M" if rec.player == MAKER else "B",
-                "e": list(g.endpoints(rec.edge)) if rec.edge is not None else None,
+                "e": list(g.edges[rec.edge]) if rec.edge is not None else None,
                 "c": rec.color,
                 "skip": rec.skip,
             }
@@ -375,28 +376,13 @@ class GameState:
     # -- copying -----------------------------------------------------------
 
     def clone(self) -> GameState:
-        """An independent copy; searches use ``undo`` instead."""
-        s = object.__new__(GameState)
-        s.g = self.g
-        s.cfg = self.cfg
-        s.color = list(self.color)
-        s.uncolored = self.uncolored
-        s.round = self.round
-        s.turn = self.turn
-        s.breaker_moves_this_turn = self.breaker_moves_this_turn
-        s.load = list(self.load)
-        s.umask = list(self.umask)
-        s.full_mask = self.full_mask
-        s.screen = self.screen
-        s.blocked_seen = self.blocked_seen
-        s.forced_count = self.forced_count
+        """An independent copy; searches use ``undo`` instead.  Every slot
+        is copied by reference, then each mutable one is renewed here."""
+        s = copy.copy(self)
+        s.color, s.load, s.umask = list(self.color), list(self.load), list(self.umask)
         s.log = None if self.log is None else self.log.copy()
         s.trail = list(self.trail)
         return s
-
-
-def new_game(g: Graph, cfg: GameConfig) -> GameState:
-    return GameState(g, cfg)
 
 
 def step(s: GameState, maker, breaker) -> None:
@@ -457,7 +443,7 @@ def apply_record(s: GameState, rec: MoveRecord) -> None:
 
 def replay(g: Graph, cfg: GameConfig, log: MoveLog) -> GameState:
     """Re-run a logged game, validating every step; returns the final state."""
-    s = new_game(g, cfg)
+    s = GameState(g, cfg)
     for i, rec in enumerate(log):
         try:
             apply_record(s, rec)

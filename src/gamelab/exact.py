@@ -99,7 +99,6 @@ from .engine import (
     GameConfig,
     GameState,
     MoveLog,
-    new_game,
     step,
 )
 from .graph import Graph
@@ -523,5 +522,5 @@ def verify_strategy(
         raise ValueError("verify_strategy requires strict mode")
     cfg = replace(cfg, k=k)
     verifier = _Verifier(side, budget, g.m, getattr(strategy, "position_only", False))
-    bad = verifier.search(new_game(g, cfg), strategy, False)
+    bad = verifier.search(GameState(g, cfg), strategy, False)
     return VerifyResult(bad is None, bad, verifier.budget.nodes)

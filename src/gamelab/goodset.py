@@ -4,6 +4,9 @@ A *good set* F is a set of edges whose endpoints all have maximum degree and
 whose pairwise edge distance is at least 4.  Such a set supports a reduction
 of Breaker's play to a box game with one box per member of F; the harmonic
 criterion `harmonic_condition` tells when that box game is a Breaker win.
+The certificate of `find_good_set` holds the members' pairwise distances
+and the greedy steps, which certify the set, and the box reduction's data:
+each member's neighbouring edges and each edge's nearest member.
 """
 
 from __future__ import annotations
@@ -32,10 +35,8 @@ class GoodSetCertificate:
     """A good set, the facts that certify it, and the box reduction's data."""
 
     edges: tuple[int, ...]
-    endpoint_degrees: tuple[tuple[int, int], ...]
     pair_distances: tuple[tuple[int, int, float], ...]  # (edge, edge, distance)
     steps: tuple[GreedyStep, ...]
-    distances: tuple[tuple[float, ...], ...]  # per edge: BFS distance to each vertex
     gamma: tuple[tuple[int, ...], ...]  # per member: the edges sharing an endpoint with it
     nearest: tuple[int, ...]  # per edge: its nearest member's index, lowest on ties; () if none
 
@@ -110,12 +111,8 @@ def find_good_set(g: Graph) -> GoodSetCertificate:
     near = [min(zip(col, range(len(chosen)))) for col in zip(*dists)]
     g._good_set = GoodSetCertificate(
         edges=tuple(chosen),
-        endpoint_degrees=tuple(
-            (g.degree(g.edges[e][0]), g.degree(g.edges[e][1])) for e in chosen
-        ),
         pair_distances=tuple(pairs),
         steps=tuple(steps),
-        distances=tuple(dists),
         gamma=tuple(
             tuple(sorted(f for w in g.edges[e] for f in g.incident[w] if f != e)) for e in chosen
         ),

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import random
 from collections import deque
+from functools import partial
 from typing import Iterable, Iterator, Sequence
 
 
@@ -92,9 +93,6 @@ class Graph:
     def max_degree(self) -> int:
         return self._max_degree
 
-    def endpoints(self, e: int) -> tuple[int, int]:
-        return self.edges[e]
-
     def index_of(self, u: int, v: int) -> int:
         """Edge index for endpoints (u, v); raises GraphError if absent."""
         key = (u, v) if u < v else (v, u)
@@ -128,10 +126,8 @@ class Graph:
 
     # -- distances -----------------------------------------------------
 
-    def vertex_distances(self, sources: int | Iterable[int]) -> list[float]:
+    def vertex_distances(self, sources: Iterable[int]) -> list[float]:
         """BFS distance from the nearest source to every vertex (inf if unreachable)."""
-        if isinstance(sources, int):
-            sources = (sources,)
         dist: list[float] = [math.inf] * self.n
         queue: deque[int] = deque()
         for s in sources:
@@ -350,7 +346,8 @@ def _tree(order: int, index: int) -> Graph:
     raise GraphError(f"tree index {index} out of range for order {order}")
 
 
-# per family: its builder, then the type of each field its spec takes
+# per family: its builder, then the type of each field its spec takes; the
+# named graphs of the smoke corpus take no field
 _FAMILIES = {
     "star": (star, int),
     "cycle": (cycle, int),
@@ -360,6 +357,12 @@ _FAMILIES = {
     "tree": (_tree, int, int),
     "gnp": (gnp, int, float, int),
     "random_regular": (random_regular, int, int, int),
+    "spider": (partial(Graph, 7, [(0, 1), (0, 2), (0, 3), (3, 4), (4, 5), (5, 6)]),),
+    "caterpillar": (partial(Graph, 8, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 5), (2, 6), (3, 7)]),),
+    # the outer 5-cycle, the spokes, then the inner pentagram
+    "petersen": (partial(Graph, 10, [(i, (i + 1) % 5) for i in range(5)]
+                         + [(i, i + 5) for i in range(5)]
+                         + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]),),
 }
 
 
@@ -368,7 +371,8 @@ def generate(spec: str) -> Graph:
 
     Examples: ``star:5``, ``cycle:7``, ``path:4``, ``complete:4``,
     ``complete_bipartite:2:3``, ``random_regular:64:16:1``,
-    ``gnp:10:0.3:7``, ``tree:8:3`` (3rd tree of order 8).
+    ``gnp:10:0.3:7``, ``tree:8:3`` (3rd tree of order 8), and the named
+    graphs ``spider``, ``caterpillar`` and ``petersen``.
     """
     kind, *fields = spec.split(":")
     if kind not in _FAMILIES:

@@ -21,6 +21,7 @@ import copy
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Iterable
 
 from ._util import DrawTape, StrategyError
 from .engine import BREAKER, MAKER, MODIFIED, GameState, MoveLog, uniform_legal_move
@@ -74,9 +75,9 @@ class MakerConfig:
         """T_j = j * lambda * b^-1 * Delta, exactly."""
         return Fraction(j) * self.lam * delta / b
 
-    def threshold_ceil(self, j: int, delta: int, b: int) -> int:
-        """Smallest integer load that meets T_j."""
-        return math.ceil(self.threshold(j, delta, b))
+    def thresholds(self, delta: int, b: int) -> tuple[int, int, int]:
+        """The smallest integer loads that meet T_1, T_2 and T_3."""
+        return tuple(math.ceil(self.threshold(j, delta, b)) for j in (1, 2, 3))
 
     def default_palette(self, delta: int, b: int) -> int:
         """k = floor((2 - c * b^-4) * Delta), clamped into [Delta, 2*Delta - 1]."""
@@ -112,7 +113,7 @@ def record_crossings(
     mem: MakerMemory,
     thresholds: tuple[int, int, int],
     r: int,
-    touched: list[int] | None = None,
+    touched: Iterable[int],
 ) -> None:
     """Record the threshold crossings of round r and freeze new danger sets.
 
@@ -123,15 +124,15 @@ def record_crossings(
     is frozen from ``s`` for each vertex newly past T2, in vertex order.
 
     Loads only grow, so a vertex whose load is unchanged since the last call
-    on ``mem`` has nothing new to cross: ``touched``, when given, lists in
-    ascending order the vertices whose load may have changed since then, and
-    only those are read.  Without it every vertex is.
+    on ``mem`` has nothing new to cross: ``touched`` lists in ascending order
+    the vertices whose load may have changed since then (every vertex, on
+    the first call), and only those are read.
     """
     t1, t2, t3 = thresholds
     t1_round, t2_round, t3_round = mem.t1_round, mem.t2_round, mem.t3_round
     loads = s.load
     newly_t2 = []
-    for v in range(len(loads)) if touched is None else touched:
+    for v in touched:
         load = loads[v]
         # a vertex past T3 has every crossing recorded
         if load < t1 or v in t3_round:
@@ -225,9 +226,7 @@ class DangerRedirectMaker:
         if self._state is not None:
             raise StrategyError("one strategy instance may not switch games")
         self._state = s
-        self._thresholds = tuple(
-            self.cfg.threshold_ceil(j, s.g.max_degree, s.cfg.b) for j in (1, 2, 3)
-        )
+        self._thresholds = self.cfg.thresholds(s.g.max_degree, s.cfg.b)
         self._q = float(self.cfg.q)
 
     def move(self, s: GameState) -> tuple[int, int, dict]:
@@ -241,8 +240,9 @@ class DangerRedirectMaker:
         # Maker moves first within a round, so the loads seen here are those
         # at the end of round s.round - 1; since his previous move only the
         # ends of that move's edge and of Breaker's last turn gained load
-        touched = None
-        if mem.f0 is not None:
+        if mem.f0 is None:
+            touched = range(g.n)
+        else:
             touched = sorted({w for e in (mem.f0, *pool) for w in g.edges[e]})
         record_crossings(s, mem, self._thresholds, s.round - 1, touched)
 

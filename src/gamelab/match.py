@@ -2,8 +2,9 @@
 
 One master seed determines a match byte for byte: per-trial randomness is
 derived by hashing ``(seed, trial, role)``, never drawn from a shared
-generator, so trial order cannot matter.  Also here: the policy registries,
-graph loading by file or name, and the named smoke corpus.
+generator, so trial order cannot matter.  Also here: the policy registries
+(one name-to-factory table per role), graph loading by file or generator
+spec, and the smoke corpus, a list of specs.
 """
 
 from __future__ import annotations
@@ -19,23 +20,21 @@ from .breaker import (
     SkipBreaker,
     UniformRandomBreaker,
 )
-from .engine import MAKER_WON, STRICT, GameConfig, GameState, new_game, step
+from .engine import MAKER_WON, STRICT, GameConfig, GameState, step
 from .graph import Graph, generate, read_edge_list
 from .maker import DangerRedirectMaker, GreedyMaker, MakerConfig, UniformRandomMaker
 
-MAKER_POLICIES = ("paper", "random", "greedy")
-BREAKER_POLICIES = ("box", "random", "greedy", "skip")
-
-# corpus graphs that no generator spec describes, as (n, edges)
-_NAMED_GRAPHS = {
-    "spider": (7, [(0, 1), (0, 2), (0, 3), (3, 4), (4, 5), (5, 6)]),
-    "caterpillar": (8, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 5), (2, 6), (3, 7)]),
-    "petersen": (
-        10,
-        [(i, (i + 1) % 5) for i in range(5)]
-        + [(i, i + 5) for i in range(5)]
-        + [(5 + i, 5 + (i + 2) % 5) for i in range(5)],
-    ),
+# per role: policy name -> factory of a fresh policy for one game
+MAKER_POLICIES = {
+    "paper": lambda seed, mcfg: DangerRedirectMaker(mcfg or MakerConfig(), seed=seed),
+    "random": lambda seed, mcfg: UniformRandomMaker(seed=seed),
+    "greedy": lambda seed, mcfg: GreedyMaker(),
+}
+BREAKER_POLICIES = {
+    "box": lambda seed: BoxReductionBreaker(),
+    "random": lambda seed: UniformRandomBreaker(seed=seed),
+    "greedy": lambda seed: GreedyBlockingBreaker(),
+    "skip": lambda seed: SkipBreaker(),
 }
 
 _CORPUS = (
@@ -57,32 +56,22 @@ _CORPUS = (
 
 
 def make_maker(policy: str, seed: int, mcfg: MakerConfig | None = None):
-    if policy == "paper":
-        return DangerRedirectMaker(mcfg or MakerConfig(), seed=seed)
-    if policy == "random":
-        return UniformRandomMaker(seed=seed)
-    if policy == "greedy":
-        return GreedyMaker()
-    raise ValueError(f"unknown maker policy {policy!r}")
+    if policy not in MAKER_POLICIES:
+        raise ValueError(f"unknown maker policy {policy!r}")
+    return MAKER_POLICIES[policy](seed, mcfg)
 
 
 def make_breaker(policy: str, seed: int):
-    if policy == "box":
-        return BoxReductionBreaker()
-    if policy == "random":
-        return UniformRandomBreaker(seed=seed)
-    if policy == "greedy":
-        return GreedyBlockingBreaker()
-    if policy == "skip":
-        return SkipBreaker()
-    raise ValueError(f"unknown breaker policy {policy!r}")
+    if policy not in BREAKER_POLICIES:
+        raise ValueError(f"unknown breaker policy {policy!r}")
+    return BREAKER_POLICIES[policy](seed)
 
 
 def play_game(g: Graph, cfg: GameConfig, maker, breaker, collector=None) -> GameState:
     """Drive one game to the end, optionally feeding every transition to
     a trace collector.  The driver, not the breaker policy, ends the
     Breaker turn once the bias is spent."""
-    s = new_game(g, cfg)
+    s = GameState(g, cfg)
     while not s.game_over():
         step(s, maker, breaker)
         if collector is not None:
@@ -191,21 +180,12 @@ def run_match(spec: ExperimentSpec) -> MatchReport:
     )
 
 
-def _named_graph(name: str) -> Graph:
-    """A corpus graph by name, else the graph of a generator spec."""
-    if name in _NAMED_GRAPHS:
-        return Graph(*_NAMED_GRAPHS[name])
-    return generate(name)
-
-
 def mixed_corpus() -> list[tuple[str, Graph]]:
     """The named smoke-test corpus: 25 small graphs across families."""
-    return [(name, _named_graph(name)) for name in _CORPUS]
+    return [(name, generate(name)) for name in _CORPUS]
 
 
 def load_graph(source: str) -> Graph:
-    """A file path if one exists there, else a name or generator spec."""
+    """A file path if one exists there, else a generator spec."""
     p = Path(source)
-    if p.exists():
-        return read_edge_list(p.read_text())
-    return _named_graph(source)
+    return read_edge_list(p.read_text()) if p.exists() else generate(source)

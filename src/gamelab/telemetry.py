@@ -62,7 +62,6 @@ from .engine import (
     MoveLog,
     MoveRecord,
     apply_record,
-    new_game,
 )
 from .graph import Graph
 from .maker import MakerConfig, MakerMemory, record_crossings
@@ -234,9 +233,8 @@ class TraceCollector:
         self.maker_cfg = maker_cfg = maker_cfg or MakerConfig()
         self.delta = g.max_degree
         self.b = game_cfg.b
-        # tc[j] = smallest integer load meeting T_j; tc[0] = 0.
-        self.tc = [0] + [maker_cfg.threshold_ceil(j, self.delta, self.b) for j in (1, 2, 3)]
-        self.thresholds = tuple(self.tc[1:])
+        self.thresholds = maker_cfg.thresholds(self.delta, self.b)
+        self.tc = [0, *self.thresholds]  # tc[j] = smallest integer load meeting T_j
         self.i_prime_cap = math.floor(Fraction(1, 5 * self.b * self.b) * maker_cfg.lam * self.delta)
         self.load_rows: list[tuple[int, ...]] = [(0,) * g.n]
         self.sum_rows: list[tuple[int, ...]] = [(0,) * g.n]
@@ -391,7 +389,7 @@ def analyze(
     annotated with an endpoint of its edge.
     """
     col = TraceCollector(g, game_cfg, maker_cfg)
-    state = new_game(g, game_cfg)
+    state = GameState(g, game_cfg)
     for i, rec in enumerate(log):
         try:
             apply_record(state, rec)

@@ -19,8 +19,8 @@ def edge_distance(g: Graph, e: int, f: int) -> float:
     Adjacent (or identical) edges have distance 0; edges in different
     components have distance ``math.inf``.
     """
-    eu, ev = g.endpoints(e)
-    fu, fv = g.endpoints(f)
+    eu, ev = g.edges[e]
+    fu, fv = g.edges[f]
     dist = g.vertex_distances((eu, ev))
     return min(dist[fu], dist[fv])
 

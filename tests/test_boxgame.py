@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -191,6 +192,25 @@ class TestRules:
         st2.bob_claim(0)
         st2.alice_claim(1)
         assert st2.winner() == ALICE_WON
+
+    def test_clone_renews_every_mutable_field(self):
+        # clone copies the fields by reference and renews the mutable ones
+        # by name, so a mutable field added later must be renewed there too
+        st = BoxGameState.new([3, 2, 2], b=2)
+        st.alice_claim(0)
+        st.bob_claim(1)
+        before = dataclasses.astuple(st)
+        dup = st.clone()
+        for f in dataclasses.fields(BoxGameState):
+            mine, theirs = getattr(st, f.name), getattr(dup, f.name)
+            assert theirs == mine, f.name
+            if isinstance(mine, (list, dict, set)):
+                assert theirs is not mine, f.name
+        dup.bob_claim(2)
+        dup.alice_claim(1)
+        dup.bob_claim(0)
+        assert dataclasses.astuple(dup) != before
+        assert dataclasses.astuple(st) == before
 
 
 class TestStrategies:

@@ -26,11 +26,11 @@ from gamelab.engine import (
     STRICT,
     GameConfig,
     GameState,
-    new_game,
+    step,
 )
 from gamelab.goodset import find_good_set
 from gamelab.maker import GreedyMaker, UniformRandomMaker
-from gamelab.match import ExperimentSpec, run_match
+from gamelab.match import ExperimentSpec, play_game, run_match
 from helpers import edge_distance
 
 
@@ -113,30 +113,6 @@ def random_transition(s: GameState, rng: random.Random) -> None:
         s.end_breaker_turn()
 
 
-def run_breaker_turn(s: GameState, strategy) -> None:
-    while not s.game_over() and s.turn == BREAKER:
-        if s.breaker_moves_this_turn >= s.cfg.b:
-            s.end_breaker_turn()
-            return
-        mv = strategy.micro_move(s)
-        if mv is None:
-            s.end_breaker_turn()
-            return
-        e, c, ann = mv
-        s.apply_move(BREAKER, e, c, ann)
-
-
-def play(g: G.Graph, cfg: GameConfig, maker, breaker) -> GameState:
-    s = new_game(g, cfg)
-    while not s.game_over():
-        if s.turn == MAKER:
-            e, c, ann = maker.move(s)
-            s.apply_move(MAKER, e, c, ann)
-        else:
-            run_breaker_turn(s, breaker)
-    return s
-
-
 class TestMapping:
     def test_cycle_mapping(self):
         g = G.cycle(10)
@@ -204,7 +180,7 @@ class TestMapping:
         g = G.generate(spec)
         assert g.m > 0 and not find_good_set(g).edges
         for br in (BoxReductionBreaker(), BoxReductionBreaker()):
-            s = new_game(g, GameConfig.skip_variant(k=5, b=2))
+            s = GameState(g, GameConfig.skip_variant(k=5, b=2))
             with pytest.raises(StrategyError, match="non-empty good set"):
                 br.micro_move(s)
 
@@ -212,7 +188,7 @@ class TestMapping:
 class TestBoxBreakerEndgames:
     def test_c10_b3_blocks_in_round_one(self):
         g = G.cycle(10)
-        s = play(
+        s = play_game(
             g,
             GameConfig.skip_variant(k=2, b=3),
             UniformRandomMaker(seed=1),
@@ -226,14 +202,14 @@ class TestBoxBreakerEndgames:
     def test_c25_b2_blocks_immediately(self):
         g = G.cycle(25)
         for maker in (UniformRandomMaker(seed=3), GreedyMaker()):
-            s = play(g, GameConfig.skip_variant(k=2, b=2), maker, BoxReductionBreaker())
+            s = play_game(g, GameConfig.skip_variant(k=2, b=2), maker, BoxReductionBreaker())
             assert s.winner() == BREAKER_WON
             assert len([r for r in s.log if r.player == MAKER]) == 0
 
     def test_c25_b2_maker_first_still_loses(self):
         g = G.cycle(25)
         for seed in range(10):
-            s = play(
+            s = play_game(
                 g,
                 GameConfig.classic(k=2, b=2),
                 UniformRandomMaker(seed=seed),
@@ -253,7 +229,7 @@ class TestBoxBreakerEndgames:
         F = cert.edges
         gamma_of = {e: i for i, gam in enumerate(cert.gamma) for e in gam}
         for seed in range(20):
-            s = play(
+            s = play_game(
                 g,
                 GameConfig.classic(k=2, b=2),
                 UniformRandomMaker(seed=seed),
@@ -281,7 +257,7 @@ class TestBoxBreakerEndgames:
         br = BoxReductionBreaker()
         cfg = GameConfig.classic(k=2, b=2)
         maker = UniformRandomMaker(seed=11)
-        s = new_game(g, cfg)
+        s = GameState(g, cfg)
         claims = [0] * len(F)
         while not s.game_over():
             if s.turn == MAKER:
@@ -308,7 +284,7 @@ class TestBoxBreakerEndgames:
     def test_auto_goodset_binding(self):
         g = G.cycle(10)
         br = BoxReductionBreaker()
-        s = play(g, GameConfig.skip_variant(k=2, b=3), UniformRandomMaker(seed=2), br)
+        s = play_game(g, GameConfig.skip_variant(k=2, b=3), UniformRandomMaker(seed=2), br)
         assert s.winner() == BREAKER_WON
         assert br.cert is not None and br.cert.edges == (0, 5)
 
@@ -324,7 +300,7 @@ class TestBoxBreakerEndgames:
 
         monkeypatch.setattr(G.Graph, "vertex_distances", counted)
         br = BoxReductionBreaker()
-        mv = br.micro_move(new_game(g, GameConfig.skip_variant(k=2, b=2)))
+        mv = br.micro_move(GameState(g, GameConfig.skip_variant(k=2, b=2)))
         assert mv is not None
         assert len(br.cert.edges) == 5
         assert len(calls) == 5
@@ -358,16 +334,16 @@ class TestBinding:
     )
     def test_reused_instance_plays_another_graph_as_a_fresh_one(self, g, cfg):
         br = BoxReductionBreaker()
-        play(G.cycle(25), GameConfig.skip_variant(k=2, b=2), GreedyMaker(), br)
-        reused = play(g, cfg, UniformRandomMaker(seed=4), br)
-        fresh = play(g, cfg, UniformRandomMaker(seed=4), BoxReductionBreaker())
+        play_game(G.cycle(25), GameConfig.skip_variant(k=2, b=2), GreedyMaker(), br)
+        reused = play_game(g, cfg, UniformRandomMaker(seed=4), br)
+        fresh = play_game(g, cfg, UniformRandomMaker(seed=4), BoxReductionBreaker())
         assert reused.log == fresh.log
 
     def test_rebinds_on_another_bias(self):
         g = G.cycle(10)
         br = BoxReductionBreaker()
-        br.micro_move(new_game(g, GameConfig.skip_variant(k=2, b=2)))
-        br.micro_move(new_game(g, GameConfig.skip_variant(k=2, b=3)))
+        br.micro_move(GameState(g, GameConfig.skip_variant(k=2, b=2)))
+        br.micro_move(GameState(g, GameConfig.skip_variant(k=2, b=3)))
         assert br.b == 3
 
 
@@ -379,7 +355,7 @@ class TestReductionBreak:
 
     def test_skip_variant_falls_back_to_an_edge_around_F(self):
         g = G.cycle(10)
-        s = new_game(g, GameConfig.skip_variant(k=2, b=3))
+        s = GameState(g, GameConfig.skip_variant(k=2, b=3))
         s.apply_move(BREAKER, 6, 2)
         s.apply_move(BREAKER, 4, 2)
         # box 1 is untouched with one color left and one claim left this
@@ -390,7 +366,7 @@ class TestReductionBreak:
 
     def test_classic_falls_back_to_the_lowest_legal_move_on_the_board(self):
         g = G.cycle(10)
-        s = new_game(g, GameConfig.classic(k=3, b=2))
+        s = GameState(g, GameConfig.classic(k=3, b=2))
         s.apply_move(MAKER, 1, 3)
         s.apply_move(BREAKER, 6, 3)
         s.apply_move(BREAKER, 4, 2)
@@ -406,15 +382,16 @@ class TestReductionBreak:
 class TestGreedyBlocking:
     def test_triangle_two_move_block(self):
         g = G.cycle(3)
-        s = new_game(g, GameConfig.skip_variant(k=2, b=2))
+        s = GameState(g, GameConfig.skip_variant(k=2, b=2))
         br = GreedyBlockingBreaker()
-        run_breaker_turn(s, br)
+        while s.turn == BREAKER and not s.game_over():
+            step(s, None, br)
         assert s.winner() == BREAKER_WON
         assert s.breaker_moves_this_turn == 2 or len(s.log) >= 2
 
     def test_preserves_unique_minimum(self):
         g = G.Graph(6, [(0, 1), (1, 2), (3, 4)])
-        s = new_game(g, GameConfig.skip_variant(k=2, b=2))
+        s = GameState(g, GameConfig.skip_variant(k=2, b=2))
         s.apply_move(BREAKER, 1, 1)
         # uncolored: edge 0 with A = {2} (unique minimum, lowest index) and
         # the far edge 2 with A = {1,2}; nothing adjacent can shrink edge 0
@@ -423,7 +400,7 @@ class TestGreedyBlocking:
 
     def test_reduces_minimum_when_possible(self):
         g = G.path(4)
-        s = new_game(g, GameConfig.skip_variant(k=2, b=2))
+        s = GameState(g, GameConfig.skip_variant(k=2, b=2))
         br = GreedyBlockingBreaker()
         mv1 = br.micro_move(s)
         assert mv1 is not None
@@ -435,7 +412,7 @@ class TestGreedyBlocking:
 
     def test_no_legal_move_returns_none(self):
         g = G.star(2)
-        s = new_game(g, GameConfig.skip_variant(k=2, b=1))
+        s = GameState(g, GameConfig.skip_variant(k=2, b=1))
         s.apply_move(BREAKER, 0, 1)
         s.end_breaker_turn()
         s.apply_move(MAKER, 1, 2)
@@ -476,7 +453,7 @@ class TestGreedyOracle:
         )
         rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
         br = GreedyBlockingBreaker()
-        s = new_game(g, cfg)
+        s = GameState(g, cfg)
         # the opening: every edge is a minimum edge
         assert br.micro_move(s) == greedy_oracle(s)[0]
         assert_kept_minimum(br)
@@ -507,7 +484,7 @@ class TestGreedyOracle:
                 assert br.micro_move(s) == greedy_oracle(s)[0]
                 assert_kept_minimum(br)
 
-        first = new_game(g, cfg)
+        first = GameState(g, cfg)
         for _ in range(data.draw(st.integers(0, g.m), label="shared opening")):
             if first.game_over():
                 break
@@ -529,7 +506,7 @@ class TestGreedyOracle:
         # at the skip variant's opening every edge holds the minimum, so
         # phase one walks the edges in order instead of gathering them
         g = G.generate("random_regular:64:16:1")
-        s = new_game(g, GameConfig.skip_variant(k=32, mode=MODIFIED))
+        s = GameState(g, GameConfig.skip_variant(k=32, mode=MODIFIED))
         br = GreedyBlockingBreaker()
         assert br.micro_move(s) == greedy_oracle(s)[0]
         assert len(br._min_edges) == s.uncolored == g.m
@@ -551,7 +528,7 @@ class TestGreedyOracle:
             FUZZ_GRAPHS, (GameConfig.skip_variant, GameConfig.classic), (STRICT, MODIFIED), (1, 2, 3)
         ):
             for k in range(1, 2 * g.max_degree + 2):
-                s = new_game(g, variant(k=k, b=b, mode=mode))
+                s = GameState(g, variant(k=k, b=b, mode=mode))
                 while not s.game_over():
                     if s.turn == BREAKER and s.breaker_moves_this_turn < b:
                         mv, case = greedy_oracle(s)
@@ -566,15 +543,7 @@ class TestBaselines:
     def test_random_breaker_respects_bias(self):
         g = G.complete(5)
         cfg = GameConfig.skip_variant(k=9, b=2)
-        s = new_game(g, cfg)
-        br = UniformRandomBreaker(seed=4)
-        mk = UniformRandomMaker(seed=5)
-        while not s.game_over():
-            if s.turn == MAKER:
-                e, c, ann = mk.move(s)
-                s.apply_move(MAKER, e, c, ann)
-            else:
-                run_breaker_turn(s, br)
+        s = play_game(g, cfg, UniformRandomMaker(seed=5), UniformRandomBreaker(seed=4))
         per_round: dict[int, int] = {}
         for rec in s.log:
             if rec.player == BREAKER and rec.edge is not None:
@@ -583,7 +552,7 @@ class TestBaselines:
 
     def test_skip_breaker_on_star_loses(self):
         g = G.star(4)
-        s = play(
+        s = play_game(
             g,
             GameConfig.skip_variant(k=4, b=1),
             UniformRandomMaker(seed=6),
@@ -593,7 +562,7 @@ class TestBaselines:
 
     def test_random_breaker_seeded_deterministic(self):
         g = G.complete(4)
-        s = new_game(g, GameConfig.skip_variant(k=5, b=2))
+        s = GameState(g, GameConfig.skip_variant(k=5, b=2))
         a = UniformRandomBreaker(seed=9).micro_move(s)
         b = UniformRandomBreaker(seed=9).micro_move(s)
         assert a == b
@@ -602,5 +571,5 @@ class TestBaselines:
         br = UniformRandomBreaker(seed=1)
         dup = br.clone()
         g = G.complete(4)
-        s = new_game(g, GameConfig.skip_variant(k=5, b=2))
+        s = GameState(g, GameConfig.skip_variant(k=5, b=2))
         assert br.micro_move(s) == dup.micro_move(s)

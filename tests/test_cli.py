@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import json
+import re
+import shlex
+from pathlib import Path
 
+import networkx as nx
 import pytest
 
-from gamelab.cli import main
+from gamelab.cli import build_parser, main
 from gamelab.engine import MODIFIED, GameConfig, MoveLog
 from gamelab.match import (
     ExperimentSpec,
@@ -17,7 +21,7 @@ from gamelab.match import (
     play_game,
     run_match,
 )
-from gamelab.graph import cycle
+from gamelab.graph import cycle, write_edge_list
 
 
 class TestCorpusAndRegistry:
@@ -47,6 +51,37 @@ class TestCorpusAndRegistry:
         assert main(["gen", "cycle:6", "--out", str(f)]) == 0
         file_g = load_graph(str(f))
         assert set(file_g.edges) == set(spec_g.edges)
+
+
+    @pytest.mark.parametrize("name", ["spider", "caterpillar", "petersen"])
+    def test_gen_prints_the_corpus_graphs(self, capsys, name):
+        assert main(["gen", name]) == 0
+        assert capsys.readouterr().out == write_edge_list(dict(mixed_corpus())[name]) + "\n"
+
+    def test_petersen_is_the_petersen_graph(self):
+        g = load_graph("petersen")
+        assert (g.n, g.m) == (10, 15)
+        assert nx.is_isomorphic(nx.Graph(g.edges), nx.petersen_graph())
+
+
+class TestReadme:
+    """Every ``gamelab`` command in README.md's shell blocks parses."""
+
+    @staticmethod
+    def commands() -> list[str]:
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = re.findall(r"^```sh\n(.*?)^```", text, flags=re.M | re.S)
+        lines = re.sub(r"\s*\\\n\s*", " ", "\n".join(blocks)).splitlines()
+        return [line.split(" #")[0].strip() for line in lines if line.startswith("gamelab ")]
+
+    def test_readme_commands_parse(self, capsys):
+        commands = self.commands()
+        assert len(commands) >= 10
+        for command in commands:
+            try:
+                build_parser().parse_args(shlex.split(command)[1:])
+            except SystemExit:
+                pytest.fail(f"README command does not parse: {command}\n{capsys.readouterr().err}")
 
 
 class TestRunMatch:
@@ -352,6 +387,7 @@ class TestBadInput:
             ("cycle:5:7", "cycle takes 1 field, got 2"),
             ("random_regular:64:16:1:9", "random_regular takes 3 fields, got 4"),
             ("gnp:10:0.3", "gnp takes 3 fields, got 2"),
+            ("petersen:1", "petersen takes 0 fields, got 1"),
         ],
     )
     def test_generator_spec_with_wrong_field_count(self, capsys, spec, message):

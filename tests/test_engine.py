@@ -25,7 +25,6 @@ from gamelab.engine import (
     MoveLog,
     MoveRecord,
     apply_record,
-    new_game,
     replay,
 )
 from gamelab.exact import verify_strategy
@@ -98,7 +97,7 @@ def random_playout(g: G.Graph, cfg: GameConfig, seed: int, check_every_move: boo
     """A random legal game; with ``check_every_move`` the tables and
     ``blocked_seen`` are checked against a scan after every transition."""
     rng = random.Random(seed)
-    s = new_game(g, cfg)
+    s = GameState(g, cfg)
     blocked = False
     while not s.game_over():
         if s.turn == MAKER:
@@ -160,27 +159,27 @@ FUZZ_CONFIGS = [
 
 class TestBasics:
     def test_initial_availability_star(self):
-        s = new_game(G.star(3), GameConfig.skip_variant(k=3))
+        s = GameState(G.star(3), GameConfig.skip_variant(k=3))
         assert all(s.available_colors(e) == {1, 2, 3} for e in range(3))
         assert s.load == [0, 0, 0, 0]
 
     def test_first_player_breaker_round_one(self):
-        s = new_game(G.cycle(5), GameConfig.skip_variant(k=2))
+        s = GameState(G.cycle(5), GameConfig.skip_variant(k=2))
         assert s.turn == BREAKER and s.round == 1
         s.end_breaker_turn()
         assert s.turn == MAKER and s.round == 2
 
     def test_classic_starts_with_maker(self):
-        s = new_game(G.cycle(5), GameConfig.classic(k=2))
+        s = GameState(G.cycle(5), GameConfig.classic(k=2))
         assert s.turn == MAKER and s.round == 1
 
     def test_maker_move_updates_center_load(self):
-        s = new_game(G.star(3), GameConfig.classic(k=3))
+        s = GameState(G.star(3), GameConfig.classic(k=3))
         s.apply_move(MAKER, 0, 1)
         assert s.load[0] == 1 and s.turn == BREAKER
 
     def test_available_colors_of_colored_edge(self):
-        s = new_game(G.path(3), GameConfig.classic(k=2))
+        s = GameState(G.path(3), GameConfig.classic(k=2))
         s.apply_move(MAKER, 0, 1)
         with pytest.raises(IllegalMove):
             s.available_colors(0)
@@ -224,12 +223,12 @@ class TestMoveRecord:
 
 class TestRuleErrors:
     def test_wrong_turn(self):
-        s = new_game(G.path(3), GameConfig.skip_variant(k=2))
+        s = GameState(G.path(3), GameConfig.skip_variant(k=2))
         with pytest.raises(IllegalMove):
             s.apply_move(MAKER, 0, 1)  # round 1 belongs to breaker
 
     def test_already_colored(self):
-        s = new_game(G.path(4), GameConfig.classic(k=3))
+        s = GameState(G.path(4), GameConfig.classic(k=3))
         s.apply_move(MAKER, 0, 1)
         s.apply_move(BREAKER, 1, 2)
         s.end_breaker_turn()
@@ -237,7 +236,7 @@ class TestRuleErrors:
             s.apply_move(MAKER, 0, 2)
 
     def test_blocked_color_rejected_for_both_in_strict(self):
-        s = new_game(G.path(3), GameConfig.classic(k=2))
+        s = GameState(G.path(3), GameConfig.classic(k=2))
         s.apply_move(MAKER, 0, 1)
         with pytest.raises(IllegalMove):
             s.apply_move(BREAKER, 1, 1)
@@ -245,31 +244,31 @@ class TestRuleErrors:
         assert s.winner() == MAKER_WON
 
     def test_bias_exceeded(self):
-        s = new_game(G.star(4), GameConfig.skip_variant(k=7, b=1))
+        s = GameState(G.star(4), GameConfig.skip_variant(k=7, b=1))
         s.apply_move(BREAKER, 0, 1)
         with pytest.raises(IllegalMove):
             s.apply_move(BREAKER, 1, 2)
 
     def test_color_out_of_palette(self):
-        s = new_game(G.path(3), GameConfig.classic(k=2))
+        s = GameState(G.path(3), GameConfig.classic(k=2))
         with pytest.raises(IllegalMove):
             s.apply_move(MAKER, 0, 3)
 
     def test_illegal_sitout_without_skip(self):
-        s = new_game(G.path(4), GameConfig.classic(k=3))
+        s = GameState(G.path(4), GameConfig.classic(k=3))
         s.apply_move(MAKER, 0, 1)
         with pytest.raises(IllegalMove):
             s.end_breaker_turn()
 
     def test_early_end_after_one_move_is_legal_without_skip(self):
-        s = new_game(G.star(4), GameConfig.classic(k=7, b=3))
+        s = GameState(G.star(4), GameConfig.classic(k=7, b=3))
         s.apply_move(MAKER, 0, 1)
         s.apply_move(BREAKER, 1, 2)
         s.end_breaker_turn()
         assert s.turn == MAKER and s.round == 2
 
     def test_moves_after_game_over_rejected(self):
-        s = new_game(G.star(2), GameConfig.classic(k=2))
+        s = GameState(G.star(2), GameConfig.classic(k=2))
         s.apply_move(MAKER, 0, 1)
         s.apply_move(BREAKER, 1, 2)
         assert s.winner() == MAKER_WON
@@ -279,7 +278,7 @@ class TestRuleErrors:
 
 class TestWinner:
     def test_triangle_block(self):
-        s = new_game(G.cycle(3), GameConfig.skip_variant(k=2, b=2))
+        s = GameState(G.cycle(3), GameConfig.skip_variant(k=2, b=2))
         s.apply_move(BREAKER, 0, 1)
         assert s.winner() == ONGOING
         s.apply_move(BREAKER, 1, 2)
@@ -287,13 +286,13 @@ class TestWinner:
         assert s.game_over()
 
     def test_full_coloring_wins_for_maker(self):
-        s = new_game(G.path(3), GameConfig.classic(k=3))
+        s = GameState(G.path(3), GameConfig.classic(k=3))
         s.apply_move(MAKER, 0, 1)
         s.apply_move(BREAKER, 1, 2)
         assert s.winner() == MAKER_WON
 
     def test_modified_mode_plays_through_block(self):
-        s = new_game(G.cycle(3), GameConfig.skip_variant(k=2, b=2, mode=MODIFIED))
+        s = GameState(G.cycle(3), GameConfig.skip_variant(k=2, b=2, mode=MODIFIED))
         s.apply_move(BREAKER, 0, 1)
         s.apply_move(BREAKER, 1, 2)
         assert s.winner() == BREAKER_WON  # already decided ...
@@ -304,14 +303,14 @@ class TestWinner:
         assert s.game_over() and s.winner() == BREAKER_WON
 
     def test_modified_mode_unforced_run_is_maker_win(self):
-        s = new_game(G.path(3), GameConfig.classic(k=3, mode=MODIFIED))
+        s = GameState(G.path(3), GameConfig.classic(k=3, mode=MODIFIED))
         s.apply_move(MAKER, 0, 1)
         s.apply_move(BREAKER, 1, 2)
         assert s.forced_count == 0
         assert s.winner() == MAKER_WON
 
     def test_strict_maker_cannot_play_nonproper(self):
-        s = new_game(G.path(4), GameConfig.classic(k=2))
+        s = GameState(G.path(4), GameConfig.classic(k=2))
         s.apply_move(MAKER, 0, 1)
         s.apply_move(BREAKER, 2, 1)
         s.end_breaker_turn()
@@ -342,7 +341,7 @@ class TestFuzzInvariants:
                 for trial in range(12):
                     cfg = GameConfig(k, 1 + trial % 2, VARIANTS[trial % 3 % 2], mode)
                     s = random_playout(g, cfg, seed=500 * gi + 20 * k + trial, check_every_move=True)
-                    r = new_game(g, cfg)
+                    r = GameState(g, cfg)
                     for rec in s.log:
                         apply_record(r, rec)
                         tight += any(
@@ -467,7 +466,7 @@ class TestReplayValidation:
 
     @pytest.mark.parametrize("edge, color", [(0, 1), (0, None), (None, 1)])
     def test_end_of_turn_with_a_coloring_rejected(self, edge, color):
-        s = new_game(G.cycle(5), GameConfig.skip_variant(k=3))
+        s = GameState(G.cycle(5), GameConfig.skip_variant(k=3))
         with pytest.raises(IllegalMove, match="^end-of-turn record carries an edge or a color$"):
             apply_record(s, MoveRecord(1, BREAKER, edge, color, True))
         assert s.turn == BREAKER and not s.trail and not s.log
@@ -475,7 +474,7 @@ class TestReplayValidation:
     def test_replay_rejects_wrong_player(self):
         g = G.path(4)
         cfg = GameConfig.skip_variant(k=3)
-        s = new_game(g, cfg)
+        s = GameState(g, cfg)
         s.end_breaker_turn()
         s.apply_move(MAKER, 0, 1)
         log = s.log.copy()
@@ -534,7 +533,7 @@ class TestUndo:
             assert (list(s.log) if keep_log else s.log) == log
             assert_tables_consistent(s)
         assert s.trail == []
-        assert snapshot(s) == snapshot(new_game(g, cfg))
+        assert snapshot(s) == snapshot(GameState(g, cfg))
 
     @given(data=st.data())
     @settings(max_examples=100, deadline=None)
@@ -575,3 +574,45 @@ class TestUndo:
             assert top[0] == (None if mv is None else mv[0])
             assert all(top is not old for old in pushed)
             pushed.append(top)
+
+
+def random_transition(s: GameState, rng: random.Random) -> None:
+    mv = rng.choice(legal_transitions(s))
+    if mv is None:
+        s.end_breaker_turn()
+    else:
+        s.apply_move(s.turn, *mv)
+
+
+class TestClone:
+    """``clone`` copies every slot by reference and then renews the mutable
+    ones by name, so a mutable slot added later must be renewed there too."""
+
+    @pytest.mark.parametrize("keep_log", [True, False])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_mutable_slots_are_fresh_and_the_clone_is_independent(self, keep_log, seed):
+        g = G.complete_bipartite(3, 3)
+        cfg = GameConfig.skip_variant(k=5, b=2, mode=MODIFIED)
+        rng = random.Random(seed)
+        s = GameState(g, cfg, log=keep_log)
+        while s.uncolored > g.m // 2:
+            random_transition(s, rng)
+
+        def seen(state: GameState) -> tuple:
+            log = None if state.log is None else list(state.log)
+            return snapshot(state), list(state.trail), log
+
+        before = seen(s)
+        dup = s.clone()
+        for name in GameState.__slots__:
+            mine, theirs = getattr(s, name), getattr(dup, name)
+            assert theirs == mine, name
+            if isinstance(mine, (list, dict, set, MoveLog)):
+                assert theirs is not mine, name
+        assert (dup.log is None) == (not keep_log)
+        depth = len(dup.trail)
+        while not dup.game_over():
+            random_transition(dup, rng)
+        while len(dup.trail) > depth:
+            dup.undo()
+        assert seen(dup) == seen(s) == before

@@ -11,7 +11,10 @@ memoizes on the raw position, so it shares no key code with the solver.
 
 from __future__ import annotations
 
+import inspect
 import random
+import sys
+import types
 from collections import Counter
 from dataclasses import replace
 from functools import reduce
@@ -32,10 +35,10 @@ from gamelab.engine import (
     GameState,
     IllegalMove,
     apply_record,
-    new_game,
     replay,
     step,
 )
+from gamelab import exact as exact_module
 from gamelab.exact import (
     ChiIndexResult,
     VerifyResult,
@@ -111,7 +114,7 @@ def oracle_value(g: Graph, cfg: GameConfig) -> str:
                 return False
         return True
 
-    return MAKER if rec(new_game(g, cfg)) else BREAKER
+    return MAKER if rec(GameState(g, cfg)) else BREAKER
 
 
 ORACLE_CASES = [
@@ -187,7 +190,7 @@ def _random_prefix(g: Graph, cfg: GameConfig, seed: int) -> list[tuple]:
     Breaker turn boundaries are encoded as (BREAKER, None, None).
     """
     rng = random.Random(seed)
-    s = new_game(g, cfg)
+    s = GameState(g, cfg)
     seq: list[tuple] = []
     plies = rng.randrange(0, 2 * g.m)
     while plies and not s.game_over():
@@ -225,7 +228,7 @@ def _random_prefix(g: Graph, cfg: GameConfig, seed: int) -> list[tuple]:
 
 
 def _replay_prefix(g: Graph, cfg: GameConfig, seq, perm: dict[int, int]):
-    s = new_game(g, cfg)
+    s = GameState(g, cfg)
     for player, e, c in seq:
         if e is None:
             s.end_breaker_turn()
@@ -330,7 +333,7 @@ class TestCanonicalKey:
     def test_phase_distinguishes_turn_and_spent_moves(self):
         g = path(4)
         cfg = GameConfig.skip_variant(k=3, b=2)
-        s = new_game(g, cfg)
+        s = GameState(g, cfg)
         k0 = scratch_key(s)
         s.apply_move(BREAKER, 0, 1)
         k1 = scratch_key(s)
@@ -342,11 +345,11 @@ class TestCanonicalKey:
     def test_key_is_coloring_orbit(self):
         g = path(4)
         cfg = GameConfig.skip_variant(k=3)
-        a = new_game(g, cfg)
+        a = GameState(g, cfg)
         a.apply_move(BREAKER, 0, 2)
-        b = new_game(g, cfg)
+        b = GameState(g, cfg)
         b.apply_move(BREAKER, 0, 3)
-        c = new_game(g, cfg)
+        c = GameState(g, cfg)
         c.apply_move(BREAKER, 1, 1)
         assert scratch_key(a) == scratch_key(b)
         assert scratch_key(a) != scratch_key(c)
@@ -824,6 +827,65 @@ class TestOrbitPruning:
         assert pruned > 0
 
 
+# Mutants of the solver's cuts, each a one-line edit of exact.py's source:
+# (name, line as written, line as mutated).  Each must lose a case below to
+# the plain key, which has no cuts and no symmetry.  A cut added later
+# brings its own mutant.
+CUT_MUTANTS = [
+    ("one-move block at two colors", "        if a > 1:\n", "        if a > 2:\n"),
+    (
+        "safe-board bound off by one",
+        "if a <= deg[u] - load[u] + deg[v] - load[v] - 2:",
+        "if a < deg[u] - load[u] + deg[v] - load[v] - 2:",
+    ),
+    (
+        "coset of every least-union symmetry",
+        "        self.coset = coset\n",
+        "        self.coset = [j for j, u in enumerate(union) if u == low]\n",
+    ),
+]
+MUTANT_CASES = [
+    (complete_bipartite(3, 3), 4),
+    (cycle(5), 2),
+    (complete(4), 4),
+    (Graph(5, nx.graph_atlas(47).edges()), 4),
+]
+
+
+def mutant_exact(monkeypatch, old: str, new: str) -> types.ModuleType:
+    """A fresh copy of ``gamelab.exact`` built from its source with the one
+    occurrence of ``old`` replaced by ``new``."""
+    source = inspect.getsource(exact_module)
+    assert source.count(old) == 1, old
+    mod = types.ModuleType("gamelab._exact_mutant")
+    mod.__package__ = "gamelab"
+    # dataclasses resolve the module by name while the class body runs
+    monkeypatch.setitem(sys.modules, mod.__name__, mod)
+    exec(compile(source.replace(old, new), exact_module.__file__, "exec"), mod.__dict__)
+    return mod
+
+
+class TestCutMutants:
+    """The plain key tells a sound solver from one with a broken cut."""
+
+    def test_unmutated_solver_agrees_on_every_case(self):
+        for g, k in MUTANT_CASES:
+            assert (solve(g, k, SKIP(k=1)).winner == MAKER) == (
+                plain_key_winner(g, k, SKIP(k=1)) == MAKER_WON
+            ), (g, k)
+
+    @pytest.mark.parametrize("name, old, new", CUT_MUTANTS, ids=[m[0] for m in CUT_MUTANTS])
+    def test_each_mutant_loses_a_case(self, monkeypatch, name, old, new):
+        mutant = mutant_exact(monkeypatch, old, new)
+        lost = [
+            (g, k)
+            for g, k in MUTANT_CASES
+            if (mutant.solve(g, k, SKIP(k=1)).winner == MAKER)
+            != (plain_key_winner(g, k, SKIP(k=1)) == MAKER_WON)
+        ]
+        assert lost, f"mutant {name!r} agrees with the plain key on every case"
+
+
 class TestBudget:
     def test_solve_budget_exceeded(self):
         with pytest.raises(BudgetExceeded) as ei:
@@ -1033,7 +1095,7 @@ def eager_verify(
         proven.add(key)
         return None
 
-    bad = search(new_game(g, cfg), strategy.clone())
+    bad = search(GameState(g, cfg), strategy.clone())
     return VerifyResult(bad is None, bad, nodes)
 
 
@@ -1230,7 +1292,7 @@ class TestVerifierMemo:
         assert not res.sound
         [verifier] = verifiers
         assert verifier.proven
-        state = new_game(g, cfg)
+        state = GameState(g, cfg)
         on_line = set()
         for rec in res.counterexample:
             if state.turn == BREAKER and state.breaker_moves_this_turn < b:

@@ -89,7 +89,6 @@ class TestGreedy:
     def test_certificate_contents(self):
         g = G.cycle(10)
         cert = find_good_set(g)
-        assert cert.endpoint_degrees == ((2, 2), (2, 2))
         assert cert.pair_distances == ((0, 5, 4),)
         assert len(cert.steps) == 2
         assert cert.steps[0].edge == 0
@@ -117,9 +116,6 @@ class TestGreedy:
         graphs.append(G.generate("random_regular:64:16:1"))
         for g in graphs:
             cert = find_good_set(g)
-            assert cert.distances == tuple(
-                tuple(g.vertex_distances(g.edges[e])) for e in cert.edges
-            )
             assert cert.pair_distances == tuple(
                 (e, f, edge_distance(g, e, f))
                 for i, e in enumerate(cert.edges)

@@ -244,7 +244,7 @@ class TestGenerators:
         assert len(trees) == 7
         for t in trees:
             assert t.m == t.n - 1
-            assert all(d < math.inf for d in t.vertex_distances(0))
+            assert all(d < math.inf for d in t.vertex_distances((0,)))
 
     def test_generate_spec_strings(self):
         assert G.generate("star:3").m == 3

@@ -25,7 +25,6 @@ from gamelab.engine import (
     STRICT,
     GameConfig,
     GameState,
-    new_game,
 )
 from gamelab.maker import (
     DangerRedirectMaker,
@@ -60,7 +59,7 @@ def run_breaker_turn_random(s: GameState, rng: random.Random) -> None:
 
 def play_full_game(g: G.Graph, cfg: GameConfig, maker, seed: int) -> GameState:
     rng = random.Random(seed)
-    s = new_game(g, cfg)
+    s = GameState(g, cfg)
     while not s.game_over():
         if s.turn == MAKER:
             e, c, ann = maker.move(s)
@@ -92,11 +91,9 @@ class TestMakerConfig:
     def test_thresholds(self):
         cfg = MakerConfig()
         assert cfg.threshold(1, 16, 1) == Fraction(8, 5)
-        assert cfg.threshold_ceil(1, 16, 1) == 2
-        assert cfg.threshold_ceil(2, 16, 1) == 4
-        assert cfg.threshold_ceil(3, 16, 1) == 5
+        assert cfg.thresholds(16, 1) == (2, 4, 5)
         # integer-valued threshold: ceil must not overshoot
-        assert cfg.threshold_ceil(1, 10, 1) == 1
+        assert cfg.thresholds(10, 1)[0] == 1
         assert cfg.threshold(1, 10, 1) == 1
 
     def test_threshold_order(self):
@@ -117,7 +114,7 @@ class TestDangerSet:
     def make_state(self) -> tuple[GameState, MakerMemory]:
         # complete graph on 5 vertices, k = 6 = 2*Delta - 2, overlap cap 2
         g = G.complete(5)
-        s = new_game(g, GameConfig.classic(k=6, b=3))
+        s = GameState(g, GameConfig.classic(k=6, b=3))
         s.apply_move(MAKER, g.index_of(0, 1), 1)
         s.apply_move(BREAKER, g.index_of(0, 2), 2)
         s.apply_move(BREAKER, g.index_of(1, 2), 3)
@@ -161,14 +158,14 @@ class TestDangerSet:
     def test_degree_sum_condition(self):
         # star center: leaves have degree 1, so deg(u)+deg(v) = n+1-? < k fails
         g = G.star(4)
-        s = new_game(g, GameConfig.classic(k=7, b=1))
+        s = GameState(g, GameConfig.classic(k=7, b=1))
         mem = MakerMemory(t1_round={0: 1, 1: 1, 2: 1, 3: 1, 4: 1}, t2_round={0: 1})
         assert compute_danger_set(s, mem, 0) == frozenset()  # 4 + 1 < 7
 
     def test_overlap_condition(self):
         # K6 with k = 8: overlap cap is 2, make vertices 0 and 5 share 3 colors
         g = G.complete(6)
-        s = new_game(g, GameConfig.classic(k=8, b=5))
+        s = GameState(g, GameConfig.classic(k=8, b=5))
         s.apply_move(MAKER, g.index_of(0, 1), 1)
         for e, c in [((0, 2), 2), ((0, 3), 3), ((4, 5), 1), ((1, 5), 2), ((2, 5), 3)]:
             s.apply_move(BREAKER, g.index_of(*e), c)
@@ -185,7 +182,7 @@ class TestAnchorDistribution:
         # fixed state: Breaker just colored edges 1 and 2; Maker's own f0 is 0
         g = G.star(6)
         cfg = GameConfig.skip_variant(k=11, b=2)
-        s = new_game(g, cfg)
+        s = GameState(g, cfg)
         s.apply_move(BREAKER, 1, 1)
         s.apply_move(BREAKER, 2, 2)
         s.end_breaker_turn()
@@ -203,7 +200,7 @@ class TestAnchorDistribution:
 
     def test_skipped_breaker_turn_uses_uncolored_anchor(self):
         g = G.path(5)
-        s = new_game(g, GameConfig.skip_variant(k=5))
+        s = GameState(g, GameConfig.skip_variant(k=5))
         s.end_breaker_turn()  # Breaker sits out round 1
         assert last_breaker_turn(s.log) == []
         for i in range(50):
@@ -219,7 +216,7 @@ class TestRedirect:
         # load(0) = 2 meets T2 = 2 for lam = 1/4, b = 1, Delta = 4
         g = G.complete(5)
         cfg = GameConfig.classic(k=6, b=1)
-        s = new_game(g, cfg)
+        s = GameState(g, cfg)
         s.apply_move(MAKER, g.index_of(0, 1), 1)
         s.apply_move(BREAKER, g.index_of(0, 2), 2)
         s.end_breaker_turn()
@@ -291,8 +288,7 @@ class TestCrossingBookkeeping:
         mcfg = MakerConfig(lam=Fraction(1, 5), c=Fraction(1, 30))
         mk = DangerRedirectMaker(cfg=mcfg, seed=seed)
         s = play_full_game(g, cfg, mk, seed=seed + 900)
-        t1c = mcfg.threshold_ceil(1, g.max_degree, cfg.b)
-        t2c = mcfg.threshold_ceil(2, g.max_degree, cfg.b)
+        t1c, t2c, _ = mcfg.thresholds(g.max_degree, cfg.b)
         loads = loads_per_round(g, s.log, s.round)
         for v, r in mk.memory.t1_round.items():
             assert loads[r][v] >= t1c
@@ -338,7 +334,7 @@ class TestCrossingBookkeeping:
         assert redirected_seen >= 1
 
     def test_forced_flag_in_modified_process(self):
-        s = new_game(G.cycle(3), GameConfig.skip_variant(k=2, b=2, mode=MODIFIED))
+        s = GameState(G.cycle(3), GameConfig.skip_variant(k=2, b=2, mode=MODIFIED))
         s.apply_move(BREAKER, 0, 1)
         s.apply_move(BREAKER, 1, 2)
         s.end_breaker_turn()
@@ -349,7 +345,7 @@ class TestCrossingBookkeeping:
         assert s.forced_count == 1
 
     def test_strict_mode_block_raises(self):
-        s = new_game(G.cycle(3), GameConfig.skip_variant(k=2, b=2))
+        s = GameState(G.cycle(3), GameConfig.skip_variant(k=2, b=2))
         s.apply_move(BREAKER, 0, 1)
         s.apply_move(BREAKER, 1, 2)
         assert s.game_over()  # strategies are never consulted after this
@@ -382,7 +378,7 @@ class TestTouchedCrossings:
         lams = [Fraction(1, 10), Fraction(1, 3), Fraction(4, 5)]
         lam = data.draw(st.sampled_from(lams), label="lam")
         mcfg = MakerConfig(lam=lam, c=lam / 6)
-        thresholds = tuple(mcfg.threshold_ceil(j, g.max_degree, cfg.b) for j in (1, 2, 3))
+        thresholds = mcfg.thresholds(g.max_degree, cfg.b)
         seed = data.draw(st.integers(0, 2**32), label="seed")
         fork_at = data.draw(st.integers(0, g.m), label="fork at Maker move")
 
@@ -393,7 +389,7 @@ class TestTouchedCrossings:
                     run_breaker_turn_random(s, rng)
                     continue
                 e, c, ann = mk.move(s)
-                record_crossings(s, shadow, thresholds, s.round - 1)
+                record_crossings(s, shadow, thresholds, s.round - 1, range(g.n))
                 for name in ("t1_round", "t2_round", "t3_round", "danger"):
                     assert getattr(mk.memory, name) == getattr(shadow, name), name
                 s.apply_move(MAKER, e, c, ann)
@@ -408,14 +404,14 @@ class TestTouchedCrossings:
                         s.undo()
 
         mk = DangerRedirectMaker(mcfg, seed=seed)
-        play_on(new_game(g, cfg), mk, MakerMemory(), random.Random(seed), True)
+        play_on(GameState(g, cfg), mk, MakerMemory(), random.Random(seed), True)
 
 
 class TestCloneDeterminism:
     def test_clone_continues_identically(self):
         g = G.complete(5)
         cfg = GameConfig.skip_variant(k=7, b=2)
-        s = new_game(g, cfg)
+        s = GameState(g, cfg)
         rng = random.Random(1)
         run_breaker_turn_random(s, rng)
         for cls, ask in (
@@ -454,14 +450,14 @@ class TestOneGamePerInstance:
         cfg = GameConfig.skip_variant(k=3, mode=MODIFIED)
         maker = DangerRedirectMaker(seed=0)
         play_full_game(g, cfg, maker, seed=0)
-        second = new_game(g if n == 8 else G.cycle(n), cfg)
+        second = GameState(g if n == 8 else G.cycle(n), cfg)
         second.end_breaker_turn()
         with pytest.raises(StrategyError, match="may not switch games"):
             maker.move(second)
 
     def test_clones_share_the_game(self):
         g = G.cycle(8)
-        s = new_game(g, GameConfig.skip_variant(k=3, mode=MODIFIED))
+        s = GameState(g, GameConfig.skip_variant(k=3, mode=MODIFIED))
         s.end_breaker_turn()
         maker = DangerRedirectMaker(seed=0)
         e, c, ann = maker.move(s)
@@ -469,7 +465,7 @@ class TestOneGamePerInstance:
         s.end_breaker_turn()
         dup = maker.clone()
         assert dup.move(s) == maker.move(s)
-        other = new_game(g, s.cfg)
+        other = GameState(g, s.cfg)
         other.end_breaker_turn()
         with pytest.raises(StrategyError, match="may not switch games"):
             dup.move(other)
@@ -516,7 +512,7 @@ class TestDrawTape:
 class TestBaselines:
     def test_uniform_random_is_uniform_over_pairs(self):
         g = G.star(2)
-        s = new_game(g, GameConfig.classic(k=3))
+        s = GameState(g, GameConfig.classic(k=3))
         counts: dict[tuple[int, int], int] = {}
         trials = 6000
         for i in range(trials):
@@ -529,7 +525,7 @@ class TestBaselines:
 
     def test_greedy_plays_min_availability(self):
         g = G.cycle(3)
-        s = new_game(g, GameConfig.skip_variant(k=3, b=2))
+        s = GameState(g, GameConfig.skip_variant(k=3, b=2))
         s.apply_move(BREAKER, 0, 1)
         s.apply_move(BREAKER, 1, 2)
         s.end_breaker_turn()
@@ -538,7 +534,7 @@ class TestBaselines:
 
     def test_greedy_prefers_tightest_edge(self):
         g = G.path(4)
-        s = new_game(g, GameConfig.skip_variant(k=2, b=1))
+        s = GameState(g, GameConfig.skip_variant(k=2, b=1))
         s.apply_move(BREAKER, 0, 1)
         s.end_breaker_turn()
         e, c, _ = GreedyMaker().move(s)
@@ -546,7 +542,7 @@ class TestBaselines:
 
     def test_random_maker_seeded_deterministic(self):
         g = G.complete(4)
-        s = new_game(g, GameConfig.classic(k=5))
+        s = GameState(g, GameConfig.classic(k=5))
         a = UniformRandomMaker(seed=5).move(s)
         b = UniformRandomMaker(seed=5).move(s)
         assert a == b

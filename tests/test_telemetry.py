@@ -23,8 +23,8 @@ from gamelab.engine import (
     MAKER,
     MODIFIED,
     GameConfig,
+    GameState,
     MoveLog,
-    new_game,
     step,
 )
 from gamelab.breaker import (
@@ -124,7 +124,7 @@ def assert_rows_match_oracle(g, cfg, log, live):
 
 
 def thresholds(mcfg, delta, b):
-    return [0] + [mcfg.threshold_ceil(j, delta, b) for j in (1, 2, 3)]
+    return [0, *mcfg.thresholds(delta, b)]
 
 
 MCFG = MakerConfig()
@@ -401,7 +401,7 @@ class TestErrors:
     def test_collector_requires_every_transition(self):
         g = path(4)
         cfg = GameConfig.skip_variant(k=3)
-        state = new_game(g, cfg)
+        state = GameState(g, cfg)
         col = TraceCollector(g, cfg, MCFG)
         state.end_breaker_turn()
         maker = DangerRedirectMaker(MCFG, seed=0)
@@ -416,7 +416,7 @@ class TestErrors:
         g = random_regular(12, 4, seed=13)
         cfg = GameConfig.skip_variant(k=7, mode=MODIFIED)
         maker, breaker = DangerRedirectMaker(MCFG, seed=3), GreedyBlockingBreaker()
-        state = new_game(g, cfg)
+        state = GameState(g, cfg)
         col = TraceCollector(g, cfg, MCFG)
         while not state.game_over():
             step(state, maker, breaker)
@@ -430,7 +430,7 @@ class TestErrors:
     def test_collector_finish_is_final(self):
         g = path(4)
         cfg = GameConfig.skip_variant(k=3)
-        state = new_game(g, cfg)
+        state = GameState(g, cfg)
         col = TraceCollector(g, cfg, MCFG)
         col.finish(state)
         with pytest.raises(ValueError):
@@ -513,7 +513,7 @@ class TestSummary:
             t.nbr_sum[1] = 2 * spike.numerator - below
         params = telemetry.TraceCollector(g, cfg, mcfg)
         cell = telemetry._summarize(params, traces)["nbr_spike"]
-        tc2 = mcfg.threshold_ceil(2, g.max_degree, cfg.b)
+        tc2 = mcfg.thresholds(g.max_degree, cfg.b)[1]
         recount = [
             t.v
             for t in traces
