@@ -6,7 +6,8 @@ The environment variable GAMELAB_SEED, when set, overrides the ``--seed``
 of ``gamelab play``.  Exit status is 0 iff every check the invocation
 actually executed passed (informational commands always exit 0); a search
 that runs past its ``--budget`` exits 1 with the node count on stderr; bad
-input is reported as one ``error:`` line with exit status 2.
+input is reported as one ``error:`` line with exit status 2.  A closed
+stdout ends the command silently with status 141, as SIGPIPE would.
 """
 
 from __future__ import annotations
@@ -299,10 +300,18 @@ def main(argv: list[str] | None = None) -> int:
         # checked here, not only by the search, since some inputs run none
         if getattr(args, "budget", None) is not None:
             check_budget(args.budget, args.search)
-        return args.fn(args)
+        status = args.fn(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return status
     except BudgetExceeded as exc:
         print(f"budget exceeded after {exc.nodes} nodes", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # the reader closed stdout (``gamelab gen ... | head``): the input
+        # was fine, so end with a shell's status for SIGPIPE (128 + 13),
+        # and point stdout at devnull for the flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (StrategyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -11,24 +11,28 @@ reductions keep the tree tractable:
   that differ by a color permutation and therefore have the same value.
 * transposition table (``memoize=True``) -- positions are cached under a
   key invariant under palette permutations and graph automorphisms, one
-  int.  For each color, and for the union of the colored edges, the solver
-  keeps the bitmask moved by each edge permutation of
-  ``Graph.edge_automorphisms``, setting the bits when it plays a coloring
-  and restoring the masks when it takes the coloring back.  Classes of
-  distinct colors are disjoint, so the sorted masks of one permutation
-  determine the moved coloring up to a palette permutation.  The key is
-  the least pair (union, sorted masks) over the permutations, so only
-  those with the least union, a coset of the colored set's stabilizer,
-  are sorted; the list is packed in m-bit fields, with the turn phase
-  (Breaker colorings spent this turn, player to move) folded in below it.
-  The union is blind to palette renaming, so over the whole group the key
-  is constant on an orbit and determines it.  It is sound for any set S
-  of automorphisms that holds the identity: equal keys mean s1 C1 = s2 C2
-  up to palette for some s1, s2 in S, so C1 is the image of C2 under the
-  automorphism s1^-1 s2 and has its value.  That is why the
-  enumeration may stop at its cap (``MAX_EDGE_AUTOMORPHISMS``, which keeps
-  the whole group of K_5) or at its step bound.  The permutations are
-  built once per graph, when a memoizing solve first expands its root, so
+  int.  The solver keeps the mask of the colored edges and, for each
+  color, one int whose i-th m-bit field is the mask of that color's edges
+  moved by the i-th edge permutation of ``Graph.edge_automorphisms``:
+  playing a coloring is two int ORs, and taking it back two assignments.
+  Classes of distinct colors are disjoint, so the sorted fields of one
+  permutation determine the moved coloring up to a palette permutation.
+  The key is the least pair (moved colored set, sorted fields) over the
+  permutations, so only those that send the colored set to its least
+  image, a coset of its stabilizer, are sorted; the list is packed in
+  m-bit fields, with the turn phase (Breaker colorings spent this turn,
+  player to move) folded in below it.  That coset depends on the colored
+  set alone, which repeats far more often than the coloring, so it is
+  computed once per set and kept on the graph (``_Symmetry``), with the
+  permutations packed as each edge's images.  The colored set is blind to
+  palette renaming, so over the whole group the key is constant on an
+  orbit and determines it.  It is sound for any set S of automorphisms
+  that holds the identity: equal keys mean s1 C1 = s2 C2 up to palette for
+  some s1, s2 in S, so C1 is the image of C2 under the automorphism
+  s1^-1 s2 and has its value.  That is why the enumeration may stop at its
+  cap (``MAX_EDGE_AUTOMORPHISMS``, which keeps the whole group of K_5) or
+  at its step bound.  The graph's table is built when a memoizing solve
+  first expands its root and serves every later solve on that graph, so
   a solve settled at the root by a cut builds none.  The round number
   never affects what moves are legal, so it is absent from the key.
 * trivial-bound cuts -- the pass that counts each uncolored edge's
@@ -57,7 +61,7 @@ reductions keep the tree tractable:
   under the cap the orbits may be split finer than the group's.
 
 ``memoize=False`` runs the same recursion, cuts included, without the
-table, the color masks, the automorphisms or the orbit pruning; agreement
+table, the color classes, the automorphisms or the orbit pruning; agreement
 of the two modes is the standard self-check for the key and the orbits.
 ``verify_strategy`` has no cuts: on a safe board any legal Maker strategy
 wins, but the verifier also certifies that the strategy moves legally on
@@ -85,7 +89,6 @@ strategy's memory and its position on a shared draw tape (``DrawTape``).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from operator import or_
 from struct import Struct
 from typing import Iterable, Iterator
 
@@ -205,58 +208,94 @@ def _one_move_block(state: GameState, order: list[tuple[int, int]]) -> bool:
     return False
 
 
+class _Symmetry:
+    """A graph's edge permutations, packed for the solver's key, and the
+    coset of each colored set met so far.  ``images[e]`` sets bit
+    i * m + s_i(e) for the i-th permutation s_i; ``cosets`` maps a colored
+    set, as an edge mask, to the ascending indices of the permutations
+    that send it to its least image.  Kept on the graph by ``_Solver.load``,
+    so every solve on the graph shares it."""
+
+    __slots__ = ("perms", "images", "cosets")
+
+    def __init__(self, g: Graph) -> None:
+        self.perms = g.edge_automorphisms()
+        m = g.m
+        self.images = [
+            sum(1 << (i * m + p[e]) for i, p in enumerate(self.perms)) for e in range(m)
+        ]
+        self.cosets: dict[int, tuple[int, ...]] = {}
+
+    def coset(self, colored: int) -> tuple[int, ...]:
+        """Compute and keep the coset of ``colored``: OR its edges' packed
+        images and read the field of each permutation back."""
+        m = len(self.images)
+        packed = 0
+        for e, image in enumerate(self.images):
+            if colored >> e & 1:
+                packed |= image
+        full = (1 << m) - 1
+        moved = [packed >> shift & full for shift in range(0, len(self.perms) * m, m)]
+        low = min(moved)
+        coset = self.cosets[colored] = tuple(i for i, u in enumerate(moved) if u == low)
+        return coset
+
+
 class _Solver:
     def __init__(self, state: GameState, memoize: bool, budget: int | None) -> None:
         self.budget = NodeBudget(budget, "solve")
         self.table: dict[int, bool] | None = {} if memoize else None
         self.m = state.g.m
+        self.full = (1 << self.m) - 1
         self.deg = [len(inc) for inc in state.g.incident]
-        # classes[c - 1][i]: bitmask of the images, under the i-th symmetry
-        # of Graph.edge_automorphisms (the identity is i = 0), of the edges
-        # colored c; union[i]: the same for all colored edges; images[e][i]:
-        # the bit of e's image.  All are loaded when a memoizing solve
-        # expands its root.  coset: the symmetries whose image of the
-        # coloring is the one ``key`` last packed.
-        self.classes: list[list[int]] | None = None
-        self.union: list[int] = []
-        self.images: list[list[int]] = []
+        # Loaded when a memoizing solve expands its root.  classes[c - 1]:
+        # the edges colored c, packed like ``_Symmetry.images`` (its i-th
+        # m-bit field is their image under the i-th permutation of
+        # Graph.edge_automorphisms, the identity being i = 0); colored: the
+        # mask of all colored edges.  coset: the permutations whose image
+        # of the coloring is the one ``key`` last packed.
+        self.sym: _Symmetry | None = None
+        self.classes: list[int] | None = None
+        self.colored = 0
         self.coset: list[int] = []
 
     def load(self, state: GameState) -> None:
-        """Build the class lists of ``state``'s coloring.  A fresh color is
-        the lowest unused one, so the search adds none above min(k, m)."""
-        perms = state.g.edge_automorphisms()
-        self.images = [[1 << p[e] for p in perms] for e in range(self.m)]
-        size = max(min(state.cfg.k, self.m), *state.color)
-        self.classes = [[0] * len(perms) for _ in range(size)]
-        self.union = [0] * len(perms)
+        """Build the classes of ``state``'s coloring, and the graph's
+        ``_Symmetry`` if it has none.  A fresh color is the lowest unused
+        one, so the search adds none above min(k, m)."""
+        g = state.g
+        if g._symmetry is None:
+            g._symmetry = _Symmetry(g)
+        self.sym = g._symmetry
+        self.classes = [0] * max(min(state.cfg.k, self.m), *state.color)
+        self.colored = 0
         for e, c in enumerate(state.color):
             if c:
                 self.paint(e, c - 1)
 
-    def paint(self, e: int, c: int) -> tuple[list[int], list[int]]:
-        """Add edge e to color c + 1's class list and to the union; returns
-        the old pair, which ``classes[c], union = old`` puts back."""
-        classes, image = self.classes, self.images[e]
-        old = classes[c], self.union
-        classes[c] = list(map(or_, old[0], image))
-        self.union = list(map(or_, old[1], image))
+    def paint(self, e: int, c: int) -> tuple[int, int]:
+        """Add edge e to color c + 1's class and to the colored set; returns
+        the old pair, which ``classes[c], colored = old`` puts back."""
+        classes = self.classes
+        old = classes[c], self.colored
+        classes[c] = old[0] | self.sym.images[e]
+        self.colored = old[1] | 1 << e
         return old
 
     def key(self, state: GameState) -> int:
-        """The table key: over the symmetries with the least union, the
-        least sorted class list packed in m-bit fields, then the turn
-        phase.  An empty class packs to a leading zero, and every symmetry
-        has as many, so the least list packs to the least int.  The
-        symmetries that reach the least list are kept in ``coset``."""
-        union, classes, m = self.union, self.classes, self.m
-        low = min(union)
-        i = union.index(low)
-        best = sorted([masks[i] for masks in classes])
+        """The table key: over the permutations that send the colored set
+        to its least image, the least sorted list of the classes' fields,
+        packed in m-bit fields, then the turn phase.  An empty class would
+        pack to a leading zero under every permutation, so it is left out.
+        The permutations that reach the least list are kept in ``coset``."""
+        m, full, colored = self.m, self.full, self.colored
+        cands = self.sym.cosets.get(colored) or self.sym.coset(colored)
+        live = list(filter(None, self.classes))
+        i = cands[0]
+        best = sorted([mask >> i * m & full for mask in live])
         coset = [i]
-        for _ in range(union.count(low) - 1):
-            i = union.index(low, i + 1)
-            moved = sorted([masks[i] for masks in classes])
+        for i in cands[1:]:
+            moved = sorted([mask >> i * m & full for mask in live])
             if moved < best:
                 best, coset = moved, [i]
             elif moved == best:
@@ -279,10 +318,9 @@ class _Solver:
         coset = self.coset
         if len(coset) == 1:
             return edges
-        images, seen, reps = self.images, set(), []
+        perms, seen, reps = self.sym.perms, set(), []
         for e in edges:
-            image = images[e]
-            label = min([image[i] for i in coset])
+            label = min([perms[i][e] for i in coset])
             if label not in seen:
                 seen.add(label)
                 reps.append(e)
@@ -341,7 +379,7 @@ class _Solver:
                         c = bit.bit_length() - 1
                         old = self.paint(e, c)
                         won = self.maker_wins(state, used | bit)
-                        classes[c], self.union = old
+                        classes[c], self.colored = old
                     else:
                         won = self.maker_wins(state, used | bit)
                     for _ in range(plies):

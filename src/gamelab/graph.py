@@ -48,7 +48,8 @@ class Graph:
     """Immutable simple undirected graph on vertices ``0..n-1``."""
 
     __slots__ = (
-        "n", "edges", "adj", "incident", "_index_of", "_max_degree", "_automorphisms", "_good_set"
+        "n", "edges", "adj", "incident", "_index_of", "_max_degree", "_automorphisms",
+        "_good_set", "_symmetry",
     )
 
     def __init__(self, n: int, edges: Iterable[Sequence[int]]) -> None:
@@ -79,6 +80,7 @@ class Graph:
         self._max_degree = max((len(a) for a in self.adj), default=0)
         self._automorphisms: tuple[tuple[int, ...], ...] | None = None
         self._good_set = None  # built and kept by ``goodset.find_good_set``
+        self._symmetry = None  # built and kept by the exact solver
 
     # -- basic queries -------------------------------------------------
 

@@ -3,7 +3,8 @@ every strategy policy defines its own clone and states whether its move
 depends on the position alone; a randomized policy draws from a draw
 tape, so forking it copies no generator state.  Exact solving does not
 import networkx.  Threshold crossings and danger sets are written by one
-routine, and so are the per-round telemetry rows."""
+routine, and so are the per-round telemetry rows.  No module-level
+import goes unused."""
 
 from __future__ import annotations
 
@@ -322,3 +323,51 @@ def test_row_detector_sees_every_write_form():
         "def f(s):\n    load = s.load\n    mult[u] = mult.get(u, 0) + 1\n",
     ):
         assert row_writers(ast.parse(src)) == set(), src
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by the module-level imports of ``source`` that the module
+    never reads.  ``__future__`` imports, names listed in ``__all__`` and
+    imports marked ``# noqa: F401`` (a deliberate re-export) are exempt."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            read |= set(ast.literal_eval(node.value))
+    unused = []
+    for node in tree.body:
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if getattr(node, "module", None) == "__future__" or any(
+            "noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno]
+        ):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in read:
+                unused.append(name)
+    return unused
+
+
+def test_no_module_level_import_goes_unused():
+    files = sorted(PACKAGE.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py"))
+    assert len(files) >= 25
+    offenders = [
+        f"{p.parent.name}/{p.name}: {name}" for p in files for name in unused_imports(p.read_text())
+    ]
+    assert offenders == []
+
+
+def test_unused_import_detector():
+    source = "from __future__ import annotations\nimport math\nimport os\nos.sep\n"
+    assert unused_imports(source) == ["math"]
+    assert unused_imports("from a import b as c, d\nd()\n") == ["c"]
+    assert unused_imports("import a.b\na.b.c()\n") == []
+    assert unused_imports("from a import b  # noqa: F401\n") == []
+    assert unused_imports("from a import (\n    b,\n)  # noqa: F401\n") == []
+    assert unused_imports("from a import b\n__all__ = ['b']\n") == []
+    # only module-level imports count: a local one is the function's business
+    assert unused_imports("def f():\n    import math\n") == []

@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import networkx as nx
 import pytest
 
+import gamelab
 from gamelab.cli import build_parser, main
 from gamelab.engine import MODIFIED, GameConfig, MoveLog
 from gamelab.match import (
@@ -238,6 +242,23 @@ class TestSubcommands:
             "--maker", "paper", "--mode", "modified", "--lambda", "huh",
         ])
         assert rc == 2
+
+
+def test_closed_stdout_is_not_an_error():
+    """``gamelab gen petersen | head -3``: the reader has gone before the
+    edge list is written, which is not bad input, so no ``error:`` line and
+    not status 2, but the status of a process stopped by SIGPIPE.  Output
+    is block-buffered, as in a shell pipeline, so it is written at a flush."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(gamelab.__file__).parent.parent)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gamelab.cli", "gen", "petersen"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (141, b"")
 
 
 class TestReproducibility:

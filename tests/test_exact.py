@@ -11,6 +11,7 @@ memoizes on the raw position, so it shares no key code with the solver.
 
 from __future__ import annotations
 
+import gc
 import inspect
 import random
 import sys
@@ -40,7 +41,6 @@ from gamelab.engine import (
 )
 from gamelab import exact as exact_module
 from gamelab.exact import (
-    ChiIndexResult,
     VerifyResult,
     _moves,
     _play,
@@ -301,7 +301,7 @@ def recolored(state: GameState, perm: dict[int, int], edge_perm=None) -> GameSta
 
 
 def loaded_key(state: GameState) -> int:
-    """The key of a fresh solver whose class lists are loaded from
+    """The key of a fresh solver whose classes are loaded from
     ``state``'s coloring."""
     solver = _Solver(state, True, None)
     solver.load(state)
@@ -363,9 +363,9 @@ class TestCanonicalKey:
     )
     @settings(max_examples=80, deadline=None)
     def test_incremental_key_matches_scratch_key(self, g, extra, b, classic, seed):
-        """Random ``_play``/``undo`` lines, with the class lists and the
-        union kept by the solver's own ``paint`` and restored the way the
-        search restores them: after every step they equal a fresh
+        """Random ``_play``/``undo`` lines, with the packed classes and the
+        colored set kept by the solver's own ``paint`` and restored the way
+        the search restores them: after every step they equal a fresh
         ``load``, and the key equals the from-scratch key, is blind to
         palette renaming, and tells apart positions whose symmetry orbit
         or phase differs."""
@@ -382,7 +382,7 @@ class TestCanonicalKey:
         for _ in range(6 * m):
             fresh = _Solver(state, True, None)
             fresh.load(state)
-            assert (solver.classes, solver.union) == (fresh.classes, fresh.union)
+            assert (solver.classes, solver.colored) == (fresh.classes, fresh.colored)
             if not state.game_over():
                 key = solver.key(state)
                 assert key == scratch_key(state)
@@ -402,7 +402,7 @@ class TestCanonicalKey:
             if line and (not moves or rng.random() < 0.3):
                 plies, e, c, old = line.pop()
                 if e is not None:
-                    solver.classes[c - 1], solver.union = old
+                    solver.classes[c - 1], solver.colored = old
                 for _ in range(plies):
                     state.undo()
                 continue
@@ -476,7 +476,7 @@ class TestCanonicalKey:
             # are not loaded and nothing is looked up
             assert solver.classes is None and lookups == 0
         else:
-            assert lookups > 0 and not any(map(any, solver.classes))
+            assert lookups > 0 and not any(solver.classes)
 
     def test_plain_search_and_verifier_build_no_symmetry(self):
         # memoize=False has no table to key, and a strategy need not be
@@ -523,6 +523,86 @@ class TestCappedGroup:
             assert by_key.setdefault(key, pos) == pos
             colorings.setdefault(key, set()).add(coloring_orbit(state))
         assert max(map(len, colorings.values())) > 1
+
+
+def least_image_coset(g: Graph, colored: int) -> tuple[int, ...]:
+    """The ascending indices of the permutations of ``edge_automorphisms``
+    that send the edge set ``colored`` to its least image, by a scan that
+    moves the set edge by edge under each permutation."""
+    moved = [
+        sum(1 << perm[e] for e in range(g.m) if colored >> e & 1)
+        for perm in g.edge_automorphisms()
+    ]
+    return tuple(i for i, u in enumerate(moved) if u == min(moved))
+
+
+COSET_CASES = [("complete:5", 5), ("complete_bipartite:3:3", 4), ("petersen", 3), ("complete:6", 5)]
+
+
+class TestCosetCache:
+    """The solver's per-graph table of least-image cosets."""
+
+    @pytest.mark.parametrize("spec, k", COSET_CASES)
+    def test_cached_coset_is_the_least_image_scan(self, spec, k):
+        """Random colored sets, and every set a solve cached, have the coset
+        a brute-force scan over ``edge_automorphisms`` finds."""
+        g = generate(spec)
+        state = GameState(g, SKIP(k=k), log=False)
+        solver = _Solver(state, True, None)
+        solver.load(state)
+        rng = random.Random(spec)
+        for _ in range(40):
+            colored = rng.getrandbits(g.m)
+            assert g._symmetry.coset(colored) == least_image_coset(g, colored)
+            assert g._symmetry.cosets[colored] == least_image_coset(g, colored)
+        if g.m <= 10:
+            solve(g, k, SKIP(k=1))
+            assert len(g._symmetry.cosets) > 40
+        for colored, coset in g._symmetry.cosets.items():
+            assert coset == least_image_coset(g, colored)
+
+    def test_only_an_expanded_memoizing_root_builds_the_table(self):
+        g = generate("complete:5")
+        assert solve(g, 7, SKIP(k=1)).nodes == 1
+        assert solve(g, 4, SKIP(k=1), memoize=False).nodes > 1
+        assert not verify_strategy(g, 4, SKIP(k=4), GreedyMaker(), MAKER).sound
+        assert g._symmetry is None
+        solve(g, 4, SKIP(k=1))
+        assert g._symmetry is not None and g._symmetry.perms == g.edge_automorphisms()
+
+    def test_each_graph_keeps_its_own_table(self):
+        """Two graphs with equal m, solved alternately, then each rebuilt
+        after the last graph was dropped, so that it may reuse that graph's
+        memory: every winner is the plain key's, a rebuilt graph, whose
+        table starts empty, searches the nodes it searched before, and
+        every table holds its own graph's cosets."""
+        specs = ["complete:4", "cycle:6"]
+        graphs = [generate(spec) for spec in specs]
+        assert graphs[0].m == graphs[1].m
+        nodes = {}
+        for k in range(2, 6):
+            for spec, g in zip(specs, graphs):
+                nodes[spec, k] = solved_like_plain_key(g, k)
+        del graphs, g
+        for spec in specs + specs:
+            gc.collect()
+            g = generate(spec)
+            assert g._symmetry is None
+            for k in range(2, 6):
+                assert solved_like_plain_key(g, k) == nodes[spec, k], (spec, k)
+            del g
+
+
+def solved_like_plain_key(g: Graph, k: int) -> int:
+    """The nodes of ``solve`` on g at palette size k, once its winner is
+    checked against ``plain_key_winner`` and the cosets the graph keeps
+    against ``least_image_coset``."""
+    res = solve(g, k, SKIP(k=1))
+    assert (res.winner == MAKER) == (plain_key_winner(g, k, SKIP(k=1)) == MAKER_WON), (g, k)
+    if g._symmetry is not None:
+        for colored, coset in g._symmetry.cosets.items():
+            assert coset == least_image_coset(g, colored), (g, k)
+    return res.nodes
 
 
 class TestChiIndex:
@@ -690,7 +770,7 @@ def search_line(g: Graph, cfg: GameConfig, rng: random.Random) -> GameState:
 
 def solve_from(state: GameState, memoize: bool) -> tuple[bool, int]:
     """(Maker wins, nodes) of ``_Solver`` started at ``state`` with the used
-    colors of the position; the solver loads its class lists itself."""
+    colors of the position; the solver loads its classes itself."""
     solver = _Solver(state, memoize, None)
     used = 0
     for c in state.color:
@@ -778,7 +858,7 @@ def child_keys(solver: _Solver, state: GameState, e: int, used: int) -> set[int]
             c = bit.bit_length() - 1
             old = solver.paint(e, c)
             keys.add(solver.key(state))
-            solver.classes[c], solver.union = old
+            solver.classes[c], solver.colored = old
             for _ in range(plies):
                 state.undo()
     return keys
@@ -839,9 +919,9 @@ CUT_MUTANTS = [
         "if a < deg[u] - load[u] + deg[v] - load[v] - 2:",
     ),
     (
-        "coset of every least-union symmetry",
+        "coset of every least-image symmetry",
         "        self.coset = coset\n",
-        "        self.coset = [j for j, u in enumerate(union) if u == low]\n",
+        "        self.coset = list(cands)\n",
     ),
 ]
 MUTANT_CASES = [
