@@ -41,8 +41,6 @@ class BoxReductionBreaker:
     the instance is its own clone.
     """
 
-    position_only = False  # reads which edges Maker colored from the log
-
     def __init__(self) -> None:
         self.cert: GoodSetCertificate | None = None
         self.b = 0
@@ -55,25 +53,35 @@ class BoxReductionBreaker:
             raise StrategyError("box reduction needs a non-empty good set")
         self.cert, self.b, self._graph = cert, s.cfg.b, s.g
 
-    def snapshot(self, s: GameState) -> boxgame.BoxGameState:
-        """Rebuild the embedded box game from the engine state and its log.
-
-        remaining[i] counts the colors still available on f_i; touched[i] is
-        set by any Maker move mapped to box i, the box of its nearest member
-        of F (and for a colored f_i, which can no longer be destroyed).
-        """
-        F, nearest = self.cert.edges, self.cert.nearest
-        remaining = []
-        touched = [False] * len(F)
-        for i, f in enumerate(F):
-            if s.color[f] != 0:
-                remaining.append(0)
-                touched[i] = True
-            else:
-                remaining.append(s.avail_mask(f).bit_count())
+    def _touched(self, s: GameState) -> list[bool]:
+        """touched[i] is set when f_i is colored, so it can no longer be
+        destroyed, or when a Maker move was mapped to box i, the box of its
+        nearest member of F.  Binds s's game first if need be."""
+        if self._graph is not s.g or self.b != s.cfg.b:
+            self.for_game(s)
+        color, nearest = s.color, self.cert.nearest
+        touched = [color[f] != 0 for f in self.cert.edges]
         for rec in s.log:
             if rec.player == MAKER and rec.edge is not None:
                 touched[nearest[rec.edge]] = True
+        return touched
+
+    def memo_key(self, s: GameState) -> int:
+        """The touched boxes as a mask: beyond the position, the next moves
+        read nothing else.  The verifier may ask before the first
+        micro-move, as Maker moves first in the classic variant."""
+        return sum(1 << i for i, t in enumerate(self._touched(s)) if t)
+
+    def snapshot(self, s: GameState) -> boxgame.BoxGameState:
+        """Rebuild the embedded box game from the engine state and its log:
+        remaining[i] counts the colors still available on f_i, none once it
+        is colored."""
+        touched = self._touched(s)
+        color, edges, umask, full = s.color, s.g.edges, s.umask, s.full_mask
+        remaining = []
+        for f in self.cert.edges:
+            u, v = edges[f]  # A(f), as GameState.avail_mask reads it
+            remaining.append(0 if color[f] else (full & ~(umask[u] | umask[v])).bit_count())
         return boxgame.BoxGameState(
             remaining=remaining,
             touched=touched,
@@ -94,10 +102,8 @@ class BoxReductionBreaker:
     def micro_move(self, s: GameState) -> tuple[int, int, dict] | None:
         if s.turn != BREAKER:
             raise StrategyError("not Breaker's turn")
-        if self._graph is not s.g or self.b != s.cfg.b:
-            self.for_game(s)
-        cert = self.cert
         target = boxgame.bob_strategy(self.snapshot(s))
+        cert = self.cert
         near: Sequence[int] = ()
         if target is None:
             # every box is touched: the reduction has nothing left to say
@@ -125,7 +131,7 @@ class BoxReductionBreaker:
 class UniformRandomBreaker:
     """Colors uniformly random legal pairs until the bias is spent."""
 
-    position_only = False  # draw tape
+    memo_key = None  # draw tape
 
     def __init__(self, seed: int | None = None) -> None:
         self.rng = DrawTape(seed)
@@ -162,8 +168,6 @@ class GreedyBlockingBreaker:
     All of it is derived from the position, so the move still depends on
     the position alone.
     """
-
-    position_only = True
 
     def __init__(self) -> None:
         self._state: GameState | None = None  # the state last read
@@ -276,6 +280,9 @@ class GreedyBlockingBreaker:
         e = legal[-1]
         return e, (avail[e] & -avail[e]).bit_length(), None
 
+    def memo_key(self, s: GameState) -> int:
+        return 0  # all it holds is derived from the position
+
     def clone(self) -> "GreedyBlockingBreaker":
         return self  # holds only data derived from the position it last read
 
@@ -283,10 +290,11 @@ class GreedyBlockingBreaker:
 class SkipBreaker:
     """Always passes; only legal in the skip variant."""
 
-    position_only = True
-
     def micro_move(self, s: GameState) -> None:
         return None
+
+    def memo_key(self, s: GameState) -> int:
+        return 0  # no per-game state
 
     def clone(self) -> "SkipBreaker":
         return self  # no per-game state

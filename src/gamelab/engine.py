@@ -226,12 +226,6 @@ class GameState:
         mask = self.avail_mask(e)
         return {i + 1 for i in range(self.cfg.k) if mask >> i & 1}
 
-    def uncolored_neighbors(self, v: int) -> list[int]:
-        """Neighbors joined to v by a still-uncolored edge, ascending."""
-        g, color = self.g, self.color
-        # adj[v] and incident[v] are built in step, so they pair up
-        return sorted([u for u, e in zip(g.adj[v], g.incident[v]) if not color[e]])
-
     def winner(self) -> str:
         if self.blocked_seen:
             return BREAKER_WON

@@ -66,14 +66,17 @@ of the two modes is the standard self-check for the key and the orbits.
 ``verify_strategy`` has no cuts: on a safe board any legal Maker strategy
 wins, but the verifier also certifies that the strategy moves legally on
 every line, so it plays each line out.
-It has a memo instead, for a strategy whose class sets ``position_only``:
-its move is a function of the position, so it plays the same subtree from
-the same position, and an opponent decision point proven sound once is
-sound again.  The memo keeps only such points (coloring and Breaker's
-spent count, one int); an unsound one ends the whole search.  The search
-order is unchanged and a hit only skips a subtree already proven sound, so
-the verdict and the first counterexample are those of the memo-free search,
-and only ``nodes`` falls.
+It has a memo instead, for a strategy with a ``memo_key`` method: its
+later moves are a function of the position and of that int (0 for a
+stateless or position-derived strategy, the touched boxes for the box
+Breaker), so it plays the same subtree from the same pair, and an opponent
+decision point proven sound once is sound again.  A strategy whose class
+sets ``memo_key = None`` (one that holds a draw tape) gets no memo.  The
+memo keeps only such points (coloring, Breaker's spent count and the
+strategy's key, one int); an unsound one ends the whole search.  The
+search order is unchanged and a hit only skips a subtree already proven
+sound, so the verdict and the first counterexample are those of the
+memo-free search, and only ``nodes`` falls.
 
 Both the solver and ``verify_strategy`` play each move on one
 ``GameState`` and take it back with ``undo`` once its subtree is searched,
@@ -457,21 +460,24 @@ def game_chromatic_index(
 
 
 class _Verifier:
-    def __init__(self, side: str, budget: int | None, m: int, position_only: bool) -> None:
+    def __init__(self, side: str, budget: int | None, m: int, memoize: bool) -> None:
         self.side = side
         self.wants_block = side == BREAKER  # a strict game's winner, as blocked_seen
         self.budget = NodeBudget(budget, "verify_strategy")
         # keys of opponent decision points proven sound, for a strategy
-        # whose move depends on the position alone
-        self.proven: set[int] | None = set() if position_only else None
+        # whose later moves depend on the position and its memo key alone
+        self.proven: set[int] | None = set() if memoize else None
         # one 32-bit word per edge holds any palette GameConfig allows
         self.words = Struct(f"<{m}I")
+        self.width = 32 * m
 
-    def key(self, state: GameState) -> int:
-        """The memo's key of an opponent decision point: the coloring, then
-        Breaker's colorings spent this turn.  The opponent is always the one
-        to move there, and the round never affects what moves are legal."""
+    def key(self, state: GameState, strategy) -> int:
+        """The memo's key of an opponent decision point: the strategy's
+        ``memo_key``, the coloring, then Breaker's colorings spent this turn.
+        The opponent is always the one to move there, and the round never
+        affects what moves are legal."""
         packed = int.from_bytes(self.words.pack(*state.color), "little")
+        packed |= strategy.memo_key(state) << self.width
         return packed * state.cfg.b + state.breaker_moves_this_turn
 
     def search(self, state: GameState, strategy, owned: bool) -> MoveLog | None:
@@ -510,7 +516,7 @@ class _Verifier:
     def _branch(self, state: GameState, strategy, owned: bool) -> MoveLog | None:
         proven = self.proven
         if proven is not None:
-            key = self.key(state)
+            key = self.key(state, strategy)
             if key in proven:
                 return None
         # every legal move: all colors count as used, so none is pruned
@@ -548,17 +554,19 @@ def verify_strategy(
     strategy's tape position and memory, not a generator state; a strategy
     without per-game state is its own clone, shared across every line.  Any
     other caller's strategy is never asked for a move, so it plays the same
-    afterwards.  A strategy whose class sets ``position_only = True``
-    promises that its move depends on the position alone (coloring, player
-    to move, Breaker's colorings this turn); the search then skips any
-    opponent decision point it has already proven sound, which lowers
-    ``nodes`` and changes nothing else.  Strict mode only.
+    afterwards.  A strategy with a ``memo_key(state)`` method promises that
+    its later moves depend only on the position (coloring, player to move,
+    Breaker's colorings this turn) and that int; the search then skips any
+    opponent decision point it has already proven sound with the same key,
+    which lowers ``nodes`` and changes nothing else.  A strategy whose
+    ``memo_key`` is None, or that has none, is searched without the memo.
+    Strict mode only.
     """
     if side not in (MAKER, BREAKER):
         raise ValueError(f"side must be {MAKER!r} or {BREAKER!r}")
     if cfg.mode != STRICT:
         raise ValueError("verify_strategy requires strict mode")
     cfg = replace(cfg, k=k)
-    verifier = _Verifier(side, budget, g.m, getattr(strategy, "position_only", False))
+    verifier = _Verifier(side, budget, g.m, getattr(strategy, "memo_key", None) is not None)
     bad = verifier.search(GameState(g, cfg), strategy, False)
     return VerifyResult(bad is None, bad, verifier.budget.nodes)

@@ -121,12 +121,12 @@ def record_crossings(
     load then, and ``thresholds`` are the integer loads (ceilings) that meet
     T1 <= T2 <= T3.  Each vertex whose load meets T_j for the first time
     gets ``r`` in ``mem.t<j>_round``.  Once every crossing is recorded, D(v)
-    is frozen from ``s`` for each vertex newly past T2, in vertex order.
+    is frozen from ``s`` for each vertex newly past T2.
 
     Loads only grow, so a vertex whose load is unchanged since the last call
-    on ``mem`` has nothing new to cross: ``touched`` lists in ascending order
-    the vertices whose load may have changed since then (every vertex, on
-    the first call), and only those are read.
+    on ``mem`` has nothing new to cross: ``touched`` lists the vertices whose
+    load may have changed since then (every vertex, on the first call), in
+    any order and possibly more than once, and only those are read.
     """
     t1, t2, t3 = thresholds
     t1_round, t2_round, t3_round = mem.t1_round, mem.t2_round, mem.t3_round
@@ -210,7 +210,7 @@ class DangerRedirectMaker:
          forced in the modified process).
     """
 
-    position_only = False  # draw tape, danger memory and the log's last turn
+    memo_key = None  # draw tape, danger memory and the log's last turn
 
     def __init__(self, cfg: MakerConfig | None = None, seed: int | None = None) -> None:
         self.cfg = cfg or MakerConfig()
@@ -219,6 +219,8 @@ class DangerRedirectMaker:
         self._state: GameState | None = None  # the one game this instance plays
         self._thresholds = (0, 0, 0)
         self._q = 0.0  # float(cfg.q), the redirect coin's bias
+        self._pairs: list[list[tuple[int, int]]] = []  # (neighbour, edge) at each vertex
+        self._deg: list[int] = []
 
     def _bind(self, s: GameState) -> None:
         if s is self._state:
@@ -226,8 +228,12 @@ class DangerRedirectMaker:
         if self._state is not None:
             raise StrategyError("one strategy instance may not switch games")
         self._state = s
-        self._thresholds = self.cfg.thresholds(s.g.max_degree, s.cfg.b)
+        g = s.g
+        self._thresholds = self.cfg.thresholds(g.max_degree, s.cfg.b)
         self._q = float(self.cfg.q)
+        # sorted by neighbour, so the uncolored ones come ascending
+        self._pairs = [sorted(zip(g.adj[v], g.incident[v])) for v in range(g.n)]
+        self._deg = [len(a) for a in g.adj]
 
     def move(self, s: GameState) -> tuple[int, int, dict]:
         if s.uncolored == 0:
@@ -243,7 +249,7 @@ class DangerRedirectMaker:
         if mem.f0 is None:
             touched = range(g.n)
         else:
-            touched = sorted({w for e in (mem.f0, *pool) for w in g.edges[e]})
+            touched = [w for e in (mem.f0, *pool) for w in g.edges[e]]
         record_crossings(s, mem, self._thresholds, s.round - 1, touched)
 
         # step 1: anchor edge
@@ -261,28 +267,27 @@ class DangerRedirectMaker:
         x, y = g.edges[f]
         v = (x, y)[rng.randrange(2)]
         # Gamma'(w) is empty exactly when every edge at w is colored
-        load, adj = s.load, g.adj
-        if load[v] == len(adj[v]):
+        load, deg = s.load, self._deg
+        if load[v] == deg[v]:
             other = y if v == x else x
-            if load[other] < len(adj[other]):
+            if load[other] < deg[other]:
                 v = other
             else:
-                alive = [w for w in range(g.n) if load[w] < len(adj[w])]
+                alive = [w for w in range(g.n) if load[w] < deg[w]]
                 v = alive[rng.randrange(len(alive))]
 
-        # step 3: neighbor, with the danger redirect
-        nbrs = s.uncolored_neighbors(v)
-        u = nbrs[rng.randrange(len(nbrs))]
+        # step 3: neighbor, with the danger redirect; Gamma'(v) ascending
+        nbrs = [p for p in self._pairs[v] if not s.color[p[1]]]
+        u, e = nbrs[rng.randrange(len(nbrs))]
         redirected = False
         if load[v] >= self._thresholds[1] and v in mem.danger:
             danger = mem.danger[v]
-            targets = [w for w in nbrs if w in danger]  # ascending, as nbrs
+            targets = [p for p in nbrs if p[0] in danger]
             if targets and rng.random() < self._q:
-                u = targets[rng.randrange(len(targets))]
+                u, e = targets[rng.randrange(len(targets))]
                 redirected = True
 
         # step 4: color
-        e = g.index_of(v, u)
         mask = s.avail_mask(e)
         avail = [i + 1 for i in range(mask.bit_length()) if mask >> i & 1]  # A(e), ascending
         ann: dict = {"f": f, "v": v, "u": u, "redirected": redirected}
@@ -307,7 +312,7 @@ class DangerRedirectMaker:
 class UniformRandomMaker:
     """Colors a uniformly random legal (edge, color) pair."""
 
-    position_only = False  # draw tape
+    memo_key = None  # draw tape
 
     def __init__(self, seed: int | None = None) -> None:
         self.rng = DrawTape(seed)
@@ -333,8 +338,6 @@ class UniformRandomMaker:
 class GreedyMaker:
     """Colors an uncolored edge of minimum availability with its lowest color."""
 
-    position_only = True
-
     def move(self, s: GameState) -> tuple[int, int, dict | None]:
         if s.uncolored == 0:
             raise StrategyError("no uncolored edge left")
@@ -354,6 +357,9 @@ class GreedyMaker:
         mask = s.avail_mask(best_e)
         color = (mask & -mask).bit_length()
         return best_e, color, None
+
+    def memo_key(self, s: GameState) -> int:
+        return 0  # no per-game state
 
     def clone(self) -> "GreedyMaker":
         return self  # no per-game state

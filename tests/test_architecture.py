@@ -1,10 +1,10 @@
 """Module layering: the library never depends on the command line, and
-every strategy policy defines its own clone and states whether its move
-depends on the position alone; a randomized policy draws from a draw
-tape, so forking it copies no generator state.  Exact solving does not
-import networkx.  Threshold crossings and danger sets are written by one
-routine, and so are the per-round telemetry rows.  No module-level
-import goes unused."""
+every strategy policy defines its own clone and states its memo key, the
+state beyond the position that its later moves read, or None; a
+randomized policy draws from a draw tape, so forking it copies no
+generator state.  Exact solving does not import networkx.  Threshold
+crossings and danger sets are written by one routine, and so are the
+per-round telemetry rows.  No module-level import goes unused."""
 
 from __future__ import annotations
 
@@ -78,15 +78,15 @@ def test_every_policy_defines_its_own_clone():
     assert [cls.__name__ for cls in policies() if "clone" not in vars(cls)] == []
 
 
-def test_every_policy_states_whether_it_is_position_only():
-    # the verifier memoizes proven-sound positions only for position-only
-    # strategies; such a strategy holds only data derived from the position,
-    # so it is its own clone, and a subclass must state the claim again
-    # rather than inherit it
-    assert [cls.__name__ for cls in policies() if "position_only" not in vars(cls)] == []
-    position_only = [cls for cls in policies() if cls.position_only]
-    assert position_only
-    for cls in position_only:
+def test_every_policy_states_its_memo_key():
+    # the verifier memoizes proven-sound positions only for a strategy with
+    # a memo_key method, whose later moves depend on the position and that
+    # int alone; such a strategy holds no draw tape and is its own clone,
+    # and a subclass must state the claim again rather than inherit it
+    assert [cls.__name__ for cls in policies() if "memo_key" not in vars(cls)] == []
+    keyed = [cls for cls in policies() if cls.memo_key is not None]
+    assert len(keyed) >= 4
+    for cls in keyed:
         strategy = cls()
         assert strategy.clone() is strategy, cls.__name__
 
@@ -94,10 +94,9 @@ def test_every_policy_states_whether_it_is_position_only():
 def test_every_randomized_policy_holds_a_draw_tape():
     # the verifier forks a strategy per line; a tape forks in O(1), and a
     # generator anywhere else would bring back copying its whole state
-    randomized = [cls() for cls in policies() if not cls.position_only]
-    with_rng = [p for p in randomized if hasattr(p, "rng")]
-    assert len(with_rng) >= 3
-    assert [type(p).__name__ for p in with_rng if type(p.rng) is not DrawTape] == []
+    randomized = [cls() for cls in policies() if cls.memo_key is None]
+    assert len(randomized) >= 3
+    assert [type(p).__name__ for p in randomized if type(getattr(p, "rng", None)) is not DrawTape] == []
 
 
 def test_no_module_copies_a_generator_state():

@@ -73,10 +73,15 @@ def assert_tables_consistent(s: GameState):
     load, umask, unb = recompute_tables(s)
     assert s.load == load
     assert s.umask == umask
-    assert [s.uncolored_neighbors(v) for v in range(s.g.n)] == [sorted(x) for x in unb]
+    # adj[v] and incident[v] are built in step, so they pair up
+    nbrs = [
+        sorted(u for u, e in zip(s.g.adj[v], s.g.incident[v]) if not s.color[e])
+        for v in range(s.g.n)
+    ]
+    assert nbrs == [sorted(x) for x in unb]
     assert s.uncolored == sum(1 for c in s.color if c == 0)
     for v in range(s.g.n):
-        assert s.load[v] == s.g.degree(v) - len(s.uncolored_neighbors(v))
+        assert s.load[v] == s.g.degree(v) - len(nbrs[v])
     if s.cfg.mode == STRICT:
         # proper coloring, so colors at a vertex are pairwise distinct
         for v in range(s.g.n):

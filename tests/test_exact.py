@@ -56,6 +56,7 @@ from gamelab.breaker import (
     SkipBreaker,
     UniformRandomBreaker,
 )
+from gamelab.goodset import find_good_set
 from gamelab.maker import DangerRedirectMaker, GreedyMaker, UniformRandomMaker
 from gamelab.match import mixed_corpus
 from gamelab.graph import (
@@ -1134,12 +1135,25 @@ def eager_verify(
     """``verify_strategy`` with eager forks: every opponent branch but the
     last gets a clone of the strategy before its move is played, and the
     root gets a clone of the caller's.  ``memo`` skips an opponent decision
-    point whose (coloring tuple, Breaker's spent count) already returned
-    sound, as the verifier does for a position-only strategy."""
+    point whose (coloring tuple, Breaker's spent count, touched boxes)
+    already returned sound, as the verifier does for a strategy with a memo
+    key.  The touched boxes are the box Breaker's: the boxes of the colored
+    members of its good set and of Maker's moves in the log, each mapped by
+    ``cert.nearest``; any other strategy has none."""
     cfg = replace(cfg, k=k)
     want = MAKER_WON if side == MAKER else BREAKER_WON
     nodes = 0
     proven = set()
+    cert = find_good_set(g) if isinstance(strategy, BoxReductionBreaker) else None
+
+    def touched(state: GameState) -> frozenset:
+        if cert is None:
+            return frozenset()
+        boxes = {i for i, f in enumerate(cert.edges) if state.color[f]}
+        for rec in state.log:
+            if rec.player == MAKER and rec.edge is not None:
+                boxes.add(cert.nearest[rec.edge])
+        return frozenset(boxes)
 
     def search(state: GameState, strategy):
         nonlocal nodes
@@ -1159,7 +1173,7 @@ def eager_verify(
         return bad
 
     def branch(state: GameState, strategy):
-        key = (tuple(state.color), state.breaker_moves_this_turn)
+        key = (tuple(state.color), state.breaker_moves_this_turn, touched(state))
         if memo and key in proven:
             return None
         uncolored = [e for e in range(state.g.m) if state.color[e] == 0]
@@ -1297,9 +1311,15 @@ class TestLazyFork:
         self.check(generate(spec), k, variant(k=1, b=b), make, BREAKER, sound)
 
 
-# (graph spec, policy, variant, b, k) for the position-only policies: every
-# k in [Δ, 2Δ−1], both variants (the skip Breaker only where it may pass)
-MEMO_POLICIES = {GreedyMaker: MAKER, GreedyBlockingBreaker: BREAKER, SkipBreaker: BREAKER}
+# (graph spec, policy, variant, b, k) for the policies with a memo key:
+# every k in [Δ, 2Δ−1], both variants (the skip Breaker only where it may
+# pass, the box Breaker only where the graph has a good set)
+MEMO_POLICIES = {
+    GreedyMaker: MAKER,
+    GreedyBlockingBreaker: BREAKER,
+    SkipBreaker: BREAKER,
+    BoxReductionBreaker: BREAKER,
+}
 MEMO_GRAPHS = (
     "cycle:5", "cycle:6", "cycle:7", "path:6",
     "complete:4", "star:4", "complete_bipartite:2:3", "complete_bipartite:3:3",
@@ -1319,6 +1339,7 @@ MEMO_CASES = [
     (spec, policy, variant, b, k)
     for spec in MEMO_GRAPHS
     for policy in MEMO_POLICIES
+    if policy is not BoxReductionBreaker or find_good_set(generate(spec)).edges
     for variant in ((SKIP,) if policy is SkipBreaker else (SKIP, CLASSIC))
     for b in (1, 2)
     for delta in (generate(spec).max_degree,)
@@ -1328,8 +1349,8 @@ MEMO_CASES = [
 
 
 class TestVerifierMemo:
-    """For a strategy whose move depends on the position alone, the verifier
-    skips opponent decision points already proven sound; verdict and first
+    """For a strategy with a memo key, the verifier skips opponent decision
+    points already proven sound under the same key; verdict and first
     counterexample must be those of the memo-free eager search."""
 
     def check(self, g, k, cfg, policy):
@@ -1338,7 +1359,8 @@ class TestVerifierMemo:
         ref = eager_verify(g, k, cfg, policy(), side)
         assert (res.sound, res.counterexample) == (ref.sound, ref.counterexample)
         assert res.nodes <= ref.nodes
-        # and it skips exactly what a memo on the plain position skips
+        # and it skips exactly what a memo on the plain position and the
+        # touched boxes skips
         assert res == eager_verify(g, k, cfg, policy(), side, memo=True)
         return res
 
@@ -1376,9 +1398,18 @@ class TestVerifierMemo:
         on_line = set()
         for rec in res.counterexample:
             if state.turn == BREAKER and state.breaker_moves_this_turn < b:
-                on_line.add(verifier.key(state))
+                on_line.add(verifier.key(state, GreedyMaker()))
             apply_record(state, rec)
         assert on_line and not on_line & verifier.proven
+
+    def test_box_breaker_needs_its_touched_boxes(self, monkeypatch):
+        # 14,699 nodes without the memo; a key on the position alone merges
+        # positions whose touched boxes differ and searches only 3,902
+        g, cfg = generate("cycle:11"), CLASSIC(k=2, b=1)
+        assert self.check(g, 2, cfg, BoxReductionBreaker).nodes == 3983
+        monkeypatch.setattr(BoxReductionBreaker, "memo_key", lambda self, s: 0)
+        with pytest.raises(AssertionError):
+            self.check(g, 2, cfg, BoxReductionBreaker)
 
     def test_benchmark_greedy_rung(self):
         # 116,993 nodes without the memo
