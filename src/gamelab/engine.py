@@ -72,8 +72,8 @@ class GameConfig:
 
 class MoveRecord(NamedTuple):
     """One half-move.  ``skip=True`` marks the end of a Breaker turn
-    (a pure sit-out is an end-of-turn with no preceding colorings).  A named
-    tuple, half a frozen dataclass's cost to build: verifier nodes make one."""
+    (a pure sit-out is an end-of-turn with no preceding colorings).  The
+    engine builds one per transition, with ``tuple.__new__`` for speed."""
 
     round: int
     player: str
@@ -305,7 +305,7 @@ class GameState:
             self.breaker_moves_this_turn = 0
 
         if self.log is not None:
-            self.log.append(MoveRecord(self.round, player, e, c, False, ann))
+            self.log.append(tuple.__new__(MoveRecord, (self.round, player, e, c, False, ann)))
 
         # only edges at the two endpoints can have lost their last color
         if not self.blocked_seen:
@@ -342,7 +342,7 @@ class GameState:
         """
         self.trail.append((None, self.breaker_moves_this_turn, self.round))
         if self.log is not None:
-            self.log.append(MoveRecord(self.round, BREAKER, None, None, True, None))
+            self.log.append(tuple.__new__(MoveRecord, (self.round, BREAKER, None, None, True, None)))
         self.turn = MAKER
         self.round += 1
         self.breaker_moves_this_turn = 0
@@ -415,8 +415,15 @@ def uniform_legal_move(s: GameState, rng) -> tuple[int, int] | None:
     while pick >= counts[e]:
         pick -= counts[e]
         e += 1
-    colors = sorted(s.available_colors(e))
-    return e, colors[rng.randrange(len(colors))]
+    mask = s.avail_mask(e)
+    return e, nth_color(mask, rng.randrange(mask.bit_count()))
+
+
+def nth_color(mask: int, r: int) -> int:
+    """The r-th (from 0) color, ascending, in the color bitmask ``mask``."""
+    for _ in range(r):
+        mask &= mask - 1
+    return (mask & -mask).bit_length()
 
 
 def apply_record(s: GameState, rec: MoveRecord) -> None:

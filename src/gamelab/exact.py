@@ -92,6 +92,8 @@ strategy's memory and its position on a shared draw tape (``DrawTape``).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import compress
+from operator import not_
 from struct import Struct
 from typing import Iterable, Iterator
 
@@ -520,7 +522,7 @@ class _Verifier:
             if key in proven:
                 return None
         # every legal move: all colors count as used, so none is pruned
-        uncolored = [e for e in range(state.g.m) if state.color[e] == 0]
+        uncolored = compress(range(state.g.m), map(not_, state.color))
         moves = list(_moves(state, uncolored, state.full_mask))
         last = len(moves) - 1
         for i, (e, bit) in enumerate(moves):

@@ -21,10 +21,12 @@ import copy
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress, islice
+from operator import lt, not_
 from typing import Iterable
 
 from ._util import DrawTape, StrategyError
-from .engine import BREAKER, MAKER, MODIFIED, GameState, MoveLog, uniform_legal_move
+from .engine import MAKER, MODIFIED, GameState, nth_color, uniform_legal_move
 
 _INF = math.inf
 
@@ -182,15 +184,11 @@ def compute_danger_set(s: GameState, mem: MakerMemory, v: int) -> frozenset[int]
     return result
 
 
-def last_breaker_turn(log: MoveLog) -> list[int]:
-    """Edges Breaker colored in the turn whose end-of-turn record ends the
-    log, in play order (empty if the log ends otherwise); reads that turn only."""
-    if not log or not log[-1].skip:
-        return []
-    i = len(log) - 1
-    while i > 0 and log[i - 1].player == BREAKER and not log[i - 1].skip:
-        i -= 1
-    return [rec.edge for rec in log[i:-1]]
+def last_breaker_turn(s: GameState) -> list[tuple]:
+    """Breaker's colorings in the turn that the last transition on ``s``
+    closed, as their trail entries (edge first), in play order; one slice."""
+    trail = s.trail
+    return trail[-1 - trail[-1][1] : -1] if trail and trail[-1][0] is None else []
 
 
 class DangerRedirectMaker:
@@ -210,7 +208,7 @@ class DangerRedirectMaker:
          forced in the modified process).
     """
 
-    memo_key = None  # draw tape, danger memory and the log's last turn
+    memo_key = None  # draw tape, danger memory and Breaker's last turn
 
     def __init__(self, cfg: MakerConfig | None = None, seed: int | None = None) -> None:
         self.cfg = cfg or MakerConfig()
@@ -221,6 +219,7 @@ class DangerRedirectMaker:
         self._q = 0.0  # float(cfg.q), the redirect coin's bias
         self._pairs: list[list[tuple[int, int]]] = []  # (neighbour, edge) at each vertex
         self._deg: list[int] = []
+        self._edges: list[tuple[int, int]] = []
 
     def _bind(self, s: GameState) -> None:
         if s is self._state:
@@ -234,6 +233,7 @@ class DangerRedirectMaker:
         # sorted by neighbour, so the uncolored ones come ascending
         self._pairs = [sorted(zip(g.adj[v], g.incident[v])) for v in range(g.n)]
         self._deg = [len(a) for a in g.adj]
+        self._edges = g.edges
 
     def move(self, s: GameState) -> tuple[int, int, dict]:
         if s.uncolored == 0:
@@ -241,30 +241,30 @@ class DangerRedirectMaker:
         if s.turn != MAKER:
             raise StrategyError("not Maker's turn")
         self._bind(s)
-        g, rng, mem = s.g, self.rng, self.memory
-        pool = last_breaker_turn(s.log)
+        edges, rng, mem = self._edges, self.rng, self.memory
+        pool = last_breaker_turn(s)
         # Maker moves first within a round, so the loads seen here are those
         # at the end of round s.round - 1; since his previous move only the
         # ends of that move's edge and of Breaker's last turn gained load
         if mem.f0 is None:
-            touched = range(g.n)
+            touched = range(s.g.n)
         else:
-            touched = [w for e in (mem.f0, *pool) for w in g.edges[e]]
+            touched = [*edges[mem.f0]]
+            for entry in pool:
+                touched += edges[entry[0]]
         record_crossings(s, mem, self._thresholds, s.round - 1, touched)
 
-        # step 1: anchor edge
+        # step 1: anchor edge; the pool holds trail entries (edge first), or if
+        # Breaker's last turn colored nothing, the r-th uncolored edge, uniform
         if mem.f0 is None:
-            mem.f0 = rng.randrange(g.m)
+            mem.f0 = rng.randrange(s.g.m)
         if not pool:
-            uncolored = [e for e in range(g.m) if s.color[e] == 0]
-            pool = [uncolored[rng.randrange(len(uncolored))]]
-        if rng.random() < 0.5:
-            f = mem.f0
-        else:
-            f = pool[rng.randrange(len(pool))]
+            r = rng.randrange(s.uncolored)
+            pool = [(next(islice(compress(range(s.g.m), map(not_, s.color)), r, None)),)]
+        f = mem.f0 if rng.random() < 0.5 else pool[rng.randrange(len(pool))][0]
 
         # step 2: endpoint of the anchor, with replacement if exhausted
-        x, y = g.edges[f]
+        x, y = edges[f]
         v = (x, y)[rng.randrange(2)]
         # Gamma'(w) is empty exactly when every edge at w is colored
         load, deg = s.load, self._deg
@@ -273,26 +273,25 @@ class DangerRedirectMaker:
             if load[other] < deg[other]:
                 v = other
             else:
-                alive = [w for w in range(g.n) if load[w] < deg[w]]
+                alive = list(compress(range(s.g.n), map(lt, load, deg)))
                 v = alive[rng.randrange(len(alive))]
 
         # step 3: neighbor, with the danger redirect; Gamma'(v) ascending
         nbrs = [p for p in self._pairs[v] if not s.color[p[1]]]
         u, e = nbrs[rng.randrange(len(nbrs))]
         redirected = False
-        if load[v] >= self._thresholds[1] and v in mem.danger:
-            danger = mem.danger[v]
+        danger = mem.danger.get(v)
+        if danger and load[v] >= self._thresholds[1]:
             targets = [p for p in nbrs if p[0] in danger]
             if targets and rng.random() < self._q:
                 u, e = targets[rng.randrange(len(targets))]
                 redirected = True
 
-        # step 4: color
+        # step 4: color, the r-th of A(e) ascending
         mask = s.avail_mask(e)
-        avail = [i + 1 for i in range(mask.bit_length()) if mask >> i & 1]  # A(e), ascending
         ann: dict = {"f": f, "v": v, "u": u, "redirected": redirected}
-        if avail:
-            color = avail[rng.randrange(len(avail))]
+        if mask:
+            color = nth_color(mask, rng.randrange(mask.bit_count()))
         else:
             if s.cfg.mode != MODIFIED:
                 raise StrategyError("chosen edge has no available color in strict mode")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -9,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gamelab import graph as G
+from gamelab._util import derive_seed
+from gamelab.acceptance import ACCEPT_SEED
 from gamelab.breaker import GreedyBlockingBreaker, SkipBreaker
 from gamelab.engine import (
     BREAKER,
@@ -29,7 +32,7 @@ from gamelab.engine import (
 )
 from gamelab.exact import verify_strategy
 from gamelab.maker import DangerRedirectMaker
-from gamelab.match import play_game
+from gamelab.match import ExperimentSpec, play_game, run_match
 
 
 def used_colors(s: GameState, v: int) -> set[int]:
@@ -224,6 +227,40 @@ class TestMoveRecord:
         with pytest.raises(AttributeError):
             rec.note = "x"
         assert rec == MoveRecord(1, MAKER, 0, 2, False, None)
+
+    def test_engine_builds_plain_records(self, tmp_path):
+        # the engine builds its records with tuple.__new__, past the
+        # constructor; they must be MoveRecords with the constructor's fields
+        s = GameState(G.cycle(5), GameConfig.skip_variant(k=3, b=2))
+        s.apply_move(BREAKER, 0, 1, {"note": 1})
+        s.end_breaker_turn()
+        s.apply_move(MAKER, 2, 2)
+        assert all(type(rec) is MoveRecord for rec in s.log)
+        assert s.log == [
+            MoveRecord(1, BREAKER, 0, 1, False, {"note": 1}),
+            MoveRecord(1, BREAKER, None, None, True, None),
+            MoveRecord(2, MAKER, 2, 2, False, None),
+        ]
+        g = G.cycle(25)
+        text = ""
+        for maker in ("random", "greedy"):
+            # the first games of criterion 7's matches, logs written out
+            spec = ExperimentSpec(
+                graph="cycle:25", maker=maker, breaker="box", k=2, b=2, trials=4,
+                seed=derive_seed(ACCEPT_SEED, "c7", maker), logs_dir=str(tmp_path / maker),
+            )
+            run_match(spec)
+            for path in sorted((tmp_path / maker).iterdir()):
+                chunk = path.read_text()
+                parsed = MoveLog.from_jsonl(chunk, g)
+                for log in (parsed, replay(g, spec.game_config(), parsed).log):
+                    assert all(type(rec) is MoveRecord for rec in log)
+                    assert log == [MoveRecord(*rec) for rec in parsed]
+                    assert log.to_jsonl(g) == chunk
+                text += chunk
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "58c3c876deb5b98a17c251619cc17b5a70e9854f42b1b3f44e63d0be6bc76ce3"
+        )
 
 
 class TestRuleErrors:

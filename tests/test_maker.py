@@ -24,6 +24,8 @@ from gamelab.engine import (
     STRICT,
     GameConfig,
     GameState,
+    MoveLog,
+    replay,
 )
 from gamelab.maker import (
     DangerRedirectMaker,
@@ -35,6 +37,7 @@ from gamelab.maker import (
     last_breaker_turn,
     record_crossings,
 )
+from helpers import log_breaker_turn, paper_maker_oracle
 
 
 def run_breaker_turn_random(s: GameState, rng: random.Random) -> None:
@@ -54,6 +57,11 @@ def run_breaker_turn_random(s: GameState, rng: random.Random) -> None:
         ]
         e, c = pairs[rng.randrange(len(pairs))]
         s.apply_move(BREAKER, e, c)
+
+
+def turn_edges(s: GameState) -> list[int]:
+    """The edges of ``last_breaker_turn(s)``'s trail entries."""
+    return [entry[0] for entry in last_breaker_turn(s)]
 
 
 def play_full_game(g: G.Graph, cfg: GameConfig, maker, seed: int) -> GameState:
@@ -185,7 +193,7 @@ class TestAnchorDistribution:
         s.apply_move(BREAKER, 1, 1)
         s.apply_move(BREAKER, 2, 2)
         s.end_breaker_turn()
-        assert last_breaker_turn(s.log) == [1, 2]
+        assert turn_edges(s) == [1, 2]
         hits = {0: 0, 1: 0, 2: 0}
         trials = 10_000
         for i in range(trials):
@@ -201,7 +209,7 @@ class TestAnchorDistribution:
         g = G.path(5)
         s = GameState(g, GameConfig.skip_variant(k=5))
         s.end_breaker_turn()  # Breaker sits out round 1
-        assert last_breaker_turn(s.log) == []
+        assert turn_edges(s) == []
         for i in range(50):
             mk = DangerRedirectMaker(seed=i)
             e, c, ann = mk.move(s)
@@ -404,6 +412,100 @@ class TestTouchedCrossings:
 
         mk = DangerRedirectMaker(mcfg, seed=seed)
         play_on(GameState(g, cfg), mk, MakerMemory(), random.Random(seed), True)
+
+
+class TestMoveEqualsTheOracle:
+    """The paper Maker's move against the list-building reference in
+    ``helpers``: on a fork of its tape and memory the reference must make
+    the same move with the same annotation and stop at the same tape
+    position, along random lines, across a mid-game clone as the verifier
+    makes."""
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_same_move_and_tape_position(self, data):
+        g = data.draw(st.sampled_from(FUZZ_GRAPHS), label="graph")
+        variant = data.draw(st.sampled_from([GameConfig.skip_variant, GameConfig.classic]))
+        cfg = variant(
+            k=data.draw(st.integers(1, 2 * g.max_degree + 1), label="k"),
+            b=data.draw(st.integers(1, 3), label="b"),
+            mode=data.draw(st.sampled_from([STRICT, MODIFIED]), label="mode"),
+        )
+        lam = data.draw(st.sampled_from([Fraction(1, 10), Fraction(1, 3), Fraction(4, 5)]))
+        seed = data.draw(st.integers(0, 2**32), label="seed")
+        fork_at = data.draw(st.integers(0, g.m), label="fork at Maker move")
+
+        def play_on(s, mk, rng, forks):
+            moves = 0
+            while not s.game_over():
+                if s.turn != MAKER:
+                    run_breaker_turn_random(s, rng)
+                    continue
+                assert turn_edges(s) == log_breaker_turn(s.log)
+                twin = mk.clone()
+                expected = paper_maker_oracle(twin, s)
+                e, c, ann = mk.move(s)
+                assert (e, c, ann) == expected
+                assert mk.rng.pos == twin.rng.pos
+                assert mk.memory == twin.memory
+                s.apply_move(MAKER, e, c, ann)
+                moves += 1
+                if forks and moves == fork_at:
+                    depth = len(s.trail)
+                    play_on(s, mk.clone(), random.Random(seed + 1), False)
+                    while len(s.trail) > depth:
+                        s.undo()
+
+        mk = DangerRedirectMaker(MakerConfig(lam=lam, c=lam / 6), seed=seed)
+        play_on(GameState(g, cfg), mk, random.Random(seed), True)
+
+
+def sit_outs() -> GameState:
+    s = GameState(G.cycle(6), GameConfig.skip_variant(k=3))
+    s.end_breaker_turn()
+    s.apply_move(MAKER, 0, 1)
+    s.end_breaker_turn()
+    return s
+
+
+def three_colorings() -> GameState:
+    s = GameState(G.complete(5), GameConfig.skip_variant(k=7, b=3))
+    s.end_breaker_turn()
+    s.apply_move(MAKER, 0, 1)
+    for e, c in ((4, 2), (9, 3), (7, 4)):
+        s.apply_move(BREAKER, e, c)
+    s.end_breaker_turn()
+    return s
+
+
+def replayed() -> GameState:
+    g = G.complete(5)
+    cfg = GameConfig.skip_variant(k=7, b=3)
+    live = play_full_game(g, cfg, DangerRedirectMaker(seed=5), seed=8)
+    log = live.log
+    # the longest prefix that ends a Breaker turn with colorings
+    cut = max(i for i in range(1, len(log)) if log[i].skip and log[i - 1].player == BREAKER)
+    lines = log.to_jsonl(g).splitlines()[: cut + 1]
+    return replay(g, cfg, MoveLog.from_jsonl("\n".join(lines), g))
+
+
+@pytest.mark.parametrize(
+    "make, edges",
+    [
+        (sit_outs, []),
+        (three_colorings, [4, 9, 7]),
+        (lambda: GameState(G.cycle(6), GameConfig.classic(k=3)), []),
+        (replayed, None),
+    ],
+    ids=["sit-outs", "b = 3 turn", "classic first move", "replayed log"],
+)
+def test_last_breaker_turn_equals_the_log_walk(make, edges):
+    s = make()
+    assert turn_edges(s) == log_breaker_turn(s.log)
+    if edges is None:
+        assert turn_edges(s)  # the replayed turn colored edges
+    else:
+        assert turn_edges(s) == edges
 
 
 class TestCloneDeterminism:
